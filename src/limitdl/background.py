@@ -250,9 +250,6 @@ class Theory:
     def empty_upset(self) -> Upset:
         return EMPTY if self.kind == "lia" else Antichain(())
 
-    def member_empty_ok(self) -> None:
-        pass
-
 
 def theory_for(kind: str, dim: int, direction: str) -> Theory:
     return Theory(kind, dim, flipped=(direction == "downward"))
@@ -351,32 +348,6 @@ def compile_atom(atom: BgAtom, theory: Theory,
 # satisfiability of background conjunctions
 
 
-def _subst_equalities(f: Formula, protected: frozenset[str] = frozenset()) -> Formula:
-    """Substitute away variables pinned by unit-coefficient equalities.
-    Sound for existentially closed conjunctions."""
-    while True:
-        if not isinstance(f, P.And):
-            conjuncts = [f]
-        else:
-            conjuncts = list(f.args)
-        done = True
-        for i, a in enumerate(conjuncts):
-            if isinstance(a, P.Cmp) and a.op == "=":
-                for v_, c_ in a.t.coeffs:
-                    if abs(c_) == 1 and v_ not in protected:
-                        # solve: v = -(t - c*v)/c
-                        rest = a.t.drop(v_)
-                        sol = rest.neg() if c_ == 1 else rest
-                        rem = conjuncts[:i] + conjuncts[i + 1:]
-                        f = P.conj(P.subst(g, v_, sol) for g in rem)
-                        done = False
-                        break
-                if not done:
-                    break
-        if done:
-            return P.conj(conjuncts)
-
-
 def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
                theory: Theory, fin_elems: Sequence[str]) -> bool:
     """Is the existential closure of the conjunction satisfiable?  Finite-sort
@@ -390,11 +361,8 @@ def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
     for combo in itertools.product(fin_elems, repeat=len(svars)) \
             if svars else [()]:
         env = dict(zip(svars, combo))
-        try:
-            if not all(compile_atom(a, theory, env) == P.TRUE for a in eqs_atoms):
-                continue
-        except TheoryError:
-            raise
+        if not all(compile_atom(a, theory, env) == P.TRUE for a in eqs_atoms):
+            continue
         fs = [compile_atom(a, theory, env) for a in num_atoms]
         if theory.nat:
             fs += [P.ge(LinTerm.of_var(comp_var(n, i + 1)), LinTerm.of_const(0))

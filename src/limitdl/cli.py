@@ -14,8 +14,7 @@ import sys
 from . import entwined as E
 from .background import theory_for
 from .driver import SolveConfig, solve, verify
-from .frontends import (IllFormedMachine, LCMConfig, encode_lcm,
-                        load_machine, simulate_reachable)
+from .frontends import IllFormedMachine, LCMConfig, encode_lcm, load_machine
 from .syntax import (SyntaxProblem, _Ctx, normalize_problem, parse_problem,
                      print_problem, read_sexprs)
 from .typesys import validate
@@ -45,7 +44,7 @@ def _cmd_solve(args) -> int:
     cfg = SolveConfig(resolution_slice=args.budget_resolution,
                       model_slice=args.budget_models,
                       total_budget=args.total_budget,
-                      hint=args.hint, mode=args.mode, workers=args.workers)
+                      hint=args.hint)
     v = solve(p, cfg)
     if v.kind == "INVALID":
         for e in v.report.errors:
@@ -113,11 +112,6 @@ def _parse_target(spec: str, counters: int) -> LCMConfig:
 def _cmd_encode_lcm(args) -> int:
     m = load_machine(args.machine)
     target = _parse_target(args.target, m.counters)
-    if args.simulate:
-        reach = simulate_reachable(m, target, args.cap)
-        _emit(args, {"reachable": reach}, "reachable" if reach
-              else "unreachable")
-        return EXIT_OK
     p = encode_lcm(m, target, cover=args.cover)
     text = print_problem(p)
     if args.output:
@@ -163,11 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--total-budget", type=int, default=None, metavar="N")
     sp.add_argument("--hint", metavar="FILE",
                     help="model witness to try first")
-    sp.add_argument("--mode", choices=["auto", "fo", "initial"],
-                    default="auto")
     sp.add_argument("--emit-proof", metavar="FILE")
     sp.add_argument("--emit-model", metavar="FILE")
-    sp.add_argument("--workers", type=int, default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_solve)
 
@@ -190,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", metavar="FILE")
     sp.add_argument("--cover", action="store_true",
                     help="coverability goal (counters at least the target)")
-    sp.add_argument("--simulate", action="store_true",
-                    help=argparse.SUPPRESS)  # brute-force oracle
-    sp.add_argument("--cap", type=int, default=10, help=argparse.SUPPRESS)
     common(sp)
     sp.set_defaults(fn=_cmd_encode_lcm)
 

@@ -20,9 +20,6 @@ class SolveConfig:
     model_slice: int = 50
     total_budget: int | None = None
     hint: str | None = None
-    mode: str = "auto"  # auto | fo | initial
-    workers: int = 1  # accepted for interface compatibility; checking is
-    # fast enough single-threaded on the corpus
 
     def __post_init__(self) -> None:
         if self.resolution_slice < 1 or self.model_slice < 1:
@@ -38,16 +35,16 @@ class Verdict:
     stats: dict = field(default_factory=dict)
 
 
-def _candidates(p: Problem, theory: Theory,
-                cfg: SolveConfig) -> Iterator[E.EntwinedStructure]:
+def _candidates(p: Problem, theory: Theory, hint: str | None,
+                first_order: bool) -> Iterator[E.EntwinedStructure]:
     """Model-side candidate stream: hint first, then (for first-order
     problems) the converged least model, then fair enumeration."""
-    if cfg.hint is not None:
+    if hint is not None:
         try:
-            yield E.load_model(p, theory, cfg.hint)
+            yield E.load_model(p, theory, hint)
         except (E.SchemaError, E.FrameInconsistency, OSError):
             pass  # a bad hint only costs the seed
-    if cfg.mode == "fo":
+    if first_order:
         try:
             m = E.fo_least_model(p, theory)
             if m is not None:
@@ -66,15 +63,10 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
     report = validate(p)
     if not report.ok:
         return Verdict("INVALID", report=report)
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "fo" if report.mode == "FirstOrder" else "initial"
-    cfg = SolveConfig(cfg.resolution_slice, cfg.model_slice, cfg.total_budget,
-                      cfg.hint, mode, cfg.workers)
 
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     sat = Saturator(p, theory)
-    stream = _candidates(p, theory, cfg)
+    stream = _candidates(p, theory, cfg.hint, report.mode == "FirstOrder")
     models_seen = 0
     stream_done = False
     spent = 0
@@ -88,8 +80,7 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
         r = sat.run(cfg.resolution_slice)
         spent += cfg.resolution_slice
         if isinstance(r, Refuted):
-            if not replay(r.trace, p, theory):
-                raise AssertionError("refutation trace failed re-verification")
+            replay(r.trace, p, theory)  # raises TraceError on a bad trace
             return Verdict("UNSAT", trace=r.trace, report=report,
                            stats={"resolutionSteps": r.steps_used,
                                   "modelsChecked": models_seen})
@@ -110,7 +101,7 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
                                stats={"resolutionSteps": sat.steps_used,
                                       "modelsChecked": models_seen})
         if stream_done and isinstance(r, BudgetExhausted) and \
-                not sat._frontier:
+                sat.exhausted():
             # both searches exhausted without an answer
             return Verdict("UNKNOWN", report=report,
                            stats={"resolutionSteps": sat.steps_used,

@@ -283,7 +283,7 @@ class EntwinedStructure:
                 except KeyError:
                     raise SchemaError(f"undeclared predicate {pname!r}")
                 if pname not in self.interps:
-                    raise StageOrderViolation(
+                    raise FrameInconsistency(
                         f"{pname} is not interpreted below {print_sort(s)}")
                 pargs = arg_sorts(psort)
                 if len(args) > len(pargs):
@@ -573,8 +573,7 @@ def check_model(m: EntwinedStructure, p: Problem) -> bool:
 # fair enumeration of candidate structures
 
 
-def _upset_pool(theory: Theory, k: int, cache: list[Upset],
-                it: Iterator[Upset]) -> Upset:
+def _upset_pool(k: int, cache: list[Upset], it: Iterator[Upset]) -> Upset:
     while len(cache) <= k:
         cache.append(next(it))
     return cache[k]
@@ -605,7 +604,7 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
     if classify(psort) == "active":
         nrows = len(m.rows(psort))
         for idxs in _compositions(weight, nrows):
-            descs = tuple(canonical_upset(th, _upset_pool(th, k, cache, it))
+            descs = tuple(canonical_upset(th, _upset_pool(k, cache, it))
                           for k in idxs)
             yield ActVal(psort, descs)
         return
@@ -613,28 +612,15 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
     rows = m.rows(psort)
     if weight >= (1 << len(rows)):
         return
-    bits = [bool((weight >> i) & 1) for i in range(len(rows))]
-
-    def build(s: Sort, base: int, stride_info) -> Value:
-        if s == PROP:
-            return bits[base]
-        total = stride_info[0]
-        dom = m.frame(s.arg)
-        sub = total // len(dom)
-        return FnVal(s, tuple(build(s.res, base + i * sub, (sub,))
-                              for i in range(len(dom))))
-
-    yield build(psort, 0, (len(rows),))
+    yield _fn_from_bits(m, psort,
+                        [bool((weight >> i) & 1) for i in range(len(rows))])
 
 
 def enumerate_structures(p: Problem, theory: Theory,
-                         hint: EntwinedStructure | None = None,
                          max_frame: int = MAX_FRAME
                          ) -> Iterator[EntwinedStructure]:
     """Fair enumeration: every finitely presented structure appears at some
-    finite index.  A hint structure, if given, is yielded first."""
-    if hint is not None:
-        yield hint
+    finite index."""
     preds = sorted(p.decls, key=lambda d: (type_order(d[1]), d[0]))
     cache: list[Upset] = []
     pool = theory.enumerate_upsets()
@@ -673,12 +659,13 @@ def enumerate_structures(p: Problem, theory: Theory,
 
 def _extract_lia(theory: Theory, phi: P.Formula, comp: str) -> Upset:
     psi = P.eliminate(phi)
-    if P.sat_exists_all([psi]) is None:
+    w_in = P.sat_exists_all([psi])
+    if w_in is None:
         return EMPTY
-    if P.sat_exists_all([P.nnf(P.Not(psi))]) is None:
+    w_out = P.sat_exists_all([P.nnf(P.Not(psi))])
+    if w_out is None:
         return ALL
-    w_in = P.sat_exists_all([psi]).get(comp, 0)
-    w_out = P.sat_exists_all([P.nnf(P.Not(psi))]).get(comp, 0)
+    w_in, w_out = w_in.get(comp, 0), w_out.get(comp, 0)
 
     def holds(x: int) -> bool:
         return P.evaluate0(psi, {comp: x})
@@ -846,6 +833,8 @@ def _fn_from_bits(m: EntwinedStructure, s: Sort, bits: list[bool]) -> Value:
 # re-verified by check_model before it is reported, so acceleration can
 # only cost completeness, never soundness.
 _WIDEN_AFTER = 6
+# fo_least_model gives up (returns None) after this many rounds
+_MAX_ROUNDS = 50
 
 
 def _widen_coord(theory: Theory, gi: int | None, oi: int | None):
@@ -876,11 +865,10 @@ def _widen(theory: Theory, old: Upset, new: Upset) -> Upset:
     return new
 
 
-def fo_least_model(p: Problem, theory: Theory,
-                   max_rounds: int = 50) -> EntwinedStructure | None:
+def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
     """Compute the least model of a first-order problem by fixpoint
     iteration over descriptor tables; None if the iteration does not
-    converge within max_rounds."""
+    converge within _MAX_ROUNDS."""
     dim = theory.dim
     # per predicate: ground-argument row -> descriptor (active) or bool
     state: dict[str, dict] = {}
@@ -942,7 +930,7 @@ def fo_least_model(p: Problem, theory: Theory,
     nat_bound = (lambda cs: [P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(0))
                              for c in cs]) if theory.nat else (lambda cs: [])
 
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         changed = False
         for c in p.clauses:
             hname, hargs = c.head
@@ -1035,166 +1023,6 @@ def fo_least_model(p: Problem, theory: Theory,
 
 
 # ---------------------------------------------------------------------------
-# bounded canonical model (first-order test oracle)
-
-
-@dataclass
-class BoundedModel:
-    relations: dict[str, set[tuple]]
-    goal_violated: bool
-    window: int
-
-    def holds(self, pred: str, args: tuple) -> bool:
-        return args in self.relations.get(pred, set())
-
-
-def _window_grid(theory: Theory, window: int) -> list[tuple[int, ...]]:
-    if theory.nat:
-        return list(itertools.product(range(window + 1), repeat=theory.dim))
-    return [(x,) for x in range(-window, window + 1)]
-
-
-def _py_expr(f: P.Formula, names: dict[str, str]) -> str:
-    """Render a quantifier-free formula as a python boolean expression over
-    the variables renamed per `names`."""
-    def term(t: P.LinTerm) -> str:
-        parts = [str(t.const)]
-        for v, c in t.coeffs:
-            parts.append(f"{c}*{names[v]}")
-        return "+".join(parts)
-
-    match f:
-        case P.TrueF():
-            return "True"
-        case P.FalseF():
-            return "False"
-        case P.Cmp(op, t):
-            pyop = {"<=": "<=", "<": "<", "=": "==", "!=": "!=",
-                    ">": ">", ">=": ">="}[op]
-            return f"(({term(t)}){pyop}0)"
-        case P.Div(d, t, neg):
-            rel = "!=" if neg else "=="
-            return f"((({term(t)})%{d}){rel}0)"
-        case P.Not(g):
-            return f"(not {_py_expr(g, names)})"
-        case P.And(args):
-            return "(" + " and ".join(_py_expr(a, names) for a in args) + ")"
-        case P.Or(args):
-            return "(" + " or ".join(_py_expr(a, names) for a in args) + ")"
-    raise TypeError(f"not quantifier-free: {f}")
-
-
-def bounded_canonical_model(p: Problem, theory: Theory,
-                            window: int) -> BoundedModel:
-    """Least-fixpoint iteration of immediate consequence over numeric points
-    inside the window.  Only meaningful when the derivations of interest stay
-    within the window; used to cross-check verdicts on curated problems."""
-    grid = _window_grid(theory, window)
-    grid_set = set(grid)
-    dim = theory.dim
-    rels: dict[str, set[tuple]] = {n: set() for n, _ in p.decls}
-
-    def compile_instance(c: Clause, val: dict):
-        """For a fixed finite-sort valuation, compile the clause into a fast
-        membership test over an assignment tuple of the clause's W vars."""
-        wnames = [n for n, s in c.vars if s == W]
-        widx = {n: i for i, n in enumerate(wnames)}
-        names = {comp_var(n, j + 1): f"w[{i}][{j}]"
-                 for n, i in widx.items() for j in range(dim)}
-        bgs: list[P.Formula] = []
-        fgs: list[tuple[str, list]] = []
-        for a in c.body_atoms():
-            if isinstance(a, BgAtom):
-                bgs.append(compile_atom(a, theory, val))
-            else:
-                head, args = spine(a.term)
-                if not isinstance(head, PredRef):
-                    raise ValueError(
-                        "bounded oracle requires first-order problems")
-                getters = []
-                for t in args:
-                    if isinstance(t, Var) and t.name in widx:
-                        getters.append(("w", widx[t.name]))
-                    elif isinstance(t, Var):
-                        getters.append(("k", val[t.name]))
-                    elif isinstance(t, SConst):
-                        getters.append(("k", t.name))
-                    else:
-                        getters.append(("k", _eval_w(t, {}, dim)))
-                fgs.append((head.name, getters))
-        bg_f = P.conj(bgs)
-        bg_test = eval("lambda w: " + _py_expr(bg_f, names))  # noqa: S307
-        return wnames, bg_test, fgs
-
-    def fg_key(getters: list, w: tuple) -> tuple:
-        return tuple(w[i] if k == "w" else i for k, i in getters)
-
-    def fin_vals(c: Clause) -> Iterator[dict]:
-        gvars = [(n, s) for n, s in c.vars if s != W]
-        doms = []
-        for _, s in gvars:
-            if s == FIN:
-                doms.append(list(p.fin_elems))
-            else:
-                raise ValueError("bounded oracle requires first-order "
-                                 "problems")
-        for combo in itertools.product(*doms):
-            yield {n: v for (n, _), v in zip(gvars, combo)}
-
-    def head_key(hargs, val: dict, wnames: list, w: tuple):
-        out = []
-        for t in hargs:
-            if isinstance(t, Var) and t.name in val:
-                out.append(val[t.name])
-            elif isinstance(t, Var):
-                out.append(w[wnames.index(t.name)])
-            elif isinstance(t, SConst):
-                out.append(t.name)
-            else:
-                out.append(_eval_w(t, {}, dim))
-        return tuple(out)
-
-    compiled = []
-    for c in p.clauses:
-        for val in fin_vals(c):
-            compiled.append((c, val, *compile_instance(c, val)))
-
-    changed = True
-    while changed:
-        changed = False
-        for c, val, wnames, bg_test, fgs in compiled:
-            hname, hargs = c.head
-            rel = rels[hname]
-            for w in itertools.product(grid, repeat=len(wnames)):
-                if not bg_test(w):
-                    continue
-                if any(fg_key(g, w) not in rels[q] for q, g in fgs):
-                    continue
-                key = head_key(hargs, val, wnames, w)
-                if any(isinstance(x, tuple) and x not in grid_set
-                       for x in key):
-                    continue  # head point fell outside the window
-                if key not in rel:
-                    rel.add(key)
-                    changed = True
-
-    violated = False
-    for g in p.goals:
-        for val in fin_vals(g):
-            wnames, bg_test, fgs = compile_instance(g, val)
-            for w in itertools.product(grid, repeat=len(wnames)):
-                if bg_test(w) and \
-                        all(fg_key(x, w) in rels[q] for q, x in fgs):
-                    violated = True
-                    break
-            if violated:
-                break
-        if violated:
-            break
-    return BoundedModel(rels, violated, window)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -1218,7 +1046,7 @@ def _canon_from_json(d) -> CanonicalValue:
         return SVal(str(d["s"]))
     if "app" in d:
         a = d["app"]
-        if not a or not isinstance(a[0], str):
+        if not isinstance(a, list) or not a or not isinstance(a[0], str):
             raise SchemaError("bad application value")
         return PredApp(a[0], tuple(_canon_from_json(x) for x in a[1:]))
     raise SchemaError(f"bad canonical value {d!r}")
@@ -1293,13 +1121,17 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
         if not isinstance(entry, dict) or entry.get("kind") != kind or \
                 not isinstance(entry.get("rows"), list):
             raise SchemaError(f"bad entry for predicate {pname!r}")
+        for r in entry["rows"]:
+            if not isinstance(r, dict) or any(
+                    not isinstance(r.get(k, []), list)
+                    for k in ("pre", "post", "args")):
+                raise SchemaError(f"bad row in {pname!r}")
         if kind == "active":
             nw = nonw_sorts(psort)
-            wpos = w_position(psort)
             rows = m.rows(psort)
             table: dict[tuple, Upset] = {}
             for r in entry["rows"]:
-                if not isinstance(r, dict) or "upset" not in r:
+                if "upset" not in r:
                     raise SchemaError(f"bad row in {pname!r}")
                 pre = [m.resolve_canon(s_, _canon_from_json(x))
                        for s_, x in zip(nw, r.get("pre", []))]
@@ -1326,7 +1158,6 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
                 raise FrameInconsistency(
                     f"witness for {pname!r} has rows outside the frame")
             interps[pname] = ActVal(psort, tuple(descs))
-            del wpos
         elif psort == PROP:
             rows = entry["rows"]
             if len(rows) != 1 or "value" not in rows[0]:
@@ -1338,7 +1169,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
                 *(m.frame(s_) for s_ in args_sorts)))
             table2: dict[tuple, bool] = {}
             for r in entry["rows"]:
-                if not isinstance(r, dict) or "value" not in r:
+                if "value" not in r:
                     raise SchemaError(f"bad row in {pname!r}")
                 key = tuple(m.resolve_canon(s_, _canon_from_json(x))
                             for s_, x in zip(args_sorts, r.get("args", [])))
@@ -1356,16 +1187,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
             if table2:
                 raise FrameInconsistency(
                     f"witness for {pname!r} has rows outside the frame")
-
-            it = iter(bits)
-
-            def build(s: Sort) -> Value:
-                if s == PROP:
-                    return next(it)
-                dom = m.frame(s.arg)
-                return FnVal(s, tuple(build(s.res) for _ in dom))
-
-            interps[pname] = build(psort)
+            interps[pname] = _fn_from_bits(m, psort, bits)
     return EntwinedStructure(p, theory, interps, max_frame)
 
 

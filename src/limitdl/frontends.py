@@ -1,12 +1,9 @@
 """Lossy counter machine frontend: compile reachability queries to clause
-problems over tuples of naturals, plus a brute-force simulator used as a
-test oracle."""
+problems over tuples of naturals."""
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .syntax import (PROP, W, AndF, Arrow, BgAtom, Clause, FgAtom, Problem,
@@ -166,51 +163,6 @@ def encode_lcm(m: LCM, target: LCMConfig, cover: bool = False) -> Problem:
                      for i, v in enumerate(target.values))))
     p = Problem("nat", n, "downward", (), decls, tuple(clauses), (goal,))
     return normalize_problem(p)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def simulate_reachable(m: LCM, target: LCMConfig, cap: int) -> bool:
-    """BFS over configurations with counters bounded by cap; a transition is
-    loss* then one instruction then loss*.  Since losses are arbitrary
-    componentwise decreases, it suffices to close the reached set downward
-    after every instruction step."""
-    check_machine(m)
-
-    def down(vals: tuple[int, ...]):
-        return itertools.product(*(range(v + 1) for v in vals))
-
-    start = LCMConfig(m.initial, (0,) * m.counters)
-    seen: set[LCMConfig] = set()
-    queue: deque[LCMConfig] = deque()
-
-    def push(c: LCMConfig) -> None:
-        for vals in down(c.values):
-            cc = LCMConfig(c.state, vals)
-            if cc not in seen:
-                seen.add(cc)
-                queue.append(cc)
-
-    push(start)
-    while queue:
-        c = queue.popleft()
-        for ins in m.instructions:
-            if ins.src != c.state:
-                continue
-            i = ins.counter - 1
-            if isinstance(ins, InstrA):
-                if c.values[i] < cap:
-                    vals = c.values[:i] + (c.values[i] + 1,) + c.values[i+1:]
-                    push(LCMConfig(ins.dst, vals))
-            else:
-                if c.values[i] == 0:
-                    push(LCMConfig(ins.if_zero, c.values))
-                else:
-                    vals = c.values[:i] + (c.values[i] - 1,) + c.values[i+1:]
-                    push(LCMConfig(ins.dec_to, vals))
-    return LCMConfig(target.state, target.values) in seen
 
 
 def load_machine(path: str) -> LCM:

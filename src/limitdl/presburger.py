@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -551,26 +551,6 @@ def _cooper(var: str, f: Formula) -> Formula:
                 return ("div", d * m, rest, neg)
         return g
 
-    # Build substituted instances directly: given a LinTerm x_t for x',
-    # rebuild each literal from its rescaled shape.
-    def build(x_t: LinTerm, minus_inf: bool) -> Formula:
-        def fn(g: Formula) -> Formula:
-            r = rescale(g)
-            if isinstance(r, tuple):
-                if r[0] == "ub":
-                    if minus_inf:
-                        return TRUE
-                    return cmp_atom("<", x_t.add(r[1]))
-                if r[0] == "lb":
-                    if minus_inf:
-                        return FALSE
-                    return cmp_atom("<", r[1].sub(x_t))
-                if r[0] == "div":
-                    return div_atom(r[1], x_t.add(r[2]), r[3])
-            return r  # atom without var
-
-        return _map_atoms(f, fn)
-
     lbs: list[LinTerm] = []
     ubs: list[LinTerm] = []
     bigd = delta
@@ -584,41 +564,38 @@ def _cooper(var: str, f: Formula) -> Formula:
             else:
                 bigd = _lcm(bigd, r[1])
 
-    def build_plus(x_t: LinTerm, plus_inf: bool) -> Formula:
+    # Build substituted instances directly: given a LinTerm x_t for x',
+    # rebuild each literal from its rescaled shape.  At -infinity (inf < 0)
+    # every upper bound holds and every lower bound fails; at +infinity
+    # (inf > 0) the other way round.
+    def build(x_t: LinTerm, inf: int) -> Formula:
         def fn(g: Formula) -> Formula:
             r = rescale(g)
-            if isinstance(r, tuple):
-                if r[0] == "ub":
-                    if plus_inf:
-                        return FALSE
-                    return cmp_atom("<", x_t.add(r[1]))
-                if r[0] == "lb":
-                    if plus_inf:
-                        return TRUE
-                    return cmp_atom("<", r[1].sub(x_t))
-                if r[0] == "div":
-                    return div_atom(r[1], x_t.add(r[2]), r[3])
-            return r
+            if not isinstance(r, tuple):
+                return r  # atom without var
+            if r[0] == "div":
+                return div_atom(r[1], x_t.add(r[2]), r[3])
+            if inf:
+                return TRUE if (r[0] == "ub") == (inf < 0) else FALSE
+            if r[0] == "ub":
+                return cmp_atom("<", x_t.add(r[1]))
+            return cmp_atom("<", r[1].sub(x_t))
 
         return _map_atoms(f, fn)
 
     # Every candidate x' must also satisfy delta | x' (from x' = delta * x).
-    out: list[Formula] = []
     if len(lbs) <= len(ubs):
-        cands = [(LinTerm.of_const(j), True) for j in range(1, bigd + 1)] + [
-            (b.add(LinTerm.of_const(j)), False) for b in lbs for j in range(1, bigd + 1)
+        cands = [(LinTerm.of_const(j), -1) for j in range(1, bigd + 1)] + [
+            (b.add(LinTerm.of_const(j)), 0) for b in lbs for j in range(1, bigd + 1)
         ]
-        for x_t, inf in cands:
-            out.append(conj([div_atom(delta, x_t), build(x_t, minus_inf=inf)]))
     else:
         # mirror form: sample below each upper bound and at +infinity.
         # x' + s < 0 gives upper bound x' < -s; sample x' = -s - j.
-        cands = [(LinTerm.of_const(-j), True) for j in range(1, bigd + 1)] + [
-            (s.neg().sub(LinTerm.of_const(j)), False) for s in ubs for j in range(1, bigd + 1)
+        cands = [(LinTerm.of_const(-j), 1) for j in range(1, bigd + 1)] + [
+            (s.neg().sub(LinTerm.of_const(j)), 0) for s in ubs for j in range(1, bigd + 1)
         ]
-        for x_t, inf in cands:
-            out.append(conj([div_atom(delta, x_t), build_plus(x_t, plus_inf=inf)]))
-    return disj(out)
+    return disj(conj([div_atom(delta, x_t), build(x_t, inf)])
+                for x_t, inf in cands)
 
 
 def _relativize(f: Formula, nat_vars: frozenset[str]) -> Formula:
@@ -710,24 +687,6 @@ def _lits_of(f: Formula, acc: list, pending: list) -> bool:
             pending.append(f)
             return True
     raise ValueError(f"quantifier reached branch expansion: {f}")
-
-
-def _branches(fs: list[Formula]):
-    """Lazy DNF: yield lists of atomic literals whose disjunction covers
-    the conjunction of fs."""
-    acc: list = []
-    pending: list = []
-    for f in fs:
-        if not _lits_of(f, acc, pending):
-            return
-    if not pending:
-        yield acc
-        return
-    first = pending[0]
-    rest = pending[1:]
-    assert isinstance(first, Or)
-    for alt in first.args:
-        yield from _branches([alt] + rest + acc)
 
 
 def _propagate_intervals(lits: list) -> bool | None:
@@ -829,41 +788,41 @@ def _eval0(t: LinTerm, env: dict[str, int]) -> int:
     return total
 
 
+_ONE = LinTerm.of_const(1)
+
+
+def _to_le(f: Formula) -> Formula:
+    """Rewrite a '<', '>' or '>=' comparison as the equivalent '<=' literal
+    over the integers (or TRUE/FALSE once constant); any other literal is
+    returned unchanged."""
+    if type(f) is Cmp:
+        if f.op == "<":
+            return cmp_atom("<=", f.t.add(_ONE))
+        if f.op == ">":
+            return cmp_atom("<=", f.t.neg().add(_ONE))
+        if f.op == ">=":
+            return cmp_atom("<=", f.t.neg())
+    return f
+
+
 def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
     """Satisfying assignment for a conjunction of Cmp/Div literals over the
     integers, or None.  Variables absent from the result are free; read
     them as 0."""
     # normalize comparisons to '<='/'=' over the integers, fold constants
-    one = LinTerm.of_const(1)
     work: list = []
     for f in lits:
-        if type(f) is Cmp:
-            op = f.op
-            if op == "<=" or op == "=":
-                work.append(f)
-                continue
-            if op == "<":
-                g = cmp_atom("<=", f.t.add(one))
-            elif op == ">":
-                g = cmp_atom("<=", f.t.neg().add(one))
-            elif op == ">=":
-                g = cmp_atom("<=", f.t.neg())
-            else:  # '!=' splits into two branches
-                rest = [x for x in lits if x is not f]
-                a = cmp_atom("<=", f.t.add(one))
-                b = cmp_atom("<=", f.t.neg().add(one))
-                w = _sat_lits(rest + [a], depth)
-                if w is not None:
-                    return w
-                return _sat_lits(rest + [b], depth)
-            if g is FALSE:
-                return None
-            if g is not TRUE:
-                work.append(g)
-        elif f is FALSE:
+        if type(f) is Cmp and f.op == "!=":  # splits into two branches
+            rest = [x for x in lits if x is not f]
+            w = _sat_lits(rest + [_to_le(Cmp("<", f.t))], depth)
+            if w is not None:
+                return w
+            return _sat_lits(rest + [_to_le(Cmp(">", f.t))], depth)
+        g = _to_le(f)
+        if g is FALSE:
             return None
-        elif f is not TRUE:
-            work.append(f)
+        if g is not TRUE:
+            work.append(g)
     lits = work
 
     # unit equality substitution
@@ -1012,30 +971,18 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
     place; existing entries are kept reduced).  The residual list is
     equivalent to the input over the remaining variables.  Returns None
     when the conjunction folds to false."""
-    one = LinTerm.of_const(1)
     lits: list = []
     stack = list(fs)
     while stack:
         f = stack.pop()
-        if f is TRUE or isinstance(f, TrueF):
-            continue
-        if f is FALSE or isinstance(f, FalseF):
-            return None
         if isinstance(f, And):
             stack.extend(f.args)
             continue
-        if type(f) is Cmp:
-            op = f.op
-            if op == "<":
-                f = cmp_atom("<=", f.t.add(one))
-            elif op == ">":
-                f = cmp_atom("<=", f.t.neg().add(one))
-            elif op == ">=":
-                f = cmp_atom("<=", f.t.neg())
-            if isinstance(f, TrueF):
-                continue
-            if isinstance(f, FalseF):
-                return None
+        f = _to_le(f)
+        if isinstance(f, TrueF):
+            continue
+        if isinstance(f, FalseF):
+            return None
         lits.append(f)
 
     while True:
@@ -1075,45 +1022,14 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
         pins[v] = t
 
 
-def sat_exists(matrix: Formula) -> bool:
-    """Satisfiability over the integers of a quantifier-free formula,
-    i.e. truth of its existential closure."""
-    return sat_exists_all([matrix]) is not None
-
-
-def _norm_for_prop(lits: list) -> list | None:
-    """Rewrite comparison literals to '<='/'=' so interval propagation can
-    read them; returns None on a constant contradiction."""
-    one = LinTerm.of_const(1)
-    out: list = []
-    for f in lits:
-        if type(f) is Cmp and f.op not in ("<=", "="):
-            if f.op == "<":
-                g = cmp_atom("<=", f.t.add(one))
-            elif f.op == ">":
-                g = cmp_atom("<=", f.t.neg().add(one))
-            elif f.op == ">=":
-                g = cmp_atom("<=", f.t.neg())
-            else:
-                continue  # '!=' carries no interval information
-            if g is FALSE:
-                return None
-            if g is not TRUE:
-                out.append(g)
-        elif f is FALSE:
-            return None
-        elif f is not TRUE:
-            out.append(f)
-    return out
-
-
 def _solve_pend(lits: list, pends: list) -> dict[str, int] | None:
     """Branch over pending disjunctions, pruning each partial branch by
     interval propagation before expanding further."""
     if not pends:
         return _sat_lits(lits)
-    work = _norm_for_prop(lits)
-    if work is None or _propagate_intervals(work) is False:
+    # '!=' carries no interval information
+    work = [_to_le(f) for f in lits if type(f) is not Cmp or f.op != "!="]
+    if any(g is FALSE for g in work) or _propagate_intervals(work) is False:
         return None
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
     chosen = pends[i]

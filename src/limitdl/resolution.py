@@ -21,12 +21,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass
 
 from .background import BgState, Theory, bg_extend, bg_state, exists_sat
 from .syntax import (
-    App, Atom, BgAtom, Clause, FIN, FgAtom, PredRef, Problem, SConst, Sort,
-    Term, Var, W, WLit, WOp, mk_app, print_term, spine,
+    App, Atom, BgAtom, Clause, FIN, FgAtom, PredRef, Problem, Sort, Term, Var,
+    W, WOp, print_term, spine,
 )
 
 LIMIT_COST = 64
@@ -67,9 +67,6 @@ class Goal:
     atoms: tuple[Atom, ...]
     varsorts: tuple[tuple[str, Sort], ...]
 
-    def sortmap(self) -> dict[str, Sort]:
-        return dict(self.varsorts)
-
 
 def atom_vars(a: Atom) -> list[str]:
     out: list[str] = []
@@ -102,11 +99,6 @@ def goal_of_clause(cl: Clause) -> Goal:
     used = [v for a in atoms for v in atom_vars(a)]
     vs = tuple((n, s) for n, s in cl.vars if n in used)
     return Goal(atoms, vs)
-
-
-def print_goal(g: Goal) -> str:
-    from .syntax import print_formula
-    return " & ".join(print_formula(a) for a in g.atoms) or "<empty>"
 
 
 def canonical_goal(g: Goal, sort_atoms: bool = True) -> str:
@@ -286,11 +278,9 @@ class _Node:
 class Saturator:
     """Resumable uniform-cost refutation search over all goal clauses."""
 
-    def __init__(self, problem: Problem, theory: Theory,
-                 limit_cost: int = LIMIT_COST):
+    def __init__(self, problem: Problem, theory: Theory):
         self.problem = problem
         self.theory = theory
-        self.limit_cost = limit_cost
         self.fresh = itertools.count()
         self.steps_used = 0
         self._seq = itertools.count()
@@ -370,7 +360,7 @@ class Saturator:
                         continue
                 elif bg_unsat(child, self.theory, fins):
                     continue
-                step_cost = self.limit_cost if cl.is_limit else 1
+                step_cost = LIMIT_COST if cl.is_limit else 1
                 heapq.heappush(self._frontier,
                                (cost + step_cost, next(self._seq),
                                 _Node(child, node.root, node, i, ci,
@@ -412,8 +402,9 @@ def saturate(problem: Problem, theory: Theory,
 
 
 def replay(trace: ProofTrace, problem: Problem, theory: Theory) -> bool:
-    """Re-execute a trace step by step; True only if every resolution step
-    reproduces the recorded goal and the final refutation check passes."""
+    """Re-execute a trace step by step.  Returns True when every resolution
+    step reproduces the recorded goal and the final refutation check
+    passes; raises TraceError otherwise."""
     steps = trace.steps
     if not steps or steps[0].rule != "root" or steps[-1].rule != "refutation":
         raise TraceError("malformed trace shape")

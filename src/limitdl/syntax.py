@@ -199,19 +199,16 @@ BodyF = BgAtom | FgAtom | AndF | OrF
 
 @dataclass(frozen=True)
 class Clause:
-    """Definite clause when head is set, goal clause when head is None."""
+    """Definite clause when head is set, goal clause when head is None.
+
+    is_limit is set by normalize_problem; it follows from the clause's shape
+    and the problem's direction, so like loc it takes no part in equality."""
 
     vars: tuple[tuple[str, Sort], ...]
     head: tuple[str, tuple[Term, ...]] | None
     body: BodyF
-    is_limit: bool = False
+    is_limit: bool = field(default=False, compare=False)
     loc: tuple[int, int] = field(default=(0, 0), compare=False)
-
-    def var_sort(self, name: str) -> Sort:
-        for n, s in self.vars:
-            if n == name:
-                return s
-        raise KeyError(name)
 
     def body_atoms(self) -> list[Atom]:
         """Flat conjunction view; only valid on normalized clauses."""
@@ -523,16 +520,8 @@ def parse_problem(text: str) -> Problem:
 
     if not seen_theory:
         raise SyntaxProblem("missing (theory ...) form")
-    marked = []
-    for cl in clauses:
-        pname = cl.head[0]  # type: ignore[index]
-        s = decls[pname]
-        wps = _w_positions(s)
-        if wps and _is_limit_clause(cl, pname, wps[0], len(arg_sorts(s)), direction):
-            cl = replace(cl, is_limit=True)
-        marked.append(cl)
     return Problem(theory_kind, dim, direction, tuple(fin_elems),
-                   tuple(decls.items()), tuple(marked), tuple(goals))
+                   tuple(decls.items()), tuple(clauses), tuple(goals))
 
 
 # ---------------------------------------------------------------------------
@@ -637,28 +626,8 @@ def _dnf(f: BodyF) -> list[list[Atom]]:
     raise TypeError(f)
 
 
-def _term_sort(t: Term, vmap: dict[str, Sort], decls: dict[str, Sort]) -> Sort:
-    """Sort of a relational or W argument term (numeric ops all count as W)."""
-    match t:
-        case Var(n):
-            return vmap[n]
-        case PredRef(n):
-            return decls[n]
-        case SConst():
-            return FIN
-        case WLit() | WOp():
-            return W
-        case App(fn, _):
-            s = _term_sort(fn, vmap, decls)
-            if not isinstance(s, Arrow):
-                raise SyntaxProblem("application of non-function term")
-            return s.res
-    raise TypeError(t)
-
-
-def _hoist_atom(atom: Atom, vmap: dict[str, Sort], decls: dict[str, Sort],
-                used: set[str], newvars: list[tuple[str, Sort]],
-                extra: list[Atom]) -> Atom:
+def _hoist_atom(atom: Atom, vmap: dict[str, Sort], used: set[str],
+                newvars: list[tuple[str, Sort]], extra: list[Atom]) -> Atom:
     """Replace compound numeric arguments of foreground atoms by fresh
     variables constrained with equations."""
     if isinstance(atom, BgAtom):
@@ -771,7 +740,7 @@ def normalize_problem(p: Problem, require_explicit_limits: bool = False) -> Prob
             used = used_of(cl.vars)
             extra: list[Atom] = []
             newvars: list[tuple[str, Sort]] = []
-            atoms = [_hoist_atom(a, vmap, decls, used, newvars, extra)
+            atoms = [_hoist_atom(a, vmap, used, newvars, extra)
                      for a in conj_atoms]
             head = cl.head
             if head is not None:

@@ -1,0 +1,227 @@
+"""Test oracles: brute-force reference implementations that share no
+search code with the solver.
+
+- `bounded_canonical_model`: least fixpoint of a first-order problem's
+  immediate consequence over the numeric points inside a window.
+- `simulate_reachable`: breadth-first search over the configurations of a
+  lossy counter machine with counters bounded by a cap.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterator
+
+from limitdl import presburger as P
+from limitdl.background import Theory, comp_var, compile_atom
+from limitdl.entwined import _eval_w
+from limitdl.frontends import LCM, InstrA, LCMConfig, check_machine
+from limitdl.syntax import (FIN, W, BgAtom, Clause, PredRef, Problem, SConst,
+                            Var, spine)
+
+
+# ---------------------------------------------------------------------------
+# bounded canonical model (first-order problems)
+
+
+@dataclass
+class BoundedModel:
+    relations: dict[str, set[tuple]]
+    goal_violated: bool
+    window: int
+
+    def holds(self, pred: str, args: tuple) -> bool:
+        return args in self.relations.get(pred, set())
+
+
+def _window_grid(theory: Theory, window: int) -> list[tuple[int, ...]]:
+    if theory.nat:
+        return list(itertools.product(range(window + 1), repeat=theory.dim))
+    return [(x,) for x in range(-window, window + 1)]
+
+
+def _py_expr(f: P.Formula, names: dict[str, str]) -> str:
+    """Render a quantifier-free formula as a python boolean expression over
+    the variables renamed per `names`."""
+    def term(t: P.LinTerm) -> str:
+        parts = [str(t.const)]
+        for v, c in t.coeffs:
+            parts.append(f"{c}*{names[v]}")
+        return "+".join(parts)
+
+    match f:
+        case P.TrueF():
+            return "True"
+        case P.FalseF():
+            return "False"
+        case P.Cmp(op, t):
+            pyop = {"<=": "<=", "<": "<", "=": "==", "!=": "!=",
+                    ">": ">", ">=": ">="}[op]
+            return f"(({term(t)}){pyop}0)"
+        case P.Div(d, t, neg):
+            rel = "!=" if neg else "=="
+            return f"((({term(t)})%{d}){rel}0)"
+        case P.Not(g):
+            return f"(not {_py_expr(g, names)})"
+        case P.And(args):
+            return "(" + " and ".join(_py_expr(a, names) for a in args) + ")"
+        case P.Or(args):
+            return "(" + " or ".join(_py_expr(a, names) for a in args) + ")"
+    raise TypeError(f"not quantifier-free: {f}")
+
+
+def bounded_canonical_model(p: Problem, theory: Theory,
+                            window: int) -> BoundedModel:
+    """Least-fixpoint iteration of immediate consequence over numeric points
+    inside the window.  Only meaningful when the derivations of interest stay
+    within the window; used to cross-check verdicts on curated problems."""
+    grid = _window_grid(theory, window)
+    grid_set = set(grid)
+    dim = theory.dim
+    rels: dict[str, set[tuple]] = {n: set() for n, _ in p.decls}
+
+    def compile_instance(c: Clause, val: dict):
+        """For a fixed finite-sort valuation, compile the clause into a fast
+        membership test over an assignment tuple of the clause's W vars."""
+        wnames = [n for n, s in c.vars if s == W]
+        widx = {n: i for i, n in enumerate(wnames)}
+        names = {comp_var(n, j + 1): f"w[{i}][{j}]"
+                 for n, i in widx.items() for j in range(dim)}
+        bgs: list[P.Formula] = []
+        fgs: list[tuple[str, list]] = []
+        for a in c.body_atoms():
+            if isinstance(a, BgAtom):
+                bgs.append(compile_atom(a, theory, val))
+            else:
+                head, args = spine(a.term)
+                if not isinstance(head, PredRef):
+                    raise ValueError(
+                        "bounded oracle requires first-order problems")
+                getters = []
+                for t in args:
+                    if isinstance(t, Var) and t.name in widx:
+                        getters.append(("w", widx[t.name]))
+                    elif isinstance(t, Var):
+                        getters.append(("k", val[t.name]))
+                    elif isinstance(t, SConst):
+                        getters.append(("k", t.name))
+                    else:
+                        getters.append(("k", _eval_w(t, {}, dim)))
+                fgs.append((head.name, getters))
+        bg_f = P.conj(bgs)
+        bg_test = eval("lambda w: " + _py_expr(bg_f, names))  # noqa: S307
+        return wnames, bg_test, fgs
+
+    def fg_key(getters: list, w: tuple) -> tuple:
+        return tuple(w[i] if k == "w" else i for k, i in getters)
+
+    def fin_vals(c: Clause) -> Iterator[dict]:
+        gvars = [(n, s) for n, s in c.vars if s != W]
+        doms = []
+        for _, s in gvars:
+            if s == FIN:
+                doms.append(list(p.fin_elems))
+            else:
+                raise ValueError("bounded oracle requires first-order "
+                                 "problems")
+        for combo in itertools.product(*doms):
+            yield {n: v for (n, _), v in zip(gvars, combo)}
+
+    def head_key(hargs, val: dict, wnames: list, w: tuple):
+        out = []
+        for t in hargs:
+            if isinstance(t, Var) and t.name in val:
+                out.append(val[t.name])
+            elif isinstance(t, Var):
+                out.append(w[wnames.index(t.name)])
+            elif isinstance(t, SConst):
+                out.append(t.name)
+            else:
+                out.append(_eval_w(t, {}, dim))
+        return tuple(out)
+
+    compiled = []
+    for c in p.clauses:
+        for val in fin_vals(c):
+            compiled.append((c, val, *compile_instance(c, val)))
+
+    changed = True
+    while changed:
+        changed = False
+        for c, val, wnames, bg_test, fgs in compiled:
+            hname, hargs = c.head
+            rel = rels[hname]
+            for w in itertools.product(grid, repeat=len(wnames)):
+                if not bg_test(w):
+                    continue
+                if any(fg_key(g, w) not in rels[q] for q, g in fgs):
+                    continue
+                key = head_key(hargs, val, wnames, w)
+                if any(isinstance(x, tuple) and x not in grid_set
+                       for x in key):
+                    continue  # head point fell outside the window
+                if key not in rel:
+                    rel.add(key)
+                    changed = True
+
+    violated = False
+    for g in p.goals:
+        for val in fin_vals(g):
+            wnames, bg_test, fgs = compile_instance(g, val)
+            for w in itertools.product(grid, repeat=len(wnames)):
+                if bg_test(w) and \
+                        all(fg_key(x, w) in rels[q] for q, x in fgs):
+                    violated = True
+                    break
+            if violated:
+                break
+        if violated:
+            break
+    return BoundedModel(rels, violated, window)
+
+
+# ---------------------------------------------------------------------------
+# lossy counter machine simulation
+
+
+def simulate_reachable(m: LCM, target: LCMConfig, cap: int) -> bool:
+    """BFS over configurations with counters bounded by cap; a transition is
+    loss* then one instruction then loss*.  Since losses are arbitrary
+    componentwise decreases, it suffices to close the reached set downward
+    after every instruction step."""
+    check_machine(m)
+
+    def down(vals: tuple[int, ...]):
+        return itertools.product(*(range(v + 1) for v in vals))
+
+    start = LCMConfig(m.initial, (0,) * m.counters)
+    seen: set[LCMConfig] = set()
+    queue: deque[LCMConfig] = deque()
+
+    def push(c: LCMConfig) -> None:
+        for vals in down(c.values):
+            cc = LCMConfig(c.state, vals)
+            if cc not in seen:
+                seen.add(cc)
+                queue.append(cc)
+
+    push(start)
+    while queue:
+        c = queue.popleft()
+        for ins in m.instructions:
+            if ins.src != c.state:
+                continue
+            i = ins.counter - 1
+            if isinstance(ins, InstrA):
+                if c.values[i] < cap:
+                    vals = c.values[:i] + (c.values[i] + 1,) + c.values[i+1:]
+                    push(LCMConfig(ins.dst, vals))
+            else:
+                if c.values[i] == 0:
+                    push(LCMConfig(ins.if_zero, c.values))
+                else:
+                    vals = c.values[:i] + (c.values[i] - 1,) + c.values[i+1:]
+                    push(LCMConfig(ins.dec_to, vals))
+    return LCMConfig(target.state, target.values) in seen

@@ -12,12 +12,12 @@ import pytest
 from limitdl import entwined as E
 from limitdl.background import theory_for
 from limitdl.driver import SolveConfig, solve, verify
-from limitdl.frontends import (LCMConfig, encode_lcm, lcm_from_json,
-                               simulate_reachable)
+from limitdl.frontends import LCMConfig, encode_lcm, lcm_from_json
 from limitdl.resolution import BudgetExhausted, Refuted, Saturator, replay
 from limitdl.syntax import mk_arrow, normalize_problem, parse_problem
 from limitdl.typesys import is_initial, validate
 from limitdl.syntax import FIN, PROP, W
+from oracles import bounded_canonical_model, simulate_reachable
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -133,7 +133,7 @@ def test_criterion_4_first_order_differential_suite():
         for path, window, expected in cases:
             p = load(path)
             th = theory_for(p.theory_kind, p.dim, p.direction)
-            bm = E.bounded_canonical_model(p, th, window=window)
+            bm = bounded_canonical_model(p, th, window=window)
             oracle = "UNSAT" if bm.goal_violated else "SAT"
             got = _solve_cached(path, p)
             assert got == oracle == expected, (path, got, oracle, expected)
@@ -191,11 +191,9 @@ def test_criterion_7_exclusion():
             if refuted:
                 assert replay(r.trace, p, th)
             modelled = False
-            cfg = SolveConfig(
-                mode="fo" if not higher else "initial",
-                hint=fx("integral256.model.json") if "256" in key else None)
+            hint = fx("integral256.model.json") if "256" in key else None
             from limitdl.driver import _candidates
-            for m in itertools.islice(_candidates(p, th, cfg),
+            for m in itertools.islice(_candidates(p, th, hint, not higher),
                                       3 if higher else 30):
                 try:
                     if E.check_model(m, p):

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from limitdl.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -78,6 +80,49 @@ def test_verify_model(capsys):
                  fx("integral256.model.json")]) == 2
 
 
+# one propositional, one inactive and one active predicate
+ROWS_TEXT = """(theory (lia))
+(direction upward)
+(finsort S (a))
+(declare G o)
+(declare Q (-> S o))
+(declare R (-> S W o))
+(clause ((s S) (x W)) (head (R s x)) (body (geq x 3)))
+(goal () (body (R a 0)))
+"""
+ATLEAST3 = {"kind": "atleast", "k": 3}
+ROWS = {"G": {"args": [], "value": False},
+        "Q": {"args": [{"s": "a"}], "value": False},
+        "R": {"pre": [{"s": "a"}], "post": [], "upset": ATLEAST3}}
+
+
+@pytest.mark.parametrize("pred,row,error", [
+    ("G", 5, "SchemaError"),
+    ("R", {"pre": 5, "post": [], "upset": ATLEAST3}, "SchemaError"),
+    ("Q", {"args": 5, "value": False}, "SchemaError"),
+    ("R", {"pre": [{"app": 5}], "post": [], "upset": ATLEAST3},
+     "SchemaError"),
+    # R is not yet interpreted when its own rows are read
+    ("R", {"pre": [{"app": ["R"]}], "post": [], "upset": ATLEAST3},
+     "FrameInconsistency"),
+])
+def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
+    prob = tmp_path / "p.lchc"
+    prob.write_text(ROWS_TEXT)
+    wit = tmp_path / "m.json"
+
+    def verify_rows(rows):
+        wit.write_text(json.dumps({"predicates": {
+            n: {"kind": "active" if n == "R" else "inactive", "rows": [r]}
+            for n, r in rows.items()}}))
+        return main(["verify-model", str(prob), str(wit)])
+
+    assert verify_rows(ROWS) == 0
+    capsys.readouterr()
+    assert verify_rows(dict(ROWS, **{pred: row})) == 2
+    assert error in capsys.readouterr().err
+
+
 def test_eval(capsys):
     rc = main(["eval", fx("integral256.lchc"), fx("integral256.model.json"),
                "(Exp (tuple 0 100))"])
@@ -101,9 +146,3 @@ def test_encode_lcm_bad_target(capsys):
     assert rc == 1
     assert capsys.readouterr().err
 
-
-def test_encode_lcm_simulate(capsys):
-    rc = main(["encode-lcm", fx("lcm", "m1.json"), "--target", "q1,5",
-               "--simulate"])
-    assert rc == 0
-    assert "reachable" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from limitdl import entwined as E
 from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
+from oracles import bounded_canonical_model
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -252,7 +253,7 @@ def test_bounded_oracle_upward_closure():
 """
     p = normalize_problem(parse_problem(text))
     th = theory_of(p)
-    bm = E.bounded_canonical_model(p, th, window=3)
+    bm = bounded_canonical_model(p, th, window=3)
     assert bm.holds("R", ((2, 2),))
     assert bm.holds("R", ((1, 1),))
     assert not bm.holds("R", ((0, 1),))

@@ -8,8 +8,9 @@ import pytest
 
 from limitdl.driver import solve
 from limitdl.frontends import (IllFormedMachine, LCMConfig, encode_lcm,
-                               lcm_from_json, simulate_reachable)
+                               lcm_from_json)
 from limitdl.typesys import validate
+from oracles import simulate_reachable
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures", "lcm")
 
