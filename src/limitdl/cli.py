@@ -29,7 +29,11 @@ EXIT_REJECTED = 2
 
 def _load_problem(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return normalize_problem(parse_problem(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SyntaxProblem(f"{path} is not UTF-8 text: {e}")
+    return normalize_problem(parse_problem(text))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -86,7 +90,7 @@ def _cmd_verify_model(args) -> int:
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             witness = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"SchemaError: {e}", file=sys.stderr)
         _emit(args, {"ok": False, "error": f"SchemaError: {e}"}, "false")
         return EXIT_REJECTED
@@ -202,7 +206,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SyntaxProblem, IllFormedMachine, E.SchemaError,
-            E.FrameInconsistency, OSError) as e:
+            E.FrameInconsistency, OSError, UnicodeDecodeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,15 +35,25 @@ class Verdict:
     stats: dict = field(default_factory=dict)
 
 
+def _hint_model(p: Problem, theory: Theory,
+                hint: str | None) -> E.EntwinedStructure | None:
+    """The structure a hint file describes, or None when there is no hint
+    or it does not load (a bad hint only costs the seed)."""
+    if hint is None:
+        return None
+    try:
+        return E.load_model(p, theory, hint)
+    except (E.SchemaError, E.FrameInconsistency, OSError):
+        return None
+
+
 def _candidates(p: Problem, theory: Theory, hint: str | None,
                 first_order: bool) -> Iterator[E.EntwinedStructure]:
     """Model-side candidate stream: hint first, then (for first-order
     problems) the converged least model, then fair enumeration."""
-    if hint is not None:
-        try:
-            yield E.load_model(p, theory, hint)
-        except (E.SchemaError, E.FrameInconsistency, OSError):
-            pass  # a bad hint only costs the seed
+    m = _hint_model(p, theory, hint)
+    if m is not None:
+        yield m
     if first_order:
         try:
             m = E.fo_least_model(p, theory)
@@ -57,6 +67,13 @@ def _candidates(p: Problem, theory: Theory, hint: str | None,
         return
 
 
+def _holds(m: E.EntwinedStructure, p: Problem) -> bool:
+    try:
+        return E.check_model(m, p)
+    except E.FrameTooLarge:
+        return False
+
+
 def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
     cfg = cfg or SolveConfig()
     p = normalize_problem(p)
@@ -65,11 +82,18 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
         return Verdict("INVALID", report=report)
 
     theory = theory_for(p.theory_kind, p.dim, p.direction)
-    sat = Saturator(p, theory)
-    stream = _candidates(p, theory, cfg.hint, report.mode == "FirstOrder")
     models_seen = 0
-    stream_done = False
     spent = 0
+    # the hint costs one check, so it goes before the first resolution slice
+    hint = _hint_model(p, theory, cfg.hint)
+    if hint is not None:
+        models_seen = spent = 1
+        if _holds(hint, p):
+            return Verdict("SAT", model=hint, report=report,
+                           stats={"resolutionSteps": 0, "modelsChecked": 1})
+    sat = Saturator(p, theory)
+    stream = _candidates(p, theory, None, report.mode == "FirstOrder")
+    stream_done = False
 
     while True:
         if cfg.total_budget is not None and spent >= cfg.total_budget:
@@ -92,11 +116,7 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
                 break
             models_seen += 1
             spent += 1
-            try:
-                ok = E.check_model(m, p)
-            except E.FrameTooLarge:
-                ok = False
-            if ok:
+            if _holds(m, p):
                 return Verdict("SAT", model=m, report=report,
                                stats={"resolutionSteps": sat.steps_used,
                                       "modelsChecked": models_seen})

@@ -1197,4 +1197,6 @@ def load_model(p: Problem, theory: Theory, path: str) -> EntwinedStructure:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"witness is not valid JSON: {e}")
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"witness is not UTF-8 text: {e}")
     return deserialize_model(p, theory, data)

@@ -792,17 +792,28 @@ _ONE = LinTerm.of_const(1)
 
 
 def _to_le(f: Formula) -> Formula:
-    """Rewrite a '<', '>' or '>=' comparison as the equivalent '<=' literal
-    over the integers (or TRUE/FALSE once constant); any other literal is
-    returned unchanged."""
-    if type(f) is Cmp:
-        if f.op == "<":
-            return cmp_atom("<=", f.t.add(_ONE))
-        if f.op == ">":
-            return cmp_atom("<=", f.t.neg().add(_ONE))
-        if f.op == ">=":
-            return cmp_atom("<=", f.t.neg())
-    return f
+    """Rewrite a comparison as an equivalent '<=', '=' or '!=' literal over
+    the integers, or TRUE/FALSE once constant; a Div is returned unchanged.
+    A '<=', '=' or '!=' literal over a non-constant term is returned as is,
+    so the rewrite is idempotent."""
+    if type(f) is not Cmp:
+        return f
+    t = f.t
+    if f.op == "<":
+        t = t.add(_ONE)
+    elif f.op == ">":
+        t = t.neg().add(_ONE)
+    elif f.op == ">=":
+        t = t.neg()
+    elif t.coeffs:
+        return f
+    else:
+        return cmp_atom(f.op, t)
+    g = cmp_atom("<=", t)
+    if type(g) is Cmp and g.op == "<":
+        # cmp_atom's gcd step yields 's < 0' with gcd(s) = 1
+        return Cmp("<=", g.t.add(_ONE))
+    return g
 
 
 def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
@@ -1022,25 +1033,40 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
         pins[v] = t
 
 
+def _admit(lits: list) -> list | None:
+    """Normalise literals once, as they join a branch: each comparison
+    through _to_le, in order, TRUE dropped; None when one is FALSE."""
+    out = []
+    for f in lits:
+        g = _to_le(f)
+        if g is FALSE:
+            return None
+        if g is not TRUE:
+            out.append(g)
+    return out
+
+
 def _solve_pend(lits: list, pends: list) -> dict[str, int] | None:
     """Branch over pending disjunctions, pruning each partial branch by
-    interval propagation before expanding further."""
+    interval propagation before expanding further.  lits are normalised
+    (see _admit), so a leaf hands _sat_lits what it would have made of the
+    raw literals itself."""
     if not pends:
         return _sat_lits(lits)
-    # '!=' carries no interval information
-    work = [_to_le(f) for f in lits if type(f) is not Cmp or f.op != "!="]
-    if any(g is FALSE for g in work) or _propagate_intervals(work) is False:
+    if _propagate_intervals(lits) is False:
         return None
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
     chosen = pends[i]
     rest = pends[:i] + pends[i + 1:]
     for alt in chosen.args:
-        acc = list(lits)
+        new: list = []
         sub = list(rest)
-        if _lits_of(alt, acc, sub):
-            w = _solve_pend(acc, sub)
-            if w is not None:
-                return w
+        if _lits_of(alt, new, sub):
+            new = _admit(new)
+            if new is not None:
+                w = _solve_pend(lits + new, sub)
+                if w is not None:
+                    return w
     return None
 
 
@@ -1052,4 +1078,7 @@ def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
     for f in matrices:
         if not _lits_of(f, acc, pend):
             return None
-    return _solve_pend(acc, pend)
+    if not pend:
+        return _sat_lits(acc)
+    acc = _admit(acc)
+    return None if acc is None else _solve_pend(acc, pend)

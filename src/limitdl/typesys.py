@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
-    App, Arrow, Atom, BgAtom, BG_RELS, Clause, FIN, FgAtom, Fin, PredRef,
-    PROP, Problem, Prop, SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts,
-    has_limit_clause, mk_arrow, result_sort, spine,
+    App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP, Problem, Prop,
+    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, has_limit_clause,
+    mk_arrow,
 )
 
 

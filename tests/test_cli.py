@@ -123,6 +123,31 @@ def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     assert error in capsys.readouterr().err
 
 
+BAD = "<not-utf8>"
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["solve", BAD], 1),
+    (["solve", fx("fo", "lia_threshold_sat.lchc"), "--hint", BAD], 10),
+    (["typecheck", BAD], 1),
+    (["verify-model", fx("integral256.lchc"), BAD], 2),
+    (["verify-model", BAD, fx("integral256.model.json")], 1),
+    (["eval", fx("integral256.lchc"), BAD, "(Exp (tuple 0 100))"], 1),
+    (["encode-lcm", BAD, "--target", "q,1"], 1),
+], ids=["solve", "solve-hint", "typecheck", "verify-model",
+        "verify-model-problem", "eval", "encode-lcm"])
+def test_non_utf8_input(capsys, tmp_path, argv, rc):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe(theory (lia))\n")
+    assert main([str(bad) if a == BAD else a for a in argv]) == rc
+    err = capsys.readouterr().err
+    if rc == 10:  # an unreadable hint is skipped like any other bad hint
+        assert err == ""
+    else:
+        assert "UTF-8" in err or "utf-8" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_eval(capsys):
     rc = main(["eval", fx("integral256.lchc"), fx("integral256.model.json"),
                "(Exp (tuple 0 100))"])

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from limitdl.driver import SolveConfig, Verdict, solve, verify
+from limitdl.entwined import serialize_model
 from limitdl.resolution import replay
 from limitdl.background import theory_for
 from limitdl.syntax import normalize_problem, parse_problem
@@ -78,6 +79,21 @@ def test_hint_is_used():
     v = solve(p, SolveConfig(hint=os.path.join(FIX, "integral256.model.json"),
                              total_budget=5000))
     assert v.kind == "SAT"
+    # the hint is checked before the first resolution slice
+    assert v.stats == {"resolutionSteps": 0, "modelsChecked": 1}
+
+
+def test_failing_hint_costs_one_check(tmp_path):
+    # a well-formed witness of the SAT variant is no model of the UNSAT one
+    sat = solve(normalize_problem(parse_problem(SAT_TEXT)))
+    hint = tmp_path / "hint.json"
+    hint.write_text(json.dumps(serialize_model(sat.model)))
+    p = normalize_problem(parse_problem(UNSAT_TEXT))
+    plain = solve(p)
+    hinted = solve(p, SolveConfig(hint=str(hint)))
+    assert plain.kind == hinted.kind == "UNSAT"
+    assert hinted.stats["resolutionSteps"] == plain.stats["resolutionSteps"]
+    assert hinted.stats["modelsChecked"] == plain.stats["modelsChecked"] + 1
 
 
 def test_bad_hint_is_ignored():

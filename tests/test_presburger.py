@@ -287,3 +287,92 @@ def test_fast_path_against_box_brute_force():
             env = dict(w)
             env.update((x, P._eval0(t, w)) for x, t in pins.items())
             assert P.evaluate0(f, env), (f, env)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
+def test_to_le_gives_only_le_eq_ne(op):
+    """_to_le must not hand back the '<' that cmp_atom's gcd step makes of a
+    literal whose coefficients share a factor; _sat_lits reads every
+    non-'=' comparison as '<='.  Raw atoms (not built by cmp_atom) reach it
+    through sat_exists_all's callers."""
+    for g in (1, 2, 3):
+        for k in range(-4, 5):
+            f = Cmp(op, LinTerm(k, (("x", g),)))
+            out = P._to_le(f)
+            assert out in (TRUE, FALSE) or (
+                type(out) is Cmp and out.op in ("<=", "=", "!=")), (f, out)
+            for x in range(-6, 7):
+                assert evaluate(out, {"x": x}) == evaluate(f, {"x": x}), \
+                    (f, out, x)
+            assert P._to_le(out) is out
+
+
+def test_strict_gcd_literal_regression():
+    # 2x + 1 < 0 and x >= 0 has no integer solution; x = 0 was returned
+    f = [Cmp("<", LinTerm(1, (("x", 2),))), Cmp(">=", v("x"))]
+    assert P.sat_exists_all(f) is None
+    assert decide(Exists("x", conj(f))) is False
+    g = [Cmp("<", LinTerm(1, (("x", 2),))), Cmp(">=", v("x").add(c(1)))]
+    assert P.sat_exists_all(g) == {"x": -1}
+
+
+def dnf_first_witness(lits, pends):
+    """Reference for sat_exists_all on formulas with disjunctions: expand the
+    DNF in _solve_pend's branch order, without pruning or normalising, and
+    return _sat_lits of the first satisfiable branch."""
+    if not pends:
+        return P._sat_lits(lits)
+    i = min(range(len(pends)), key=lambda j: len(pends[j].args))
+    rest = pends[:i] + pends[i + 1:]
+    for alt in pends[i].args:
+        acc, sub = list(lits), list(rest)
+        if P._lits_of(alt, acc, sub):
+            w = dnf_first_witness(acc, sub)
+            if w is not None:
+                return w
+    return None
+
+
+def _rand_upset(rng, names):
+    """Membership in a random antichain upset: an Or of generator boxes."""
+    gens = [conj(ge(v(n), c(rng.randint(-5, 5))) for n in names)
+            for _ in range(rng.randint(1, 3))]
+    return disj(gens)
+
+
+def _rand_atom(rng, names):
+    t = LinTerm.make(rng.randint(-6, 6),
+                     {n: rng.choice([-2, -1, 1, 2, 3]) for n in names})
+    return rng.choice([lt, le, eq, ne, ge, gt])(t, c(0))
+
+
+def test_branch_search_first_witness():
+    """The DNF search returns exactly the assignment of the first
+    satisfiable branch, whatever it normalises or prunes on the way.
+
+    The formulas have the shape of check_clause's queries: the negation of
+    body -> head, where body conjoins linear atoms with upset memberships
+    and head is an upset membership, inside the box -5 <= x, y <= 5."""
+    rng = random.Random(20261019)
+    names = ["x", "y"]
+    box = [k for n in names for k in (ge(v(n), c(-5)), le(v(n), c(5)))]
+    points = [{"x": x, "y": y} for x in range(-5, 6) for y in range(-5, 6)]
+    found = 0
+    for _ in range(300):
+        body = conj([_rand_atom(rng, names)
+                     for _ in range(rng.randint(0, 2))]
+                    + [_rand_upset(rng, names)
+                       for _ in range(rng.randint(1, 2))])
+        head = _rand_upset(rng, names) if rng.random() < 0.8 else FALSE
+        matrices = [Not(P.implies(body, head))] + box
+        acc, pend = [], []
+        ok = all(P._lits_of(f, acc, pend) for f in matrices)
+        expected = dnf_first_witness(acc, pend) if ok else None
+        w = P.sat_exists_all(matrices)
+        assert w == expected, (matrices, w, expected)
+        truth = any(all(evaluate(f, e) for f in matrices) for e in points)
+        assert (w is not None) == truth, matrices
+        if w is not None:
+            found += 1
+            assert all(P.evaluate0(f, w) for f in matrices), (matrices, w)
+    assert 30 < found < 270  # both outcomes are exercised
