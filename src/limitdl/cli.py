@@ -2,7 +2,8 @@
 
 Exit codes: 10 satisfiable, 20 unsatisfiable, 30 unknown; 0 for successful
 non-verdict subcommands, 1 for usage or parse errors, 2 for validation or
-verification rejections.
+verification rejections, 3 when the solver's own refutation fails its
+replay (an internal fault: no verdict is given).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from . import entwined as E
 from .background import theory_for
 from .driver import SolveConfig, solve, verify
 from .frontends import IllFormedMachine, LCMConfig, encode_lcm, load_machine
+from .resolution import TraceError
 from .syntax import (SyntaxProblem, _Ctx, normalize_problem, parse_problem,
                      print_problem, read_sexprs)
 from .typesys import validate
@@ -25,6 +27,7 @@ EXIT_UNKNOWN = 30
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
+EXIT_INTERNAL = 3
 
 
 def _load_problem(path: str):
@@ -209,6 +212,10 @@ def main(argv=None) -> int:
             E.FrameInconsistency, OSError, UnicodeDecodeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except TraceError as e:
+        print(f"internal error: refutation failed its replay: {e}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

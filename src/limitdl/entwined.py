@@ -783,9 +783,11 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
             # bounded: binary search the maximum
 
             def at(v: int) -> bool:
+                # psi is quantifier-free, so this is a purely existential
+                # query: the conjunction solver answers it exactly
                 eqv = P.eq(P.LinTerm.of_var(ci), P.LinTerm.of_const(v))
-                return P.decide(closed(constraints(None, None) + [eqv]),
-                                nat_vars=comps)
+                query = [psi] + bounds + constraints(None, None) + [eqv]
+                return P.sat_exists_all(query) is not None
 
             lo = seed[i]
             hi = lo + 1
@@ -1097,6 +1099,13 @@ def serialize_model(m: EntwinedStructure) -> dict:
     return {"stages": stages, "predicates": preds}
 
 
+def _truth(row: dict, pname: str) -> bool:
+    v = row["value"]
+    if not isinstance(v, bool):
+        raise SchemaError(f"value in {pname!r} is not a JSON boolean: {v!r}")
+    return v
+
+
 def deserialize_model(p: Problem, theory: Theory, data: dict,
                       max_frame: int = MAX_FRAME) -> EntwinedStructure:
     if not isinstance(data, dict) or "predicates" not in data:
@@ -1162,7 +1171,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
             rows = entry["rows"]
             if len(rows) != 1 or "value" not in rows[0]:
                 raise SchemaError(f"bad propositional entry {pname!r}")
-            interps[pname] = bool(rows[0]["value"])
+            interps[pname] = _truth(rows[0], pname)
         else:
             args_sorts = arg_sorts(psort)
             combos = list(itertools.product(
@@ -1177,7 +1186,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
                     raise FrameInconsistency(f"row arity mismatch {pname!r}")
                 if key in table2:
                     raise FrameInconsistency(f"duplicate row in {pname!r}")
-                table2[key] = bool(r["value"])
+                table2[key] = _truth(r, pname)
             bits = []
             for combo in combos:
                 if combo not in table2:

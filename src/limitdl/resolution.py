@@ -22,6 +22,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .background import BgState, Theory, bg_extend, bg_state, exists_sat
 from .syntax import (
@@ -62,65 +63,72 @@ def subst_atom(a: Atom, env: dict[str, Term]) -> Atom:
 # goal states
 
 
+# A shape is an atom's name-blind skeleton with a slot for each variable
+# occurrence, plus the variables that fill the slots in traversal order
+# (repeats kept).  The skeleton is a %-format template: the slots read "v%d",
+# any "%" of a name is doubled.  Two atoms have equal skeletons exactly when
+# they are equal up to the names of their variables.
+Shape = tuple[str, tuple[str, ...]]
+
+
+def atom_shape(a: Atom) -> Shape:
+    occs: list[str] = []
+
+    def blind(t: Term) -> str:
+        match t:
+            case Var(n):
+                occs.append(n)
+                return "v%d"
+            case App(f, x):
+                return f"({blind(f)} {blind(x)})"
+            case WOp(op, args, k):
+                return f"({op}{k if k is not None else ''} " + \
+                    " ".join(blind(x) for x in args) + ")"
+            case _:
+                return print_term(t).replace("%", "%%")
+
+    if isinstance(a, BgAtom):
+        skel = f"({a.rel} {blind(a.lhs)} {blind(a.rhs)})"
+    else:
+        skel = blind(a.term)
+    return skel, tuple(occs)
+
+
 @dataclass(frozen=True)
 class Goal:
     atoms: tuple[Atom, ...]
     varsorts: tuple[tuple[str, Sort], ...]
+    shapes: tuple[Shape, ...]  # one per atom, computed when it entered
 
 
-def atom_vars(a: Atom) -> list[str]:
-    out: list[str] = []
-
-    def walk(t: Term) -> None:
-        match t:
-            case Var(n):
-                if n not in out:
-                    out.append(n)
-            case App(f, x):
-                walk(f)
-                walk(x)
-            case WOp(_, args, _):
-                for x in args:
-                    walk(x)
-            case _:
-                pass
-
-    if isinstance(a, BgAtom):
-        walk(a.lhs)
-        walk(a.rhs)
-    else:
-        walk(a.term)
-    return out
+def _live(atoms: tuple[Atom, ...], shapes: tuple[Shape, ...],
+          varsorts) -> Goal:
+    """The goal over these atoms, keeping the variables that still occur."""
+    used = set(itertools.chain.from_iterable(o for _, o in shapes))
+    return Goal(atoms, tuple((n, s) for n, s in varsorts if n in used),
+                shapes)
 
 
 def goal_of_clause(cl: Clause) -> Goal:
     assert cl.head is None
     atoms = tuple(cl.body_atoms())
-    used = [v for a in atoms for v in atom_vars(a)]
-    vs = tuple((n, s) for n, s in cl.vars if n in used)
-    return Goal(atoms, vs)
+    return _live(atoms, tuple(map(atom_shape, atoms)), cl.vars)
 
 
-def canonical_goal(g: Goal, sort_atoms: bool = True) -> str:
-    """Renaming-invariant key: atoms sorted by a name-blind skeleton, then
-    variables renumbered in traversal order."""
-    def skel(a: Atom) -> str:
-        def blind(t: Term) -> str:
-            match t:
-                case Var(_):
-                    return "_"
-                case App(f, x):
-                    return f"({blind(f)} {blind(x)})"
-                case WOp(op, args, k):
-                    return f"({op}{k if k is not None else ''} " + \
-                        " ".join(blind(x) for x in args) + ")"
-                case _:
-                    return print_term(t)
-        if isinstance(a, BgAtom):
-            return f"({a.rel} {blind(a.lhs)} {blind(a.rhs)})"
-        return blind(a.term)
+def canonical_goal(g: Goal) -> str:
+    """Renaming-invariant seen-set key: atoms sorted by skeleton (stably, so
+    equal skeletons keep goal order), then variables renumbered v0, v1, ...
+    by first occurrence."""
+    shapes = sorted(g.shapes, key=itemgetter(0))
+    occs = list(itertools.chain.from_iterable(o for _, o in shapes))
+    num = dict(zip(dict.fromkeys(occs), itertools.count()))
+    return " & ".join([s for s, _ in shapes]) % tuple(map(num.__getitem__,
+                                                           occs))
 
-    atoms = sorted(g.atoms, key=skel) if sort_atoms else list(g.atoms)
+
+def print_goal(g: Goal) -> str:
+    """The goal's atoms in order, variables renamed v0, v1, ... by first
+    occurrence: the form a proof trace records."""
     names: dict[str, str] = {}
 
     def ren(t: Term) -> Term:
@@ -137,7 +145,7 @@ def canonical_goal(g: Goal, sort_atoms: bool = True) -> str:
                 return t
 
     parts = []
-    for a in atoms:
+    for a in g.atoms:
         if isinstance(a, BgAtom):
             parts.append(f"({a.rel} {print_term(ren(a.lhs))} {print_term(ren(a.rhs))})")
         else:
@@ -173,15 +181,16 @@ def resolve(goal: Goal, atom_idx: int, cl: Clause, fresh: "itertools.count") -> 
         if n not in env:
             env[n] = ren[n]
 
-    body = [subst_atom(b, env) for b in cl.body_atoms()]
-    new_atoms = goal.atoms[:atom_idx] + tuple(body) + goal.atoms[atom_idx + 1:]
+    body = tuple(subst_atom(b, env) for b in cl.body_atoms())
+    new_atoms = goal.atoms[:atom_idx] + body + goal.atoms[atom_idx + 1:]
+    new_shapes = goal.shapes[:atom_idx] + tuple(map(atom_shape, body)) + \
+        goal.shapes[atom_idx + 1:]
     new_vars = dict(goal.varsorts)
     hnames = {hv.name for hv in hvars}  # type: ignore[union-attr]
     for n, s in cl.vars:
         if n not in hnames:
             new_vars[n + suffix] = s
-    used = {v for at in new_atoms for v in atom_vars(at)}
-    return Goal(new_atoms, tuple((n, s) for n, s in new_vars.items() if n in used))
+    return _live(new_atoms, new_shapes, new_vars.items())
 
 
 def resolvable_indices(g: Goal) -> list[int]:
@@ -377,10 +386,10 @@ class Saturator:
         steps = []
         for j, nd in enumerate(chain):
             if nd.parent is None:
-                steps.append(TraceStep(canonical_goal(nd.goal, sort_atoms=False),
+                steps.append(TraceStep(print_goal(nd.goal),
                                        "root", None, None, None))
             else:
-                steps.append(TraceStep(canonical_goal(nd.goal, sort_atoms=False),
+                steps.append(TraceStep(print_goal(nd.goal),
                                        "resolution", j - 1, nd.atom, nd.definite))
         steps.append(TraceStep(steps[-1].goal, "refutation", len(steps) - 1,
                                None, None))
@@ -413,7 +422,7 @@ def replay(trace: ProofTrace, problem: Problem, theory: Theory) -> bool:
         raise TraceError("bad root goal index")
     fresh = itertools.count()
     goals: list[Goal] = [goal_of_clause(problem.goals[root_idx])]
-    if canonical_goal(goals[0], sort_atoms=False) != steps[0].goal:
+    if print_goal(goals[0]) != steps[0].goal:
         raise TraceError("root goal mismatch")
     for s in steps[1:-1]:
         if s.rule != "resolution":
@@ -434,7 +443,7 @@ def replay(trace: ProofTrace, problem: Problem, theory: Theory) -> bool:
                 or cl.head[0] != head.name:
             raise TraceError("definite clause head does not match atom")
         child = resolve(parent, s.atom, cl, fresh)
-        if canonical_goal(child, sort_atoms=False) != s.goal:
+        if print_goal(child) != s.goal:
             raise TraceError("replayed goal differs from recorded goal")
         goals.append(child)
     final = goals[steps[-1].parent] if steps[-1].parent is not None else goals[-1]

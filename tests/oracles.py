@@ -5,6 +5,8 @@ search code with the solver.
   immediate consequence over the numeric points inside a window.
 - `simulate_reachable`: breadth-first search over the configurations of a
   lossy counter machine with counters bounded by a cap.
+- `printed_goal_key`: a goal's seen-set key by printing every atom in full,
+  the reference for `resolution.canonical_goal`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from limitdl import presburger as P
 from limitdl.background import Theory, comp_var, compile_atom
 from limitdl.entwined import _eval_w
 from limitdl.frontends import LCM, InstrA, LCMConfig, check_machine
-from limitdl.syntax import (FIN, W, BgAtom, Clause, PredRef, Problem, SConst,
-                            Var, spine)
+from limitdl.resolution import Goal
+from limitdl.syntax import (FIN, W, App, BgAtom, Clause, PredRef, Problem,
+                            SConst, Term, Var, WOp, print_term, spine)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +228,52 @@ def simulate_reachable(m: LCM, target: LCMConfig, cap: int) -> bool:
                     vals = c.values[:i] + (c.values[i] - 1,) + c.values[i+1:]
                     push(LCMConfig(ins.dec_to, vals))
     return LCMConfig(target.state, target.values) in seen
+
+
+# ---------------------------------------------------------------------------
+# goal keys
+
+
+def printed_goal_key(g: Goal) -> str:
+    """Renaming-invariant key of a goal: atoms stably sorted by a name-blind
+    skeleton, variables renumbered in traversal order, then every atom
+    printed."""
+    def skel(a) -> str:
+        def blind(t: Term) -> str:
+            match t:
+                case Var(_):
+                    return "_"
+                case App(f, x):
+                    return f"({blind(f)} {blind(x)})"
+                case WOp(op, args, k):
+                    return f"({op}{k if k is not None else ''} " + \
+                        " ".join(blind(x) for x in args) + ")"
+                case _:
+                    return print_term(t)
+        if isinstance(a, BgAtom):
+            return f"({a.rel} {blind(a.lhs)} {blind(a.rhs)})"
+        return blind(a.term)
+
+    names: dict[str, str] = {}
+
+    def ren(t: Term) -> Term:
+        match t:
+            case Var(n):
+                if n not in names:
+                    names[n] = f"v{len(names)}"
+                return Var(names[n])
+            case App(f, x):
+                return App(ren(f), ren(x))
+            case WOp(op, args, k):
+                return WOp(op, tuple(ren(x) for x in args), k)
+            case _:
+                return t
+
+    parts = []
+    for a in sorted(g.atoms, key=skel):
+        if isinstance(a, BgAtom):
+            parts.append(f"({a.rel} {print_term(ren(a.lhs))} "
+                         f"{print_term(ren(a.rhs))})")
+        else:
+            parts.append(print_term(ren(a.term)))
+    return " & ".join(parts)

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from limitdl import driver
 from limitdl.cli import main
+from limitdl.resolution import TraceError
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -32,6 +34,20 @@ def test_solve_unsat_exit_code(capsys, tmp_path):
     assert rc == 20
     assert "UNSAT" in capsys.readouterr().out
     assert json.loads(proof.read_text())  # non-empty replayable trace
+
+
+def test_solve_failed_replay_exit_code(capsys, monkeypatch):
+    def bad_replay(trace, problem, theory):
+        raise TraceError("replayed goal differs from recorded goal")
+
+    monkeypatch.setattr(driver, "replay", bad_replay)
+    rc = main(["solve", fx("fo", "lia_threshold_unsat.lchc")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "UNSAT" not in out
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "replayed goal differs" in err
 
 
 def test_solve_sat_exit_code(capsys, tmp_path):
@@ -105,6 +121,10 @@ ROWS = {"G": {"args": [], "value": False},
     # R is not yet interpreted when its own rows are read
     ("R", {"pre": [{"app": ["R"]}], "post": [], "upset": ATLEAST3},
      "FrameInconsistency"),
+    # a truth value must be a JSON boolean, not merely truthy
+    ("G", {"args": [], "value": "false"}, "SchemaError"),
+    ("Q", {"args": [{"s": "a"}], "value": {}}, "SchemaError"),
+    ("Q", {"args": [{"s": "a"}], "value": 1}, "SchemaError"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"

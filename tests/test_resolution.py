@@ -1,15 +1,22 @@
 """Resolution, saturation, and trace replay tests."""
 
 import itertools
+import json
+import os
 
 import pytest
 
+from limitdl import resolution
 from limitdl.background import theory_for
+from limitdl.frontends import LCMConfig, encode_lcm, lcm_from_json
 from limitdl.resolution import (
     BudgetExhausted, ProofTrace, Refuted, Saturator, TraceError,
     canonical_goal, goal_of_clause, replay, resolve, saturate, try_refute,
 )
 from limitdl.syntax import normalize_problem, parse_problem
+from oracles import printed_goal_key
+
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def load(text):
@@ -149,3 +156,87 @@ def test_canonical_goal_renaming_invariance():
     text2 = SAT_SIMPLE.replace("(x W)", "(zz W)").replace("x 5", "zz 5").replace("(R x)", "(R zz)")
     p2, _ = load(text2)
     assert canonical_goal(goal_of_clause(p2.goals[0])) == canonical_goal(g)
+
+
+def small_goal(body, binders="((x W) (y W))",
+               decls="(declare R (-> W W o))"):
+    p, _ = load(f"(theory (lia)) {decls} (goal {binders} (body {body}))")
+    return goal_of_clause(p.goals[0])
+
+
+def goal_key(*args, **kwargs):
+    return canonical_goal(small_goal(*args, **kwargs))
+
+
+def same_partition(goals):
+    pairs = {(canonical_goal(g), printed_goal_key(g)) for g in goals}
+    return len({k for k, _ in pairs}) == len({o for _, o in pairs}) \
+        == len(pairs)
+
+
+def test_canonical_goal_separates_repeated_variables():
+    assert goal_key("(and (R x y) (eq x x))") != \
+        goal_key("(and (R x y) (eq x y))")
+    assert goal_key("(R x x)") != goal_key("(R x y)")
+
+
+def test_canonical_goal_permutation_with_renaming():
+    base = goal_key("(and (R x y) (geq x 3) (leq y 5) (R y x))")
+    assert goal_key("(and (leq b 5) (R a b) (R b a) (geq a 3))",
+                    "((a W) (b W))") == base
+    assert goal_key("(and (leq b 5) (R a b) (R b a) (geq a 4))",
+                    "((a W) (b W))") != base
+
+
+def test_canonical_goal_percent_in_names():
+    decls = "(declare R%d (-> W W o)) (declare R%%d (-> W W o))"
+    one = goal_key("(and (R%d x y) (R%%d y x))", decls=decls)
+    assert "R%d" in one and "R%%d" in one
+    assert one == goal_key("(and (R%%d b a) (R%d a b))", "((a W) (b W))",
+                           decls)
+    assert one != goal_key("(and (R%d x y) (R%%d x y))", decls=decls)
+
+
+def test_canonical_goal_keeps_ties_in_goal_order():
+    # equal skeletons stay in goal order, so these two are told apart
+    # (as by the printed key) although they are renamings of each other
+    decls = "(declare R (-> W W o)) (declare S (-> W o))"
+    a = small_goal("(and (R x y) (R y x) (S x))", decls=decls)
+    b = small_goal("(and (R y x) (R x y) (S x))", decls=decls)
+    assert canonical_goal(a) != canonical_goal(b)
+    assert same_partition([a, b, small_goal(
+        "(and (R b a) (R a b) (S b))", "((a W) (b W))", decls)])
+
+
+def _problem(name):
+    if name.startswith("lcm/"):
+        _, mname, target = name.split("/")
+        state, vals = target.split(":")
+        with open(os.path.join(FIX, "lcm", f"{mname}.json"),
+                  encoding="utf-8") as fh:
+            m = lcm_from_json(json.load(fh))
+        cfg = LCMConfig(state, tuple(int(v) for v in vals.split(",")))
+        p = normalize_problem(encode_lcm(m, cfg))
+    else:
+        with open(os.path.join(FIX, name + ".lchc"), encoding="utf-8") as fh:
+            p = normalize_problem(parse_problem(fh.read()))
+    return p, theory_for(p.theory_kind, p.dim, p.direction)
+
+
+@pytest.mark.parametrize("name", ["mult6", "fo/nat_trade_unsat",
+                                  "lcm/m3/b:2,0"])
+def test_canonical_goal_matches_printed_key(monkeypatch, name):
+    """Along a whole search, the key and the printed-string oracle put the
+    same goals together."""
+    p, th = _problem(name)
+    goals = []
+    orig = resolution.canonical_goal
+
+    def keep(g):
+        goals.append(g)
+        return orig(g)
+
+    monkeypatch.setattr(resolution, "canonical_goal", keep)
+    assert isinstance(saturate(p, th, budget=5000), Refuted)
+    assert len(goals) > 10
+    assert same_partition(goals)
