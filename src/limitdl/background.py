@@ -250,6 +250,12 @@ class Theory:
     def empty_upset(self) -> Upset:
         return EMPTY if self.kind == "lia" else Antichain(())
 
+    def nat_bounds(self, comps: Sequence[str]) -> list[Formula]:
+        """``c >= 0`` for each component variable under nat; none under lia."""
+        if not self.nat:
+            return []
+        return [P.ge(LinTerm.of_var(c), LinTerm.of_const(0)) for c in comps]
+
 
 def theory_for(kind: str, dim: int, direction: str) -> Theory:
     return Theory(kind, dim, flipped=(direction == "downward"))
@@ -364,9 +370,8 @@ def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
         if not all(compile_atom(a, theory, env) == P.TRUE for a in eqs_atoms):
             continue
         fs = [compile_atom(a, theory, env) for a in num_atoms]
-        if theory.nat:
-            fs += [P.ge(LinTerm.of_var(comp_var(n, i + 1)), LinTerm.of_const(0))
-                   for n in wvars for i in range(theory.dim)]
+        fs += theory.nat_bounds([comp_var(n, i + 1) for n in wvars
+                                 for i in range(theory.dim)])
         if P.sat_exists_all(fs) is not None:
             return True
     return False
@@ -419,11 +424,8 @@ def bg_extend(state: BgState, new_atoms: Sequence[BgAtom],
             return None
         if not isinstance(f, P.TrueF):
             fs.append(f)
-    if theory.nat:
-        for n in new_wvars:
-            for i in range(theory.dim):
-                fs.append(P.ge(LinTerm.of_var(comp_var(n, i + 1)),
-                               LinTerm.of_const(0)))
+    fs += theory.nat_bounds([comp_var(n, i + 1) for n in new_wvars
+                             for i in range(theory.dim)])
     if not fs:
         return state
     pins = dict(state.pins)

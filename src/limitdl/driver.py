@@ -47,13 +47,10 @@ def _hint_model(p: Problem, theory: Theory,
         return None
 
 
-def _candidates(p: Problem, theory: Theory, hint: str | None,
+def _candidates(p: Problem, theory: Theory,
                 first_order: bool) -> Iterator[E.EntwinedStructure]:
-    """Model-side candidate stream: hint first, then (for first-order
+    """Model-side candidate stream after the hint: (for first-order
     problems) the converged least model, then fair enumeration."""
-    m = _hint_model(p, theory, hint)
-    if m is not None:
-        yield m
     if first_order:
         try:
             m = E.fo_least_model(p, theory)
@@ -92,7 +89,7 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
             return Verdict("SAT", model=hint, report=report,
                            stats={"resolutionSteps": 0, "modelsChecked": 1})
     sat = Saturator(p, theory)
-    stream = _candidates(p, theory, None, report.mode == "FirstOrder")
+    stream = _candidates(p, theory, report.mode == "FirstOrder")
     stream_done = False
 
     while True:

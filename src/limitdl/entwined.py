@@ -32,8 +32,7 @@ from .background import (ALL, EMPTY, Antichain, AtLeast, Theory, Upset,
                          upset_to_json)
 from .syntax import (FIN, PROP, W, AndF, App, Arrow, Atom, BgAtom, BodyF,
                      Clause, FgAtom, OrF, PredRef, Problem, SConst, Sort,
-                     Term, Var, WLit, WOp, arg_sorts, mk_app, print_sort,
-                     spine)
+                     Term, Var, WLit, WOp, arg_sorts, mk_app, print_sort)
 from .typesys import classify, type_order, w_position
 
 
@@ -547,16 +546,8 @@ def check_clause(m: EntwinedStructure, c: Clause) -> bool:
     th = m.theory
     wvars = [n for n, s in c.vars if s == W]
     others = [(n, s) for n, s in c.vars if s != W]
-    domains = []
-    for _, s in others:
-        if s == FIN:
-            domains.append(list(m.problem.fin_elems))
-        else:
-            domains.append(m.frame(s))
-    comps = [c_ for n in wvars for c_ in _w_comps(n, th.dim)]
-    bounds = [P.ge(P.LinTerm.of_var(v), P.LinTerm.of_const(0))
-              for v in comps] if th.nat else []
-    for combo in itertools.product(*domains):
+    bounds = th.nat_bounds([c_ for n in wvars for c_ in _w_comps(n, th.dim)])
+    for combo in itertools.product(*(m.frame(s) for _, s in others)):
         val = {n: v for (n, _), v in zip(others, combo)}
         f = clause_sentence(m, c, wvars, val)
         # the universal closure holds iff its negation has no numeric witness
@@ -620,7 +611,9 @@ def enumerate_structures(p: Problem, theory: Theory,
                          max_frame: int = MAX_FRAME
                          ) -> Iterator[EntwinedStructure]:
     """Fair enumeration: every finitely presented structure appears at some
-    finite index."""
+    finite index.  Ends when the space is finite and used up: the totals
+    that yield a structure run without gaps from 0, so the first total that
+    yields none is past the last one."""
     preds = sorted(p.decls, key=lambda d: (type_order(d[1]), d[0]))
     cache: list[Upset] = []
     pool = theory.enumerate_upsets()
@@ -641,8 +634,12 @@ def enumerate_structures(p: Problem, theory: Theory,
                 del interps[pname]
 
     for total in itertools.count():
+        found = False
         for interps in gen(0, total, {}):
+            found = True
             yield EntwinedStructure(p, theory, interps, max_frame)
+        if not found:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +689,7 @@ def _extract_lia(theory: Theory, phi: P.Formula, comp: str) -> Upset:
 def _extract_nat_up(theory: Theory, phi: P.Formula,
                     comps: list[str]) -> Upset:
     psi = P.eliminate(phi, nat_vars=comps)
-    bounds = [P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(0)) for c in comps]
+    bounds = theory.nat_bounds(comps)
     gens: list[tuple[int, ...]] = []
     while True:
         ask = [psi] + bounds
@@ -739,7 +736,7 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
     """Maximal points of a downward-closed set, with None marking coordinates
     that are unbounded (the set contains points with that coordinate
     arbitrarily large)."""
-    bounds = [P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(0)) for c in comps]
+    bounds = theory.nat_bounds(comps)
     psi = P.eliminate(phi, nat_vars=comps)
     gens: list[tuple[int | None, ...]] = []
 
@@ -870,157 +867,85 @@ def _widen(theory: Theory, old: Upset, new: Upset) -> Upset:
 def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
     """Compute the least model of a first-order problem by fixpoint
     iteration over descriptor tables; None if the iteration does not
-    converge within _MAX_ROUNDS."""
-    dim = theory.dim
-    # per predicate: ground-argument row -> descriptor (active) or bool
-    state: dict[str, dict] = {}
-    layouts: dict[str, tuple[list[Sort], bool]] = {}
-    for pname, psort in p.decls:
-        gsorts = nonw_sorts(psort)
-        active = W in arg_sorts(psort)
-        for s in gsorts:
-            if s not in (FIN, PROP):
-                raise ValueError("least-model engine requires a first-order "
-                                 "problem")
-        layouts[pname] = (gsorts, active)
-        rows = itertools.product(*(
-            list(p.fin_elems) if s == FIN else [False, True] for s in gsorts))
-        init = theory.empty_upset() if active else False
-        state[pname] = {r: init for r in rows}
-
-    def ground_dom(s: Sort):
-        return list(p.fin_elems) if s == FIN else [False, True]
-
-    def atom_formula(a: Atom, val: dict, wvars: set[str]) -> P.Formula:
-        if isinstance(a, BgAtom):
-            sval_env = {n: v for n, v in val.items() if isinstance(v, str)}
-            return compile_atom(a, theory, sval_env)
-        head, args = spine(a.term)
-        if not isinstance(head, PredRef):
+    converge within _MAX_ROUNDS.  ``p`` must be normalized
+    (``normalize_problem``): every head argument is a distinct variable.
+    Clause bodies are translated by the model checker's ``_body_formula``
+    on the structure the current tables describe."""
+    for _, psort in p.decls:
+        if any(s not in (FIN, PROP) for s in nonw_sorts(psort)):
             raise ValueError("least-model engine requires a first-order "
                              "problem")
-        gsorts, active = layouts[head.name]
-        grounds: list = []
-        wterm: Term | None = None
-        for t in args:
-            sort_is_w = isinstance(t, (WLit, WOp)) or (
-                isinstance(t, Var) and t.name in wvars)
-            if sort_is_w:
-                wterm = t
-            elif isinstance(t, Var):
-                grounds.append(val[t.name])
-            elif isinstance(t, SConst):
-                grounds.append(t.name)
+    if any(not isinstance(t, Var) for c in p.clauses for t in c.head[1]):
+        raise ValueError("least-model engine requires head arguments to be "
+                         "variables (a normalized problem)")
+    base = EntwinedStructure(p, theory, {})
+    # per predicate: row of ground arguments -> descriptor (active) or bool
+    tables = {pname: dict.fromkeys(
+        base.rows(psort),
+        theory.empty_upset() if W in arg_sorts(psort) else False)
+        for pname, psort in p.decls}
+
+    def structure() -> EntwinedStructure:
+        interps: dict[str, Value] = {}
+        for pname, psort in p.decls:
+            vals = list(tables[pname].values())
+            if W in arg_sorts(psort):
+                interps[pname] = ActVal(psort, tuple(vals))
+            elif psort == PROP:
+                interps[pname] = vals[0]
             else:
-                raise ValueError("non-atomic argument in a first-order atom")
-        entry = state[head.name][tuple(grounds)]
-        if not active:
-            return P.TRUE if entry else P.FALSE
-        if isinstance(wterm, Var):
-            comps = _w_comps(wterm.name, dim)
-            return theory.upset_formula(entry, comps)
-        wpt = _eval_w(wterm, {}, dim)
-        return P.TRUE if theory.member(wpt, entry) else P.FALSE
+                interps[pname] = _fn_from_bits(base, psort, vals)
+        return EntwinedStructure(p, theory, interps)
 
-    def body_formula(b: BodyF, val: dict, wvars: set[str]) -> P.Formula:
-        if isinstance(b, AndF):
-            return P.conj(body_formula(x, val, wvars) for x in b.args)
-        if isinstance(b, OrF):
-            return P.disj(body_formula(x, val, wvars) for x in b.args)
-        return atom_formula(b, val, wvars)
-
-    nat_bound = (lambda cs: [P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(0))
-                             for c in cs]) if theory.nat else (lambda cs: [])
-
+    m = structure()
     for rnd in range(_MAX_ROUNDS):
         changed = False
         for c in p.clauses:
             hname, hargs = c.head
-            gsorts, active = layouts[hname]
-            wvars = {n for n, s in c.vars if s == W}
+            wvars = [n for n, s in c.vars if s == W]
+            wset = set(wvars)
             gvars = [(n, s) for n, s in c.vars if s != W]
-            hw: Term | None = None
-            hground: list[Term] = []
-            for t in hargs:
-                if isinstance(t, (WLit, WOp)) or (
-                        isinstance(t, Var) and t.name in wvars):
-                    hw = t
-                else:
-                    hground.append(t)
-            for combo in itertools.product(*(ground_dom(s) for _, s in gvars)):
+            hw = next((t.name for t in hargs if t.name in wset), None)
+            hground = [t.name for t in hargs if t.name not in wset]
+            table = tables[hname]
+            for combo in itertools.product(*(m.frame(s) for _, s in gvars)):
                 val = {n: v for (n, _), v in zip(gvars, combo)}
-                row = tuple(val[t.name] if isinstance(t, Var) else t.name
-                            for t in hground)
-                body = body_formula(c.body, val, wvars)
+                row = tuple(val[n] for n in hground)
+                body = _body_formula(m, c.body, wset, val)
                 if body is P.FALSE:
                     continue
-                if not active:
-                    if state[hname][row]:
+                if hw is None:
+                    if table[row]:
                         continue
-                    f = body
-                    evars = [v for n in wvars for v in _w_comps(n, dim)]
-                    f = P.conj([f] + nat_bound(evars))
-                    for v in evars:
-                        f = P.Exists(v, f)
-                    if P.decide(f, nat_vars=evars if theory.nat else ()):
-                        state[hname][row] = True
+                    evars = [v for n in wvars for v in _w_comps(n, theory.dim)]
+                    # the body is quantifier-free: a purely existential query
+                    if P.sat_exists_all([body] + theory.nat_bounds(evars)) \
+                            is not None:
+                        table[row] = True
                         changed = True
+                        m = structure()
                     continue
-                old = state[hname][row]
-                if isinstance(hw, Var):
-                    comps = _w_comps(hw.name, dim)
-                    others = [v for n in wvars if n != hw.name
-                              for v in _w_comps(n, dim)]
-                else:
-                    # concrete head point: derive it when the body closes
-                    comps_pt = _eval_w(hw, {}, dim)
-                    if theory.member(comps_pt, old):
-                        continue
-                    evars = [v for n in wvars for v in _w_comps(n, dim)]
-                    f = P.conj([body] + nat_bound(evars))
-                    for v in evars:
-                        f = P.Exists(v, f)
-                    if P.decide(f, nat_vars=evars if theory.nat else ()):
-                        new = extract_upset(
-                            theory,
-                            P.disj([theory.upset_formula(old, ["_x%d" % i for i in range(dim)]),
-                                    P.conj([P.eq(P.LinTerm.of_var("_x%d" % i),
-                                                 P.LinTerm.of_const(comps_pt[i]))
-                                            for i in range(dim)])]),
-                            ["_x%d" % i for i in range(dim)])
-                        state[hname][row] = new
-                        changed = True
-                    continue
-                f = P.conj([body] + nat_bound(others))
+                old = table[row]
+                comps = _w_comps(hw, theory.dim)
+                others = [v for n in wvars if n != hw
+                          for v in _w_comps(n, theory.dim)]
+                f = P.conj([body] + theory.nat_bounds(others))
                 for v in others:
                     f = P.Exists(v, f)
                 f = P.eliminate(f, nat_vars=others if theory.nat else ())
                 phi = P.disj([theory.upset_formula(old, comps), f])
                 # quick no-op test: is phi ⊆ old?
                 gap = [phi, P.Not(theory.upset_formula(old, comps))]
-                if P.sat_exists_all(gap + nat_bound(comps)) is None:
+                if P.sat_exists_all(gap + theory.nat_bounds(comps)) is None:
                     continue
                 new = extract_upset(theory, phi, comps)
                 if rnd >= _WIDEN_AFTER:
                     new = _widen(theory, old, new)
-                state[hname][row] = new
+                table[row] = new
                 changed = True
+                m = structure()
         if not changed:
-            interps: dict[str, Value] = {}
-            m0 = EntwinedStructure(p, theory, {})
-            for pname, psort in p.decls:
-                gsorts, active = layouts[pname]
-                rows = list(itertools.product(*(ground_dom(s)
-                                                for s in gsorts)))
-                if active:
-                    interps[pname] = ActVal(
-                        psort, tuple(state[pname][r] for r in rows))
-                elif psort == PROP:
-                    interps[pname] = state[pname][()]
-                else:
-                    interps[pname] = _fn_from_bits(
-                        m0, psort, [state[pname][r] for r in rows])
-            return EntwinedStructure(p, theory, interps)
+            return m
     return None
 
 

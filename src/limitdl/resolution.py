@@ -65,9 +65,11 @@ def subst_atom(a: Atom, env: dict[str, Term]) -> Atom:
 
 # A shape is an atom's name-blind skeleton with a slot for each variable
 # occurrence, plus the variables that fill the slots in traversal order
-# (repeats kept).  The skeleton is a %-format template: the slots read "v%d",
-# any "%" of a name is doubled.  Two atoms have equal skeletons exactly when
-# they are equal up to the names of their variables.
+# (repeats kept).  The skeleton is a %-format template: the slots read "(%d)",
+# which no name or printed term can produce (names hold no parentheses, and
+# every parenthesised term has a space), and any "%" of a name is doubled.
+# Two atoms have equal skeletons exactly when they are equal up to the names
+# of their variables.
 Shape = tuple[str, tuple[str, ...]]
 
 
@@ -78,7 +80,7 @@ def atom_shape(a: Atom) -> Shape:
         match t:
             case Var(n):
                 occs.append(n)
-                return "v%d"
+                return "(%d)"
             case App(f, x):
                 return f"({blind(f)} {blind(x)})"
             case WOp(op, args, k):
@@ -117,7 +119,7 @@ def goal_of_clause(cl: Clause) -> Goal:
 
 def canonical_goal(g: Goal) -> str:
     """Renaming-invariant seen-set key: atoms sorted by skeleton (stably, so
-    equal skeletons keep goal order), then variables renumbered v0, v1, ...
+    equal skeletons keep goal order), then variables renumbered (0), (1), ...
     by first occurrence."""
     shapes = sorted(g.shapes, key=itemgetter(0))
     occs = list(itertools.chain.from_iterable(o for _, o in shapes))

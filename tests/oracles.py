@@ -236,8 +236,8 @@ def simulate_reachable(m: LCM, target: LCMConfig, cap: int) -> bool:
 
 def printed_goal_key(g: Goal) -> str:
     """Renaming-invariant key of a goal: atoms stably sorted by a name-blind
-    skeleton, variables renumbered in traversal order, then every atom
-    printed."""
+    skeleton, variables renamed (0), (1), ... in traversal order (a text no
+    constant or predicate name can take), then every atom printed."""
     def skel(a) -> str:
         def blind(t: Term) -> str:
             match t:
@@ -260,7 +260,7 @@ def printed_goal_key(g: Goal) -> str:
         match t:
             case Var(n):
                 if n not in names:
-                    names[n] = f"v{len(names)}"
+                    names[n] = f"({len(names)})"
                 return Var(names[n])
             case App(f, x):
                 return App(ren(f), ren(x))

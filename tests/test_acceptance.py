@@ -192,9 +192,11 @@ def test_criterion_7_exclusion():
                 assert replay(r.trace, p, th)
             modelled = False
             hint = fx("integral256.model.json") if "256" in key else None
-            from limitdl.driver import _candidates
-            for m in itertools.islice(_candidates(p, th, hint, not higher),
-                                      3 if higher else 30):
+            from limitdl.driver import _candidates, _hint_model
+            seed = _hint_model(p, th, hint)
+            stream = itertools.chain([] if seed is None else [seed],
+                                     _candidates(p, th, not higher))
+            for m in itertools.islice(stream, 3 if higher else 30):
                 try:
                     if E.check_model(m, p):
                         modelled = True

@@ -2,11 +2,13 @@
 
 import json
 import os
+import signal
 
 import pytest
 
+from corpus import HINTS, PINNED, problem
 from limitdl.driver import SolveConfig, Verdict, solve, verify
-from limitdl.entwined import serialize_model
+from limitdl.entwined import enumerate_structures, serialize_model
 from limitdl.resolution import replay
 from limitdl.background import theory_for
 from limitdl.syntax import normalize_problem, parse_problem
@@ -128,3 +130,39 @@ def test_config_rejects_nonpositive_slices():
         SolveConfig(resolution_slice=0)
     with pytest.raises(ValueError):
         SolveConfig(model_slice=-1)
+
+
+@pytest.mark.parametrize("pid,verdict,steps,models", PINNED,
+                         ids=[row[0] for row in PINNED])
+def test_corpus_outcomes_are_pinned(pid, verdict, steps, models):
+    p, _ = problem(pid)
+    v = solve(p, SolveConfig(hint=HINTS.get(pid)))
+    assert (v.kind, v.stats) == (verdict, {"resolutionSteps": steps,
+                                           "modelsChecked": models})
+
+
+@pytest.fixture
+def alarm():
+    """Fail within seconds where the code under test would hang."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 10 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_finite_structure_space_ends(alarm):
+    # one inactive predicate over {a, b}: four tables, then the candidate
+    # stream ends and a one-step slice still reaches the refutation
+    p = normalize_problem(parse_problem("""
+(theory (lia))
+(finsort S (a b))
+(declare R (-> S o))
+(clause ((x S)) (head (R x)) (body (eqs x b)))
+(goal () (body (R b)))
+"""))
+    th = theory_for(p.theory_kind, p.dim, p.direction)
+    assert len(list(enumerate_structures(p, th))) == 4
+    assert solve(p, SolveConfig(resolution_slice=1)).kind == "UNSAT"

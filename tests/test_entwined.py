@@ -10,6 +10,7 @@ from limitdl import entwined as E
 from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
+from corpus import FIRST_ORDER, problem
 from oracles import bounded_canonical_model
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -241,6 +242,56 @@ def test_least_model_of_multiplication():
     p5 = load("mult5.lchc")
     m5 = E.fo_least_model(p5, th)
     assert E.check_model(m5, p5)
+
+
+# an inactive and a propositional predicate feeding an active one
+INACTIVE_TEXT = """
+(theory (nat 1))
+(direction upward)
+(finsort S (a b c))
+(declare R (-> S o))
+(declare G o)
+(declare T (-> S W o))
+(clause ((x S) (u W)) (head (R x)) (body (and (eqs x b) (geq u 3))))
+(clause ((x S) (u W)) (head (R x)) (body (and (eqs x c) (geq u 3) (leq u 1))))
+(clause () (head (G)) (body (R b)))
+(clause ((x S) (u W)) (head (T x u)) (body (and (R x) G (geq u 4))))
+(goal () (body (T b 2)))
+"""
+
+
+def test_least_model_with_inactive_and_propositional_heads():
+    p = normalize_problem(parse_problem(INACTIVE_TEXT))
+    m = E.fo_least_model(p, theory_of(p))
+    assert m is not None
+    # R c needs a point with u >= 3 and u <= 1, which does not exist
+    assert m.full_table(m.problem.decl("R"), m.interps["R"]) == \
+        (False, True, False)
+    assert m.interps["G"] is True
+    assert m.interps["T"].descs == (EMPTY, Antichain(((4,),)), EMPTY)
+    assert E.check_model(m, p)
+
+
+def test_least_model_requires_variable_heads():
+    # normalize_problem would turn the head point into a variable
+    p = parse_problem("""
+(theory (lia))
+(declare R (-> W o))
+(clause () (head (R 5)) (body (and)))
+(goal () (body (R 3)))
+""")
+    with pytest.raises(ValueError):
+        E.fo_least_model(p, theory_of(p))
+
+
+@pytest.mark.parametrize("pid,verdict", FIRST_ORDER,
+                         ids=[pid for pid, _ in FIRST_ORDER])
+def test_least_model_decides_first_order_corpus(pid, verdict):
+    # the least model satisfies the goals exactly when the problem is SAT
+    p, th = problem(pid)
+    m = E.fo_least_model(p, th)
+    assert m is not None
+    assert E.check_model(m, p) == (verdict == "SAT")
 
 
 def test_bounded_oracle_upward_closure():

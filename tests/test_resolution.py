@@ -1,22 +1,18 @@
 """Resolution, saturation, and trace replay tests."""
 
 import itertools
-import json
-import os
 
 import pytest
 
 from limitdl import resolution
 from limitdl.background import theory_for
-from limitdl.frontends import LCMConfig, encode_lcm, lcm_from_json
 from limitdl.resolution import (
     BudgetExhausted, ProofTrace, Refuted, Saturator, TraceError,
     canonical_goal, goal_of_clause, replay, resolve, saturate, try_refute,
 )
 from limitdl.syntax import normalize_problem, parse_problem
+from corpus import problem
 from oracles import printed_goal_key
-
-FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def load(text):
@@ -208,19 +204,21 @@ def test_canonical_goal_keeps_ties_in_goal_order():
         "(and (R b a) (R a b) (S b))", "((a W) (b W))", decls)])
 
 
-def _problem(name):
-    if name.startswith("lcm/"):
-        _, mname, target = name.split("/")
-        state, vals = target.split(":")
-        with open(os.path.join(FIX, "lcm", f"{mname}.json"),
-                  encoding="utf-8") as fh:
-            m = lcm_from_json(json.load(fh))
-        cfg = LCMConfig(state, tuple(int(v) for v in vals.split(",")))
-        p = normalize_problem(encode_lcm(m, cfg))
-    else:
-        with open(os.path.join(FIX, name + ".lchc"), encoding="utf-8") as fh:
-            p = normalize_problem(parse_problem(fh.read()))
-    return p, theory_for(p.theory_kind, p.dim, p.direction)
+def test_canonical_goal_variable_is_not_a_constant_named_like_a_slot():
+    # the constant v0 and a variable must not share a key, or the search
+    # drops the refutable goal (R y) as already seen
+    p, th = load("""
+(theory (lia))
+(finsort S (v0 b))
+(declare R (-> S o))
+(clause ((x S)) (head (R x)) (body (eqs x b)))
+(goal () (body (R v0)))
+(goal ((y S)) (body (R y)))
+""")
+    goals = [goal_of_clause(g) for g in p.goals]
+    assert canonical_goal(goals[0]) != canonical_goal(goals[1])
+    assert same_partition(goals)
+    assert isinstance(saturate(p, th, 100), Refuted)
 
 
 @pytest.mark.parametrize("name", ["mult6", "fo/nat_trade_unsat",
@@ -228,7 +226,7 @@ def _problem(name):
 def test_canonical_goal_matches_printed_key(monkeypatch, name):
     """Along a whole search, the key and the printed-string oracle put the
     same goals together."""
-    p, th = _problem(name)
+    p, th = problem(name)
     goals = []
     orig = resolution.canonical_goal
 
