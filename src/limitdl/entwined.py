@@ -733,18 +733,30 @@ def _extract_nat_up(theory: Theory, phi: P.Formula,
 
 def _extract_nat_down(theory: Theory, phi: P.Formula,
                       comps: list[str]) -> Upset:
-    """Maximal points of a downward-closed set, with None marking coordinates
-    that are unbounded (the set contains points with that coordinate
-    arbitrarily large)."""
+    """Maximal points of a downward-closed set, with None (ω) marking
+    unbounded coordinates.  A generator grows from a seed point one
+    coordinate at a time: with J the ω coordinates so far, coordinate i is
+    the largest x_i among points whose J coordinates are arbitrarily large
+    (the ω-fibre).  On the DNF branches of the query, i is ω iff a
+    satisfiable branch has an integer recession direction positive on J and
+    i; else it is the largest x_i of a branch with a direction positive on
+    J (of any branch when J is empty)."""
     bounds = theory.nat_bounds(comps)
     psi = P.eliminate(phi, nat_vars=comps)
     gens: list[tuple[int | None, ...]] = []
 
-    def closed(constraints: list[P.Formula]) -> P.Formula:
-        f = P.conj([psi] + constraints)
-        for c in comps:
-            f = P.Exists(c, f)
-        return f
+    def atleast(c: str, v: int) -> P.Formula:
+        return P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(v))
+
+    def recedes(leaf: list, cs: list[str]) -> bool:
+        # some integer direction of the branch is positive on every cs
+        cone = P.recession_cone(leaf) + [atleast(c, 1) for c in cs]
+        return P.sat_exists_all(cone) is not None
+
+    def reach(leaf: list, ci: str, v: int) -> int | None:
+        # x_i of a point of the branch with x_i >= v, or None
+        w = P.sat_exists_all(leaf + [atleast(ci, v)])
+        return None if w is None else w.get(ci, 0)
 
     while True:
         ask = [psi] + bounds
@@ -757,47 +769,37 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
         seed = [w.get(c, 0) for c in comps]
         g: list[int | None] = []
         for i, ci in enumerate(comps):
-            def constraints(vi: P.Formula | None, m: str | None) -> list:
-                out: list[P.Formula] = []
-                for j, cj in enumerate(comps):
-                    t = P.LinTerm.of_var(cj)
-                    if j < i:
-                        if g[j] is None:
-                            out.append(P.ge(t, P.LinTerm.of_var(m))
-                                       if m else P.TRUE)
-                        else:
-                            out.append(P.eq(t, P.LinTerm.of_const(g[j])))
-                    elif j == i:
-                        if m:
-                            out.append(P.ge(t, P.LinTerm.of_var(m)))
-                    else:
-                        out.append(P.ge(t, P.LinTerm.of_const(seed[j])))
-                return out
-            unb = P.Forall("_m", closed(constraints(None, "_m")))
-            if P.decide(unb, nat_vars=comps):
+            fixed = [P.eq(P.LinTerm.of_var(cj), P.LinTerm.of_const(gj))
+                     for cj, gj in zip(comps, g) if gj is not None]
+            fixed += [atleast(cj, sj)
+                      for cj, sj in zip(comps[i + 1:], seed[i + 1:])]
+            leaves = list(P.branches([psi] + bounds + fixed))
+            omega = [cj for cj, gj in zip(comps, g) if gj is None]
+            if any(recedes(leaf, omega + [ci])
+                   and P.sat_exists_all(leaf) is not None
+                   for leaf in leaves):
                 g.append(None)
                 continue
-            # bounded: binary search the maximum
-
-            def at(v: int) -> bool:
-                # psi is quantifier-free, so this is a purely existential
-                # query: the conjunction solver answers it exactly
-                eqv = P.eq(P.LinTerm.of_var(ci), P.LinTerm.of_const(v))
-                query = [psi] + bounds + constraints(None, None) + [eqv]
-                return P.sat_exists_all(query) is not None
-
-            lo = seed[i]
-            hi = lo + 1
-            while at(hi):
-                lo = hi
-                hi *= 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if at(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            g.append(lo)
+            # bounded on every branch that reaches the ω-fibre: maximise
+            # x_i per branch, jumping to each witness's value; the seed's
+            # own value is reached, so no smaller one needs a query
+            best = seed[i] - 1
+            for leaf in leaves:
+                lo = reach(leaf, ci, best + 1)
+                if lo is None or (omega and not recedes(leaf, omega)):
+                    continue
+                while (up := reach(leaf, ci, 2 * lo + 1)) is not None:
+                    lo = up
+                hi = 2 * lo + 1  # no point of the branch gets here
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    up = reach(leaf, ci, mid)
+                    if up is None:
+                        hi = mid
+                    else:
+                        lo = up
+                best = lo
+            g.append(best)
         gens.append(tuple(g))
         if len(gens) > 256:
             raise FrameTooLarge("descriptor extraction did not converge")

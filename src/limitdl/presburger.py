@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -1046,15 +1046,16 @@ def _admit(lits: list) -> list | None:
     return out
 
 
-def _solve_pend(lits: list, pends: list) -> dict[str, int] | None:
-    """Branch over pending disjunctions, pruning each partial branch by
-    interval propagation before expanding further.  lits are normalised
-    (see _admit), so a leaf hands _sat_lits what it would have made of the
-    raw literals itself."""
+def _leaves(lits: list, pends: list) -> Iterator[list]:
+    """The DNF leaves of lits and the pending disjunctions, in branch order;
+    each partial branch is pruned by interval propagation before it is
+    expanded further.  lits are normalised (see _admit), so a leaf is what
+    _sat_lits would have made of the raw literals itself."""
     if not pends:
-        return _sat_lits(lits)
+        yield lits
+        return
     if _propagate_intervals(lits) is False:
-        return None
+        return
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
     chosen = pends[i]
     rest = pends[:i] + pends[i + 1:]
@@ -1064,21 +1065,49 @@ def _solve_pend(lits: list, pends: list) -> dict[str, int] | None:
         if _lits_of(alt, new, sub):
             new = _admit(new)
             if new is not None:
-                w = _solve_pend(lits + new, sub)
-                if w is not None:
-                    return w
-    return None
+                yield from _leaves(lits + new, sub)
 
 
-def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
-    """Satisfying assignment for a conjunction of quantifier-free formulas
-    (variables absent from the result are free; read them as 0), or None."""
+def branches(matrices: list[Formula]) -> Iterator[list]:
+    """The conjunctive branches of a conjunction of quantifier-free
+    formulas: lists of Cmp/Div literals whose disjunction is equivalent to
+    it.  Without disjunctions the one branch is the raw literal list;
+    otherwise every literal is in _to_le form ('<=', '=', '!=', Div)."""
     acc: list = []
     pend: list = []
     for f in matrices:
         if not _lits_of(f, acc, pend):
-            return None
+            return
     if not pend:
-        return _sat_lits(acc)
+        yield acc
+        return
     acc = _admit(acc)
-    return None if acc is None else _solve_pend(acc, pend)
+    if acc is not None:
+        yield from _leaves(acc, pend)
+
+
+def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
+    """Satisfying assignment for a conjunction of quantifier-free formulas
+    (variables absent from the result are free; read them as 0), or None:
+    the assignment _sat_lits gives the first satisfiable branch."""
+    for leaf in branches(matrices):
+        w = _sat_lits(leaf)
+        if w is not None:
+            return w
+    return None
+
+
+def recession_cone(leaf: list) -> list:
+    """The homogeneous system of a branch: every comparison in _to_le form
+    with its constant dropped, '!=' and Div literals dropped.  Its integer
+    solutions d are the directions of the branch: from any integer point x
+    of the branch, x + t*k*d stays in it for all but at most one t >= 0 per
+    '!=' literal (k the lcm of the Div moduli); and a branch whose integer
+    points grow without bound in some coordinates has such a direction that
+    is positive in all of them."""
+    out = []
+    for f in leaf:
+        g = _to_le(f)
+        if type(g) is Cmp and g.op != "!=":
+            out.append(cmp_atom(g.op, LinTerm(0, g.t.coeffs)))
+    return out

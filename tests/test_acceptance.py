@@ -92,13 +92,14 @@ def test_criterion_1_flagship_unsat_and_sat():
 
 
 def test_criterion_2_initiality_gate():
+    # outside the timed block: the module pulls in hypothesis and pytest
+    import test_typesys
     with gate(2, "type verdicts and the additive-closure rejection", 1):
         a = lambda *s: mk_arrow(list(s[:-1]), s[-1])
         assert is_initial(a(FIN, W, PROP)) is True
         assert is_initial(a(a(W, PROP), W, FIN, a(W, PROP), PROP)) is True
         assert is_initial(a(W, W, PROP)) is False
         assert is_initial(a(a(W, PROP), W, PROP)) is False
-        import test_typesys
         p = normalize_problem(parse_problem(test_typesys.ADD_TEXT))
         rep = validate(p)
         assert rep.mode == "Rejected"

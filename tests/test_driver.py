@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from corpus import HINTS, PINNED, problem
+from corpus import HINTS, MODEL_SHA256, PINNED, model_sha256, problem
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
 from limitdl.resolution import replay
@@ -139,6 +139,8 @@ def test_corpus_outcomes_are_pinned(pid, verdict, steps, models):
     v = solve(p, SolveConfig(hint=HINTS.get(pid)))
     assert (v.kind, v.stats) == (verdict, {"resolutionSteps": steps,
                                            "modelsChecked": models})
+    if verdict == "SAT":
+        assert model_sha256(v.model) == MODEL_SHA256[pid]
 
 
 @pytest.fixture
@@ -166,3 +168,19 @@ def test_finite_structure_space_ends(alarm):
     th = theory_for(p.theory_kind, p.dim, p.direction)
     assert len(list(enumerate_structures(p, th))) == 4
     assert solve(p, SolveConfig(resolution_slice=1)).kind == "UNSAT"
+
+
+def test_omega_generator_is_not_overapproximated(alarm):
+    # D = {u2 <= 5} ∪ {u <= (2, 10)}: the least model {(ω,5), (2,10)}
+    # keeps both goal points out of D; a generator (ω,10) would put
+    # (100, 10) in D and leave only the unending candidate stream
+    p = normalize_problem(parse_problem("""
+(theory (nat 2)) (direction downward) (declare D (-> W o))
+(clause ((u W)) (head (D u)) (body (leq (comp u 2) 5)))
+(clause ((u W)) (head (D u)) (body (leq u (tuple 2 10))))
+(goal () (body (D (tuple 100 10))))
+(goal () (body (D (tuple 2 11))))
+"""))
+    v = solve(p, SolveConfig())
+    assert v.kind == "SAT"
+    assert v.stats["modelsChecked"] == 1

@@ -3,10 +3,13 @@
 import itertools
 import json
 import os
+import random
+import signal
 
 import pytest
 
 from limitdl import entwined as E
+from limitdl import presburger as P
 from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
@@ -313,8 +316,75 @@ def test_bounded_oracle_upward_closure():
 
 def test_extract_upset_downward_omega():
     # {u : u2 = 0} in the downward order is generated by (omega, 0)
-    from limitdl import presburger as P
     th = theory_for("nat", 2, "downward")
     phi = P.eq(P.LinTerm.of_var("c1"), P.LinTerm.of_const(0))
     u = E.extract_upset(th, phi, ["c0", "c1"])
     assert u == Antichain(((None, 0),))
+
+
+def test_extract_upset_downward_omega_fibre():
+    # the second coordinate of (omega, _) is bounded by the branch b <= 5
+    # that reaches arbitrarily large a, not by the branch b <= 10
+    th = theory_for("nat", 2, "downward")
+    a, b = P.LinTerm.of_var("a"), P.LinTerm.of_var("b")
+    k = P.LinTerm.of_const
+    phi = P.disj([P.le(b, k(5)), P.conj([P.le(a, k(2)), P.le(b, k(10))])])
+    assert E.extract_upset(th, phi, ["a", "b"]) == \
+        Antichain(((2, 10), (None, 5)))
+
+
+def _rand_closed_set(rng, names, down):
+    """A union of 1-3 conjunctions of bounds x <= c, at most one of them of
+    the form x + k*y <= c, over the names (>= for an upward-closed set), so
+    closed in that direction.  Two-variable bounds keep c small: the set
+    {x + k*y <= c} alone has c // k + 1 maximal points."""
+    rel = P.le if down else P.ge
+    conjs = []
+    for _ in range(rng.randint(1, 3)):
+        lits = []
+        for j in range(rng.randint(1, 3)):
+            x = rng.choice(names)
+            t = P.LinTerm.of_var(x)
+            others = [n for n in names if n != x]
+            if j == 0 and others and rng.random() < 0.5:
+                t = t.add(P.LinTerm.of_var(rng.choice(others),
+                                           rng.randint(1, 3)))
+                c = rng.randint(0, 10)
+            else:
+                c = rng.randint(0, 40)
+            lits.append(rel(t, P.LinTerm.of_const(c)))
+        conjs.append(P.conj(lits))
+    return P.disj(conjs)
+
+
+def test_extract_upset_against_grid_membership():
+    """Every extractor (lia, nat upward, nat downward) gives a descriptor
+    whose membership formula agrees with the input set on the grid
+    {0, 5, ..., 35}^d, on 300 fixed-seed sets; each case must finish
+    within 5 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("extraction took over 5 s")
+
+    configs = [("lia", 1, "upward"), ("lia", 1, "downward")] + [
+        ("nat", d, direction) for d in (1, 2, 3)
+        for direction in ("upward", "downward")]
+    rng = random.Random(11)
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        for _ in range(300):
+            kind, dim, direction = rng.choice(configs)
+            th = theory_for(kind, dim, direction)
+            comps = [f"c{i}" for i in range(dim)]
+            phi = _rand_closed_set(rng, comps, direction == "downward")
+            signal.alarm(5)
+            u = E.extract_upset(th, phi, comps)
+            signal.alarm(0)
+            got = th.upset_formula(u, comps)
+            for pt in itertools.product(range(0, 36, 5), repeat=dim):
+                env = dict(zip(comps, pt))
+                assert P.evaluate(got, env) == P.evaluate(phi, env), \
+                    (kind, direction, str(phi), u, pt)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

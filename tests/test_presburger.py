@@ -318,7 +318,7 @@ def test_strict_gcd_literal_regression():
 
 def dnf_first_witness(lits, pends):
     """Reference for sat_exists_all on formulas with disjunctions: expand the
-    DNF in _solve_pend's branch order, without pruning or normalising, and
+    DNF in _leaves's branch order, without pruning or normalising, and
     return _sat_lits of the first satisfiable branch."""
     if not pends:
         return P._sat_lits(lits)
@@ -376,3 +376,41 @@ def test_branch_search_first_witness():
             found += 1
             assert all(P.evaluate0(f, w) for f in matrices), (matrices, w)
     assert 30 < found < 270  # both outcomes are exercised
+
+
+def _unbounded_by_cones(matrices, names):
+    """Some satisfiable branch has an integer direction positive on names."""
+    return any(
+        P.sat_exists_all(P.recession_cone(leaf)
+                         + [ge(v(n), c(1)) for n in names]) is not None
+        and P.sat_exists_all(leaf) is not None
+        for leaf in P.branches(matrices))
+
+
+def test_recession_cone_decides_unboundedness():
+    """A set of natural points has points with every coordinate in J at
+    least m, for every m, exactly when some satisfiable DNF branch has a
+    recession direction positive on J; Cooper decides the first-order
+    sentence.  The formulas mix linear atoms of every comparison, '!=' and
+    divisibility, under disjunction, over two natural variables."""
+    rng = random.Random(20261018)
+    names = ["x", "y"]
+    nat = [ge(v(n), c(0)) for n in names]
+
+    def atom():
+        t = LinTerm.make(rng.randint(-6, 6),
+                         {n: rng.choice([-2, -1, 0, 1, 2]) for n in names})
+        if rng.random() < 0.2:
+            return div_atom(rng.choice([2, 3]), t, rng.random() < 0.5)
+        return rng.choice([lt, le, eq, ne, ge, gt])(t, c(0))
+
+    seen = set()
+    for _ in range(200):
+        psi = disj(conj(atom() for _ in range(rng.randint(1, 2)))
+                   for _ in range(rng.randint(1, 2)))
+        for J in (["x"], ["y"], names):
+            big = conj([psi] + nat + [ge(v(n), v("m")) for n in J])
+            truth = decide(Forall("m", Exists("x", Exists("y", big))))
+            assert _unbounded_by_cones([psi] + nat, J) == truth, (psi, J)
+            seen.add(truth)
+    assert seen == {True, False}
