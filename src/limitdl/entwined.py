@@ -463,7 +463,7 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
             row_fs = [th.upset_formula(d, comps) for d in v.descs]
             for u in m.frame(res):
                 table = m.full_table(res, u)
-                parts = [f if b else P.Not(f)
+                parts = [f if b else P.neg_f(f)
                          for f, b in zip(row_fs, table)]
                 out.append((P.conj([g] + parts), u))
         return out
@@ -476,7 +476,8 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
                 # boolean argument whose truth depends on numeric variables:
                 # split on it
                 out.append((P.conj([g1, g2, a]), m.apply(v1, True)))
-                out.append((P.conj([g1, g2, P.Not(a)]), m.apply(v1, False)))
+                out.append((P.conj([g1, g2, P.neg_f(a)]),
+                            m.apply(v1, False)))
             else:
                 out.append((P.conj([g1, g2]), m.apply(v1, a)))
     return out
@@ -659,7 +660,7 @@ def _extract_lia(theory: Theory, phi: P.Formula, comp: str) -> Upset:
     w_in = P.sat_exists_all([psi])
     if w_in is None:
         return EMPTY
-    w_out = P.sat_exists_all([P.nnf(P.Not(psi))])
+    w_out = P.sat_exists_all([P.Not(psi)])
     if w_out is None:
         return ALL
     w_in, w_out = w_in.get(comp, 0), w_out.get(comp, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import le as le_
 from typing import Iterable, Iterator, Mapping
 
 
@@ -663,11 +664,16 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # alternation.  We lazily expand the matrix into conjunctive branches and
 # decide each branch by unit-equality substitution, interval propagation,
 # and Cooper-style elimination one variable at a time with early exit.
+# A negated union of boxes (such as a descriptor membership) expands as
+# the union of boxes of its complement, in the manner of the ideal
+# decompositions of Finkel and Goubault-Larrecq (STACS 2009), not as the
+# product of its negated boxes.
 
 
 def _lits_of(f: Formula, acc: list, pending: list) -> bool:
-    """Split f into atomic literals (acc) and non-atomic parts (pending).
-    Returns False if f is trivially unsatisfiable."""
+    """Split f into atomic literals (acc) and non-atomic parts (pending),
+    reading each negation through _wnnf.  Returns False if f is trivially
+    unsatisfiable."""
     match f:
         case TrueF():
             return True
@@ -682,11 +688,138 @@ def _lits_of(f: Formula, acc: list, pending: list) -> bool:
                     return False
             return True
         case Not(g):
-            return _lits_of(_nnf(g, True), acc, pending)
+            return _lits_of(_wnnf(g, True), acc, pending)
         case Or():
             pending.append(f)
             return True
     raise ValueError(f"quantifier reached branch expansion: {f}")
+
+
+def _wnnf(f: Formula, neg: bool) -> Formula:
+    """_nnf as the branch walker reads a negation: the same formula, except
+    that the negation of a disjunction with two or more box disjuncts
+    (_box_bounds; nested disjunctions are flattened) is the conjunction of
+    the negated other disjuncts with the boxes' complement (_complement),
+    not with one disjunction of negated bounds per box."""
+    match f:
+        case Not(g):
+            return _wnnf(g, not neg)
+        case And(args):
+            return (disj if neg else conj)(_wnnf(a, neg) for a in args)
+        case Or(args):
+            if neg:
+                boxes, rest = [], []
+                for a in _disjuncts(f):
+                    b = _box_bounds(a)
+                    if b is None:
+                        rest.append(a)
+                    else:
+                        boxes.append(b)
+                if len(boxes) >= 2:
+                    return conj([_wnnf(a, True) for a in rest] + [
+                        _complement([b for b in boxes if b is not False])])
+            return (conj if neg else disj)(_wnnf(a, neg) for a in args)
+    return _nnf(f, neg)
+
+
+def _disjuncts(f: Formula) -> Iterator[Formula]:
+    if type(f) is Or:
+        for a in f.args:
+            yield from _disjuncts(a)
+    else:
+        yield f
+
+
+_INF = math.inf
+
+
+def _box_bounds(f: Formula) -> dict[str, list] | bool | None:
+    """f as a box: TRUE, FALSE, a comparison other than '!=' over one
+    variable, or a conjunction of boxes.  The result maps each bounded
+    variable to [-lo, hi] (inf where unbounded); it is False for an empty
+    box and None when f is not a box."""
+    out: dict[str, list] = {}
+    stack = [f]
+    while stack:
+        g = _to_le(stack.pop())
+        if type(g) is And:
+            stack.extend(g.args)
+            continue
+        if type(g) is TrueF:
+            continue
+        if type(g) is FalseF:
+            return False
+        if type(g) is not Cmp or g.op == "!=" or len(g.t.coeffs) != 1:
+            return None
+        ((v, c),) = g.t.coeffs
+        k = g.t.const
+        b = out.setdefault(v, [_INF, _INF])
+        if g.op == "=":  # ceil(-k/c) <= x <= floor(-k/c)
+            b[0] = min(b[0], k // c)
+            b[1] = min(b[1], -k // c)
+        elif c > 0:  # x <= floor(-k/c)
+            b[1] = min(b[1], -k // c)
+        else:  # x >= ceil(k/-c), i.e. -x <= floor(-k/-c)
+            b[0] = min(b[0], -k // -c)
+        if b[0] + b[1] < 0:
+            return False
+    return out
+
+
+def _complement(boxes: list[dict[str, list]]) -> Formula:
+    """The complement over the integers of a union of boxes (_box_bounds),
+    as a union of boxes.  Starting from the whole space, each box replaces
+    every piece it meets by the parts of the piece beyond each of its finite
+    bounds; empty parts, and parts inside a piece of another parent, are
+    dropped.  A piece is a tuple u with u[2i] = -lo and u[2i+1] = hi of the
+    i-th variable, so it is empty iff some u[2i] + u[2i+1] < 0, and lies
+    inside another iff it is componentwise smaller.  The pieces never nest:
+    parts of one parent do not, nor do pieces kept whole, and no two parts
+    are equal, so only parts of different parents need comparing."""
+    names = sorted({v for b in boxes for v in b})
+    n = 2 * len(names)
+    pieces = [(_INF,) * n]
+    for b in boxes:
+        box = [x for v in names for x in b.get(v, (_INF, _INF))]
+        fin = [k for k in range(n) if box[k] != _INF]
+        kept: list[tuple] = []
+        parts: list[list[tuple]] = []
+        for p in pieces:
+            if any(min(p[k], box[k]) + min(p[k + 1], box[k + 1]) < 0
+                   for k in range(0, n, 2)):  # misses the box
+                kept.append(p)
+                continue
+            mine = []
+            for k in fin:
+                j = k ^ 1
+                cut = -box[k] - 1  # beyond bound k
+                if p[k] + cut >= 0:
+                    mine.append(p[:j] + (cut,) + p[j + 1:])
+            parts.append(mine)
+        pieces = list(kept)
+        for i, mine in enumerate(parts):
+            for q in mine:
+                if not any(all(map(le_, q, r)) for r in kept) and not any(
+                        all(map(le_, q, r))
+                        for j, theirs in enumerate(parts) if j != i
+                        for r in theirs):
+                    pieces.append(q)
+        if not pieces:
+            return FALSE
+    return disj(conj(_bounds_of(names, p)) for p in pieces)
+
+
+def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
+    """The bounds of a piece of _complement, in _to_le form."""
+    for i, v in enumerate(names):
+        nlo, hi = p[2 * i], p[2 * i + 1]
+        if nlo + hi == 0:
+            yield Cmp("=", LinTerm(-hi, ((v, 1),)))
+            continue
+        if nlo != _INF:
+            yield Cmp("<=", LinTerm(-nlo, ((v, -1),)))  # lo - x <= 0
+        if hi != _INF:
+            yield Cmp("<=", LinTerm(-hi, ((v, 1),)))  # x - hi <= 0
 
 
 def _propagate_intervals(lits: list) -> bool | None:

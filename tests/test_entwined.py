@@ -1,5 +1,6 @@
 """Frame construction, clause checking, model serialization, least models."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -336,8 +337,9 @@ def test_extract_upset_downward_omega_fibre():
 def _rand_closed_set(rng, names, down):
     """A union of 1-3 conjunctions of bounds x <= c, at most one of them of
     the form x + k*y <= c, over the names (>= for an upward-closed set), so
-    closed in that direction.  Two-variable bounds keep c small: the set
-    {x + k*y <= c} alone has c // k + 1 maximal points."""
+    closed in that direction.  Two-variable bounds keep c <= 15: the set
+    {x + k*y <= c} alone has c // k + 1 maximal points, and each one is a
+    box the extractor's seed query negates."""
     rel = P.le if down else P.ge
     conjs = []
     for _ in range(rng.randint(1, 3)):
@@ -349,7 +351,7 @@ def _rand_closed_set(rng, names, down):
             if j == 0 and others and rng.random() < 0.5:
                 t = t.add(P.LinTerm.of_var(rng.choice(others),
                                            rng.randint(1, 3)))
-                c = rng.randint(0, 10)
+                c = rng.randint(0, 15)
             else:
                 c = rng.randint(0, 40)
             lits.append(rel(t, P.LinTerm.of_const(c)))
@@ -357,34 +359,83 @@ def _rand_closed_set(rng, names, down):
     return P.disj(conjs)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_extract_upset_against_grid_membership():
     """Every extractor (lia, nat upward, nat downward) gives a descriptor
     whose membership formula agrees with the input set on the grid
     {0, 5, ..., 35}^d, on 300 fixed-seed sets; each case must finish
     within 5 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("extraction took over 5 s")
-
     configs = [("lia", 1, "upward"), ("lia", 1, "downward")] + [
         ("nat", d, direction) for d in (1, 2, 3)
         for direction in ("upward", "downward")]
     rng = random.Random(11)
-    old = signal.signal(signal.SIGALRM, expire)
-    try:
-        for _ in range(300):
-            kind, dim, direction = rng.choice(configs)
-            th = theory_for(kind, dim, direction)
-            comps = [f"c{i}" for i in range(dim)]
-            phi = _rand_closed_set(rng, comps, direction == "downward")
-            signal.alarm(5)
+    for _ in range(300):
+        kind, dim, direction = rng.choice(configs)
+        th = theory_for(kind, dim, direction)
+        comps = [f"c{i}" for i in range(dim)]
+        phi = _rand_closed_set(rng, comps, direction == "downward")
+        with _deadline(5):
             u = E.extract_upset(th, phi, comps)
-            signal.alarm(0)
-            got = th.upset_formula(u, comps)
-            for pt in itertools.product(range(0, 36, 5), repeat=dim):
-                env = dict(zip(comps, pt))
-                assert P.evaluate(got, env) == P.evaluate(phi, env), \
-                    (kind, direction, str(phi), u, pt)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+        got = th.upset_formula(u, comps)
+        for pt in itertools.product(range(0, 36, 5), repeat=dim):
+            env = dict(zip(comps, pt))
+            assert P.evaluate(got, env) == P.evaluate(phi, env), \
+                (kind, direction, str(phi), u, pt)
+
+
+def _grid_agrees(u, phi, comps, down, sides):
+    """The generators of u (None for ω) and phi give the same membership on
+    the grid [0, n) per coordinate, which reaches past every bound of
+    phi."""
+    for pt in itertools.product(*(range(n) for n in sides)):
+        member = any(all(g is None or (x <= g if down else x >= g)
+                         for x, g in zip(pt, gen)) for gen in u.gens)
+        assert member == P.evaluate(phi, dict(zip(comps, pt))), (u, pt)
+
+
+def test_extract_nat_down_many_generators_quickly():
+    # 19 maximal points; the seed query psi ∧ ¬↓gens used to expand the
+    # product of 19 negated generators (about 8 s)
+    th = theory_for("nat", 3, "downward")
+    comps = ["c0", "c1", "c2"]
+    a, b, c = (P.LinTerm.of_var(n) for n in comps)
+    k = P.LinTerm.of_const
+    phi = P.disj([P.conj([P.le(a.add(b), k(15)), P.le(c, k(1)),
+                          P.le(b, k(37))]),
+                  P.conj([P.le(a.add(c), k(5)), P.le(b, k(13))])])
+    with _deadline(2):
+        u = E.extract_upset(th, phi, comps)
+    assert len(u.gens) == 19
+    _grid_agrees(u, phi, comps, True, (17, 39, 7))
+
+
+def test_extract_nat_up_many_generators_terminates():
+    # 69 minimal points; the seed queries used to run for minutes
+    th = theory_for("nat", 3, "upward")
+    comps = ["c0", "c1", "c2"]
+    c0, c1, c2 = (P.LinTerm.of_var(n) for n in comps)
+    k = P.LinTerm.of_const
+    two_c2 = P.LinTerm.of_var("c2", 2)
+    phi = P.disj([P.ge(c1.add(c2), k(34)), P.ge(c2, k(34)),
+                  P.conj([P.ge(c0.add(c1), k(34)),
+                          P.ge(c1.add(two_c2), k(15)),
+                          P.ge(c1.add(two_c2), k(30))])])
+    with _deadline(30):
+        u = E.extract_upset(th, phi, comps)
+    assert len(u.gens) == 69
+    _grid_agrees(u, phi, comps, False, (36, 36, 36))

@@ -6,6 +6,7 @@ Oracles:
 - thirty hand-checked sentences with known truth values.
 """
 
+import itertools
 import random
 
 import pytest
@@ -414,3 +415,116 @@ def test_recession_cone_decides_unboundedness():
             assert _unbounded_by_cones([psi] + nat, J) == truth, (psi, J)
             seen.add(truth)
     assert seen == {True, False}
+
+
+def _rand_box(rng, names):
+    """A raw box: a conjunction of one-variable bounds (any op but '!=',
+    coefficients up to 3, variables may repeat), sometimes TRUE, FALSE or
+    empty."""
+    r = rng.random()
+    if r < 0.05:
+        return TRUE
+    if r < 0.1:
+        return FALSE
+    lits = [Cmp(rng.choice(["<", "<=", "=", ">=", ">"]),
+                LinTerm(rng.randint(-3, 3),
+                        ((rng.choice(names), rng.choice([-3, -2, -1, 1, 2, 3])),)))
+            for _ in range(rng.randint(1, 3))]
+    if r < 0.2:  # empty: x >= k + 1 and x <= k
+        x, k = rng.choice(names), rng.randint(-3, 3)
+        lits += [ge(v(x), c(k + 1)), le(v(x), c(k))]
+    return lits[0] if len(lits) == 1 else And(tuple(lits))
+
+
+def _rand_box_union(rng, names):
+    """A raw Or of boxes and, among them, disjuncts that are not boxes:
+    '!=', divisibility, two-variable atoms, nested negated box unions."""
+    args = []
+    for _ in range(rng.randint(2, 5)):
+        r = rng.random()
+        if r < 0.65:
+            args.append(_rand_box(rng, names))
+        elif r < 0.72:
+            args.append(Cmp("!=", LinTerm(rng.randint(-3, 3),
+                                          ((rng.choice(names), 1),))))
+        elif r < 0.79:
+            args.append(Div(rng.choice([2, 3]),
+                            LinTerm(rng.randint(0, 2), ((rng.choice(names), 1),)),
+                            rng.random() < 0.5))
+        elif r < 0.86:
+            args.append(_rand_atom(rng, names[:2]))
+        elif r < 0.93:
+            args.append(Not(Or((_rand_box(rng, names), _rand_box(rng, names)))))
+        else:  # nested union: its boxes join the outer ones
+            args.append(Or((_rand_box(rng, names), _rand_box(rng, names))))
+    return Or(tuple(args))
+
+
+def _alternatives(f):
+    return 0 if f == FALSE else len(f.args) if type(f) is Or else 1
+
+
+def test_walker_complements_unions_of_boxes():
+    """The branch walker negates a union of boxes in one step, as the
+    union of boxes of its complement; everything else it negates as _nnf.
+    On 300 fixed-seed Ors over two or three variables: the walker's
+    negation agrees with 'not g' on a grid that contains every box bound;
+    the complement of a pure union of boxes has no more pieces than the
+    product of its negated boxes' alternatives, and none inside another;
+    sat_exists_all of Not(g), alone and as a guard inside a disjunction,
+    agrees with brute force on the grid and returns a witness of the
+    input; Cooper decide agrees on every tenth case."""
+    rng = random.Random(20261020)
+    for case in range(300):
+        names = ["x", "y", "z"][:rng.choice([2, 2, 2, 3])]
+        grid = [dict(zip(names, p))
+                for p in itertools.product(range(-5, 6), repeat=len(names))]
+        g = _rand_box_union(rng, names)
+        neg = P._wnnf(g, True)
+        inside = [evaluate(g, env) for env in grid]
+        for env, held in zip(grid, inside):
+            assert evaluate(neg, env) != held, (g, neg, env)
+
+        boxes = [_rand_box(rng, names) for _ in range(rng.randint(2, 4))]
+        naive = 1
+        for b in boxes:
+            naive *= _alternatives(P._nnf(b, True))
+        pieces = P._wnnf(Or(tuple(boxes)), True)
+        assert _alternatives(pieces) <= naive, boxes
+        if type(pieces) is Or:  # no piece inside another, on the grid
+            sets = [frozenset(i for i, env in enumerate(grid)
+                              if evaluate(p, env)) for p in pieces.args]
+            assert all(not a <= b for a, b in
+                       itertools.permutations(sets, 2)), boxes
+
+        bound = [k for n in names for k in (ge(v(n), c(-5)), le(v(n), c(5)))]
+        atom, h = _rand_atom(rng, names[:2]), _rand_box_union(rng, names)
+        guarded = Or((And((atom, Not(g))), And((Not(h), Not(g)))))
+        outside = [not held and (evaluate(atom, env) or not evaluate(h, env))
+                   for env, held in zip(grid, inside)]
+        for query, truth in (([Not(g)] + bound, not all(inside)),
+                             ([guarded] + bound, any(outside))):
+            w = P.sat_exists_all(query)
+            assert (w is not None) == truth, query
+            if w is not None:
+                assert all(P.evaluate0(f, w) for f in query), (query, w)
+            if case % 10 == 0:
+                sentence = conj(query)
+                for n in names:
+                    sentence = Exists(n, sentence)
+                assert decide(sentence) == truth, query
+
+
+def test_complement_of_staircase_has_one_piece_per_step():
+    """The complement of n downward boxes x <= a_i, y <= b_i forming an
+    antichain is n + 1 upward boxes (one per step of the staircase), not
+    the 2^n branches of their negated product."""
+    for n in (1, 2, 5, 9):
+        steps = [conj([le(v("x"), c(2 * i)), le(v("y"), c(2 * (n - i)))])
+                 for i in range(n)]
+        neg = P._wnnf(disj(steps), True)
+        assert _alternatives(neg) == n + 1, neg
+        for x in range(-1, 2 * n + 2):
+            for y in range(-1, 2 * n + 2):
+                env = {"x": x, "y": y}
+                assert evaluate(neg, env) != evaluate(disj(steps), env)
