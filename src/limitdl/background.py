@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from . import presburger as P
 from .presburger import Formula, LinTerm
-from .syntax import BgAtom, SConst, Term, Var, WLit, WOp
+from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp
 
 
 class TheoryError(Exception):
@@ -303,21 +303,38 @@ def _components(t: Term, dim: int, sval_env: dict[str, str] | None) -> list[LinT
     raise TheoryError(f"not a numeric term: {t}")
 
 
+def _eqs_side(t: Term, sval_env: dict[str, str] | None) -> str | LinTerm:
+    """An eqs argument: a constant's name, or the index variable of an
+    unvalued finite-sort variable."""
+    if isinstance(t, SConst):
+        return t.name
+    if isinstance(t, Var):
+        if sval_env is not None and t.name in sval_env:
+            return sval_env[t.name]
+        return LinTerm.of_var(comp_var(t.name, 0))
+    raise TheoryError("eqs arguments must be finite constants or variables")
+
+
 def compile_atom(atom: BgAtom, theory: Theory,
-                 sval_env: dict[str, str] | None = None) -> Formula:
+                 sval_env: dict[str, str] | None = None,
+                 fin_elems: Sequence[str] = ()) -> Formula:
     """Translate a background atom to arithmetic.  Comparisons are over the
-    natural order (the working order only affects descriptors).  eqs atoms
-    need sval_env to resolve finite-sort variables."""
+    natural order (the working order only affects descriptors).  An eqs atom
+    folds to TRUE or FALSE when both sides are constants or valued by
+    sval_env; otherwise a finite-sort variable v reads as the integer
+    comp_var(v, 0) and a constant as its index in fin_elems, so the atom is
+    an integer equality (FALSE against a constant outside fin_elems)."""
     if atom.rel == "eqs":
-        def sval(t: Term) -> str:
-            if isinstance(t, SConst):
-                return t.name
-            if isinstance(t, Var):
-                if sval_env is None or t.name not in sval_env:
-                    raise TheoryError(f"unvaluated finite variable {t.name!r}")
-                return sval_env[t.name]
-            raise TheoryError("eqs arguments must be finite constants or variables")
-        return P.TRUE if sval(atom.lhs) == sval(atom.rhs) else P.FALSE
+        l, r = (_eqs_side(t, sval_env) for t in (atom.lhs, atom.rhs))
+        if isinstance(l, str) and isinstance(r, str):
+            return P.TRUE if l == r else P.FALSE
+        if isinstance(l, str):
+            l, r = r, l
+        if isinstance(r, str):
+            if r not in fin_elems:
+                return P.FALSE
+            r = LinTerm.of_const(fin_elems.index(r))
+        return P.eq(l, r)
 
     ls = _components(atom.lhs, theory.dim, sval_env)
     rs = _components(atom.rhs, theory.dim, sval_env)
@@ -357,24 +374,13 @@ def compile_atom(atom: BgAtom, theory: Theory,
 def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
                theory: Theory, fin_elems: Sequence[str]) -> bool:
     """Is the existential closure of the conjunction satisfiable?  Finite-sort
-    variables are enumerated; numeric variables are decided arithmetically."""
-    from .syntax import FIN, W as WS
-    svars = [n for n, s in varsorts.items() if s == FIN]
-    wvars = [n for n, s in varsorts.items() if s == WS]
-    num_atoms = [a for a in atoms if a.rel != "eqs"]
-    eqs_atoms = [a for a in atoms if a.rel == "eqs"]
-
-    for combo in itertools.product(fin_elems, repeat=len(svars)) \
-            if svars else [()]:
-        env = dict(zip(svars, combo))
-        if not all(compile_atom(a, theory, env) == P.TRUE for a in eqs_atoms):
-            continue
-        fs = [compile_atom(a, theory, env) for a in num_atoms]
-        fs += theory.nat_bounds([comp_var(n, i + 1) for n in wvars
-                                 for i in range(theory.dim)])
-        if P.sat_exists_all(fs) is not None:
-            return True
-    return False
+    variables occur only in eqs atoms, which compile to equalities among
+    integer indices: satisfiable over Z exactly when over a non-empty S."""
+    wvars = [n for n, s in varsorts.items() if s == W]
+    fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in atoms]
+    fs += theory.nat_bounds([comp_var(n, i + 1) for n in wvars
+                             for i in range(theory.dim)])
+    return P.sat_exists_all(fs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +389,7 @@ def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
 # Goals only ever gain background atoms, so each search node carries the
 # equality-reduced residual of its constraint system plus the accumulated
 # variable pins; a resolution step then costs work proportional to the few
-# atoms it adds rather than to the whole system.  Only usable when no
-# finite-sort variables occur (no enumeration splits the state).
+# atoms it adds rather than to the whole system.
 
 
 @dataclass
@@ -406,20 +411,22 @@ def _apply_pins(f: Formula, pins: dict[str, LinTerm]) -> Formula:
     return f
 
 
-def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str],
-             theory: Theory) -> BgState | None:
+def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str], theory: Theory,
+             fin_elems: Sequence[str]) -> BgState | None:
     """Reduced state for a fresh conjunction; None when unsatisfiable."""
     st = BgState({}, [], {})
-    return bg_extend(st, atoms, wvars, theory)
+    return bg_extend(st, atoms, wvars, theory, fin_elems)
 
 
 def bg_extend(state: BgState, new_atoms: Sequence[BgAtom],
-              new_wvars: Sequence[str], theory: Theory) -> BgState | None:
+              new_wvars: Sequence[str], theory: Theory,
+              fin_elems: Sequence[str]) -> BgState | None:
     """Conjoin new atoms (and nonnegativity bounds for new numeric
     variables) onto a reduced state; None when unsatisfiable."""
     fs: list[Formula] = []
     for a in new_atoms:
-        f = _apply_pins(compile_atom(a, theory, {}), state.pins)
+        f = _apply_pins(compile_atom(a, theory, fin_elems=fin_elems),
+                        state.pins)
         if isinstance(f, P.FalseF):
             return None
         if not isinstance(f, P.TrueF):

@@ -413,14 +413,6 @@ def evaluate0(f: Formula, env: Mapping[str, int]) -> bool:
     return evaluate(f, _ZeroEnv(env))
 
 
-def close(f: Formula, env: Mapping[str, int]) -> Formula:
-    """Substitute an assignment for the free variables of f."""
-    g = f
-    for v in free_vars(f):
-        g = subst(g, v, LinTerm.of_const(env[v]))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # negation normal form with strict-< literals
 

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .background import BgState, Theory, bg_extend, bg_state, exists_sat
 from .syntax import (
-    App, Atom, BgAtom, Clause, FIN, FgAtom, PredRef, Problem, Sort, Term, Var,
+    App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, Sort, Term, Var,
     W, WOp, print_term, spine,
 )
 
@@ -204,21 +204,16 @@ def resolvable_indices(g: Goal) -> list[int]:
 
 
 def try_refute(g: Goal, theory: Theory, fin_elems) -> bool:
-    """Refutation rule: succeeds when no predicate-headed foreground atoms
-    remain and the background conjunction is satisfiable."""
-    if resolvable_indices(g):
-        return False
-    bg = [a for a in g.atoms if isinstance(a, BgAtom)]
-    vs = {n: s for n, s in g.varsorts if s in (FIN, W)}
-    return exists_sat(bg, vs, theory, fin_elems)
+    """Refutation rule, checked in one shot (replay's check, independent of
+    the search's incremental states): succeeds when no predicate-headed
+    foreground atoms remain and the background conjunction is
+    satisfiable."""
+    return not resolvable_indices(g) and not bg_unsat(g, theory, fin_elems)
 
 
 def bg_unsat(g: Goal, theory: Theory, fin_elems) -> bool:
     bg = [a for a in g.atoms if isinstance(a, BgAtom)]
-    if not bg:
-        return False
-    vs = {n: s for n, s in g.varsorts if s in (FIN, W)}
-    return not exists_sat(bg, vs, theory, fin_elems)
+    return not exists_sat(bg, dict(g.varsorts), theory, fin_elems)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +277,8 @@ class _Node:
     parent: "_Node | None"
     atom: int | None
     definite: int | None
+    bg: BgState  # reduced background state
     via_limit: bool = False  # produced by a limit-clause step
-    bg: BgState | None = None  # reduced background state (incremental mode)
 
 
 class Saturator:
@@ -301,25 +296,14 @@ class Saturator:
         for i, cl in enumerate(problem.clauses):
             self._by_pred.setdefault(cl.head[0], []).append(  # type: ignore[index]
                 (i, cl, len(cl.body_atoms())))
-        # incremental background states need purely numeric constraints
-        self._incr = not any(
-            s == FIN
-            for c in list(problem.clauses) + list(problem.goals)
-            for _, s in c.vars
-        ) and not any(
-            isinstance(a, BgAtom) and a.rel == "eqs"
-            for c in list(problem.clauses) + list(problem.goals)
-            for a in c.body_atoms()
-        )
         for ri, gcl in enumerate(problem.goals):
             g = goal_of_clause(gcl)
-            st = None
-            if self._incr:
-                st = bg_state([a for a in g.atoms if isinstance(a, BgAtom)],
-                              [n for n, s in g.varsorts if s == W], theory)
-                if st is None:
-                    continue  # goal clause can never fire
-            node = _Node(g, ri, None, None, None, bg=st)
+            st = bg_state([a for a in g.atoms if isinstance(a, BgAtom)],
+                          [n for n, s in g.varsorts if s == W], theory,
+                          problem.fin_elems)
+            if st is None:
+                continue  # goal clause can never fire
+            node = _Node(g, ri, None, None, None, st)
             heapq.heappush(self._frontier, (0, next(self._seq), node))
             self._seen.add(canonical_goal(g))
 
@@ -329,18 +313,15 @@ class Saturator:
     def run(self, budget: int) -> Refuted | BudgetExhausted:
         """Spend up to budget rule applications; resumable."""
         spent = 0
-        fins = self.problem.fin_elems
         while self._frontier and spent < budget:
             cost, _, node = heapq.heappop(self._frontier)
             g = node.goal
             idxs = resolvable_indices(g)
             if not idxs:
-                # in incremental mode the background part is known
-                # satisfiable, so this is a refutation outright
-                if self._incr or try_refute(g, self.theory, fins):
-                    self.steps_used += 1
-                    return Refuted(self._build_trace(node), self.steps_used)
-                continue
+                # the background part is known satisfiable, so this is a
+                # refutation outright
+                self.steps_used += 1
+                return Refuted(self._build_trace(node), self.steps_used)
             parent_names = {n for n, _ in g.varsorts}
             i = idxs[0]
             a = g.atoms[i]
@@ -360,22 +341,19 @@ class Saturator:
                 if key in self._seen:
                     continue
                 self._seen.add(key)
-                st = None
-                if self._incr:
-                    new_bg = [x for x in child.atoms[i:i + nbody]
-                              if isinstance(x, BgAtom)]
-                    new_w = [n for n, s in child.varsorts
-                             if s == W and n not in parent_names]
-                    st = bg_extend(node.bg, new_bg, new_w, self.theory)
-                    if st is None:
-                        continue
-                elif bg_unsat(child, self.theory, fins):
+                new_bg = [x for x in child.atoms[i:i + nbody]
+                          if isinstance(x, BgAtom)]
+                new_w = [n for n, s in child.varsorts
+                         if s == W and n not in parent_names]
+                st = bg_extend(node.bg, new_bg, new_w, self.theory,
+                               self.problem.fin_elems)
+                if st is None:
                     continue
                 step_cost = LIMIT_COST if cl.is_limit else 1
                 heapq.heappush(self._frontier,
                                (cost + step_cost, next(self._seq),
-                                _Node(child, node.root, node, i, ci,
-                                      via_limit=cl.is_limit, bg=st)))
+                                _Node(child, node.root, node, i, ci, st,
+                                      via_limit=cl.is_limit)))
         return BudgetExhausted(self.steps_used)
 
     def _build_trace(self, node: _Node) -> ProofTrace:

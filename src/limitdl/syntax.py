@@ -721,10 +721,11 @@ def make_limit_clause(p: Problem, pname: str) -> Clause:
     return Clause(binders, (pname, hargs), body, is_limit=True)
 
 
-def normalize_problem(p: Problem, require_explicit_limits: bool = False) -> Problem:
+def normalize_problem(p: Problem) -> Problem:
     """Split disjunctive bodies, make head arguments distinct variables,
-    hoist compound numeric arguments of foreground atoms, and insert missing
-    limit clauses (or reject, when explicit limits are required)."""
+    hoist compound numeric arguments of foreground atoms, insert missing
+    limit clauses, and drop the clauses and goals that bind an S variable
+    when S is empty (they hold vacuously)."""
     decls = dict(p.decls)
     new_clauses: list[Clause] = []
     new_goals: list[Clause] = []
@@ -790,8 +791,6 @@ def normalize_problem(p: Problem, require_explicit_limits: bool = False) -> Prob
     limit_additions: list[Clause] = []
     for name, s in p.decls:
         if _w_positions(s) and not has_limit_clause(q, name):
-            if require_explicit_limits:
-                raise SyntaxProblem(f"predicate {name!r} lacks an explicit limit clause")
             limit_additions.append(make_limit_clause(q, name))
     # mark detected limit clauses so downstream search can weight them
     marked = []
@@ -804,4 +803,10 @@ def normalize_problem(p: Problem, require_explicit_limits: bool = False) -> Prob
                                         p.direction):
                 cl = replace(cl, is_limit=True)
         marked.append(cl)
-    return replace(q, clauses=tuple(marked + limit_additions))
+
+    def live(cls) -> tuple[Clause, ...]:
+        return tuple(c for c in cls
+                     if p.fin_elems or all(s != FIN for _, s in c.vars))
+
+    return replace(q, clauses=live(marked + limit_additions),
+                   goals=live(q.goals))

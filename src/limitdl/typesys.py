@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP, Problem, Prop,
-    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, has_limit_clause,
-    mk_arrow,
+    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, mk_arrow,
 )
 
 
@@ -219,7 +218,7 @@ def _check_clause_sorts(cl: Clause, decls: dict[str, Sort], dim: int,
                 errors.append(f"{label}: head argument sort {s}, expected {srt}")
 
 
-def validate(p: Problem, require_explicit_limits: bool = False) -> ValidationReport:
+def validate(p: Problem) -> ValidationReport:
     errors: list[str] = []
     decls = dict(p.decls)
     pred_info: dict[str, dict] = {}
@@ -263,11 +262,6 @@ def validate(p: Problem, require_explicit_limits: bool = False) -> ValidationRep
             if s not in (FIN, W) and not is_initial(s):
                 errors.append(f"variable {n!r} has non-initial sort {s}")
         _check_clause_sorts(cl, decls, p.dim, errors)
-
-    for name, s in p.decls:
-        if w_position(s) is not None and require_explicit_limits \
-                and not has_limit_clause(p, name):
-            errors.append(f"predicate {name!r} lacks an explicit limit clause")
 
     # variables must live in finite frames at the final stage
     for cl in list(p.clauses) + list(p.goals):

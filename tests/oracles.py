@@ -7,6 +7,10 @@ search code with the solver.
   lossy counter machine with counters bounded by a cap.
 - `printed_goal_key`: a goal's seen-set key by printing every atom in full,
   the reference for `resolution.canonical_goal`.
+- `enumerated_exists_sat`: background satisfiability by trying every
+  valuation of the finite-sort variables, the reference for
+  `background.exists_sat`.
+- `close`: substitute an assignment for a formula's free variables.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from limitdl import presburger as P
 from limitdl.background import Theory, comp_var, compile_atom
@@ -277,3 +281,37 @@ def printed_goal_key(g: Goal) -> str:
         else:
             parts.append(print_term(ren(a.term)))
     return " & ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+
+
+def enumerated_exists_sat(atoms: Sequence[BgAtom], varsorts: dict,
+                          theory: Theory, fin_elems: Sequence[str]) -> bool:
+    """Is the existential closure of the conjunction satisfiable?  Every
+    valuation of the finite-sort variables in fin_elems is tried in turn;
+    under one, each eqs atom folds to TRUE or FALSE and the numeric atoms
+    are decided arithmetically."""
+    svars = [n for n, s in varsorts.items() if s == FIN]
+    wvars = [n for n, s in varsorts.items() if s == W]
+    num_atoms = [a for a in atoms if a.rel != "eqs"]
+    eqs_atoms = [a for a in atoms if a.rel == "eqs"]
+    for combo in itertools.product(fin_elems, repeat=len(svars)):
+        env = dict(zip(svars, combo))
+        if not all(compile_atom(a, theory, env) == P.TRUE for a in eqs_atoms):
+            continue
+        fs = [compile_atom(a, theory, env) for a in num_atoms]
+        fs += theory.nat_bounds([comp_var(n, i + 1) for n in wvars
+                                 for i in range(theory.dim)])
+        if P.sat_exists_all(fs) is not None:
+            return True
+    return False
+
+
+def close(f: P.Formula, env: Mapping[str, int]) -> P.Formula:
+    """Substitute an assignment for the free variables of f."""
+    g = f
+    for v in P.free_vars(f):
+        g = P.subst(g, v, P.LinTerm.of_const(env[v]))
+    return g

@@ -16,6 +16,7 @@ from limitdl.background import (
     compile_atom, exists_sat, theory_for, upset_from_json, upset_to_json,
 )
 from limitdl.syntax import BgAtom, FIN, SConst, Var, W, WLit, WOp
+from oracles import enumerated_exists_sat
 
 
 LIA_UP = Theory("lia", 1, flipped=False)
@@ -173,6 +174,17 @@ def test_compile_eqs():
     th = LIA_UP
     assert compile_atom(BgAtom("eqs", SConst("a"), SConst("a")), th) == P.TRUE
     assert compile_atom(BgAtom("eqs", Var("s"), SConst("a")), th, {"s": "b"}) == P.FALSE
+    # unvalued: an integer equality on the index of the constant
+    f = compile_atom(BgAtom("eqs", SConst("b"), Var("s")), th,
+                     fin_elems=("a", "b"))
+    assert P.evaluate(f, {comp_var("s", 0): 1})
+    assert not P.evaluate(f, {comp_var("s", 0): 0})
+    g = compile_atom(BgAtom("eqs", Var("s"), Var("t")), th, fin_elems=("a",))
+    assert P.evaluate(g, {comp_var("s", 0): 0, comp_var("t", 0): 0})
+    assert not P.evaluate(g, {comp_var("s", 0): 0, comp_var("t", 0): 1})
+    # a constant outside S equals no value of a variable
+    assert compile_atom(BgAtom("eqs", Var("s"), SConst("z")), th,
+                        fin_elems=("a", "b")) == P.FALSE
 
 
 def test_exists_sat_basic():
@@ -195,6 +207,56 @@ def test_exists_sat_with_fin_vars():
              BgAtom("geq", Var("x"), WLit((0,)))]
     assert exists_sat(atoms, {"s": FIN, "x": W}, th, ["a", "b"])
     assert not exists_sat(atoms, {"s": FIN, "x": W}, th, ["a"])
+
+
+def random_background(rng: random.Random):
+    """A conjunction over 0-3 finite-sort and 0-2 numeric variables: eqs
+    atoms among the variables, 0-3 declared constants and one undeclared
+    constant `z`, mixed with numeric comparisons."""
+    fin = ("a", "b", "c")[:rng.randint(0, 3)]
+    svars = ["s", "t", "r"][:rng.randint(0, 3)]
+    wvars = ["x", "y"][:rng.randint(0, 2)]
+    th = rng.choice([LIA_UP, Theory("nat", 1, flipped=False)])
+
+    def sterm():
+        pool = [Var(n) for n in svars] + [SConst(c) for c in fin + ("z",)]
+        return rng.choice(pool)
+
+    def wterm():
+        if wvars and rng.random() < 0.7:
+            t = Var(rng.choice(wvars))
+            if rng.random() < 0.3:
+                t = WOp("+", (t, WLit((rng.randint(-2, 2),))))
+            return t
+        return WLit((rng.randint(-3, 3),))
+
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            atoms.append(BgAtom("eqs", sterm(), sterm()))
+        else:
+            rel = rng.choice(["leq", "lt", "geq", "gt", "eq", "neq"])
+            atoms.append(BgAtom(rel, wterm(), wterm()))
+    varsorts = {**{n: FIN for n in svars}, **{n: W for n in wvars}}
+    return atoms, varsorts, th, fin
+
+
+def test_exists_sat_matches_enumeration():
+    # integer indices for finite-sort variables decide exactly what
+    # trying every valuation does, as long as S is non-empty or unused
+    rng = random.Random(20261018)
+    checked = 0
+    outcomes = set()
+    while checked < 1200:
+        atoms, varsorts, th, fin = random_background(rng)
+        if not fin and FIN in varsorts.values():
+            continue  # normalisation drops such clauses and goals
+        want = enumerated_exists_sat(atoms, varsorts, th, fin)
+        assert exists_sat(atoms, varsorts, th, fin) == want, \
+            (atoms, varsorts, fin)
+        outcomes.add(want)
+        checked += 1
+    assert outcomes == {True, False}
 
 
 def test_exists_sat_equality_chain():

@@ -1,0 +1,52 @@
+"""No dead functions in the library.
+
+Every function and method defined in `src/limitdl` must be referenced by
+name somewhere in `src/limitdl` outside its own body (as a bare name or an
+attribute).  Names are matched without scopes, so a reference to any
+function of that name counts; dunder methods are called by the language
+and are exempt.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "limitdl")
+
+# entry points that only callers outside the library use
+ALLOWED = {
+    "saturate",  # one-call refutation search, for tests and library users
+    "from_json",  # ProofTrace.from_json: reads what --emit-proof writes
+    "decide",  # Cooper decision of a sentence: the tests' arithmetic oracle
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def unreferenced_functions() -> list[str]:
+    defs = []  # (module, name, first line, last line)
+    refs = []  # (module, name, line)
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((mod, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((mod, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((mod, node.attr, node.lineno))
+    dead = []
+    for mod, name, lo, hi in defs:
+        if name in ALLOWED or (name.startswith("__") and name.endswith("__")):
+            continue
+        if not any(n == name and not (m == mod and lo <= line <= hi)
+                   for m, n, line in refs):
+            dead.append(f"{mod}:{lo} {name}")
+    return dead
+
+
+def test_every_function_is_referenced():
+    assert unreferenced_functions() == []

@@ -11,7 +11,7 @@ from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
 from limitdl.resolution import replay
 from limitdl.background import theory_for
-from limitdl.syntax import normalize_problem, parse_problem
+from limitdl.syntax import BgAtom, normalize_problem, parse_problem
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -184,3 +184,51 @@ def test_omega_generator_is_not_overapproximated(alarm):
     v = solve(p, SolveConfig())
     assert v.kind == "SAT"
     assert v.stats["modelsChecked"] == 1
+
+
+EMPTY_S_TEXT = """
+(theory (nat 1)) (direction upward) (declare P (-> S W o))
+(clause ((s S) (u W)) (head (P s u)) (body (geq u 3)))
+(goal ((s S)) (body (P s 5)))
+"""
+
+
+def test_empty_finite_sort_makes_its_clauses_vacuous(alarm):
+    # with S empty, the goal binds no value and constrains nothing: the
+    # empty model satisfies the problem, so the search must not refute it
+    p = normalize_problem(parse_problem(EMPTY_S_TEXT))
+    assert p.goals == ()
+    v = solve(p)
+    assert v.kind == "SAT"
+    ok, diag = verify(p, serialize_model(v.model))
+    assert ok, diag
+
+
+FIN_HEAD_TEXT = """
+(theory (lia)) (direction upward) (finsort S (a b)) (declare P (-> S W o))
+(clause ((u W)) (head (P a u)) (body (geq u 3)))
+(goal %s (body %s))
+"""
+
+
+@pytest.mark.parametrize("binders,body,verdict", [
+    ("()", "(P b 5)", "SAT"),
+    ("()", "(P a 5)", "UNSAT"),
+    ("((s S))", "(and (eqs s b) (P s 5))", "SAT"),
+    ("((s S))", "(and (eqs s a) (P s 5))", "UNSAT"),
+])
+def test_constant_head_argument_is_an_eqs_constraint(alarm, binders, body,
+                                                     verdict):
+    # the clause head's constant `a` becomes an eqs atom on a fresh head
+    # variable, which the search compiles to an integer equality
+    p = normalize_problem(parse_problem(FIN_HEAD_TEXT % (binders, body)))
+    assert any(isinstance(a, BgAtom) and a.rel == "eqs"
+               for cl in p.clauses for a in cl.body_atoms())
+    v = solve(p)
+    assert v.kind == verdict
+    if verdict == "SAT":
+        assert verify(p, serialize_model(v.model))[0]
+    else:
+        assert v.stats["resolutionSteps"] == 3
+        th = theory_for(p.theory_kind, p.dim, p.direction)
+        assert replay(v.trace, p, th)

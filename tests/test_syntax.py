@@ -142,12 +142,6 @@ def test_normalize_respects_existing_limit_clause():
     assert len(lims) == 1
 
 
-def test_require_explicit_limits():
-    p = parse_problem(SIMPLE)
-    with pytest.raises(SyntaxProblem):
-        normalize_problem(p, require_explicit_limits=True)
-
-
 def test_downward_limit_direction():
     p = parse_problem("""
 (theory (nat 1))
