@@ -9,17 +9,18 @@ replay (an internal fault: no verdict is given).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import entwined as E
-from .background import theory_for
+from .background import TheoryError, theory_for
 from .driver import SolveConfig, solve, verify
 from .frontends import IllFormedMachine, LCMConfig, encode_lcm, load_machine
 from .resolution import TraceError
 from .syntax import (SyntaxProblem, _Ctx, normalize_problem, parse_problem,
                      print_problem, read_sexprs)
-from .typesys import validate
+from .typesys import TypeErrorLD, infer_sort, validate
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -139,17 +140,32 @@ def _cmd_eval(args) -> int:
         print("eval takes exactly one term", file=sys.stderr)
         return EXIT_USAGE
     t = ctx.parse_term(exprs[0], {})
+    infer_sort(t, {}, p.decl_map)
     v = E.eval_term(m, t, {})
     out = str(v).lower() if isinstance(v, bool) else repr(v)
     _emit(args, {"value": v if isinstance(v, (bool, str)) else out}, out)
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # a bad option value raises ArgumentError, which main reports in one line
     ap = argparse.ArgumentParser(prog="limitdl",
                                  description="clause solver over ordered "
-                                             "numeric background theories")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+                                             "numeric background theories",
+                                 exit_on_error=False)
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            parser_class=functools.partial(
+                                argparse.ArgumentParser, exit_on_error=False))
 
     def common(sp):
         sp.add_argument("--json", action="store_true",
@@ -157,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide satisfiability")
     sp.add_argument("problem")
-    sp.add_argument("--budget-resolution", type=int, default=2000,
-                    metavar="N", help="refutation steps per round")
-    sp.add_argument("--budget-models", type=int, default=50, metavar="N",
-                    help="model candidates per round")
+    sp.add_argument("--budget-resolution", type=_positive_int,
+                    default=2000, metavar="N",
+                    help="refutation steps per round")
+    sp.add_argument("--budget-models", type=_positive_int, default=50,
+                    metavar="N", help="model candidates per round")
     sp.add_argument("--total-budget", type=int, default=None, metavar="N")
     sp.add_argument("--hint", metavar="FILE",
                     help="model witness to try first")
@@ -204,12 +221,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+    except argparse.ArgumentError as e:
+        print(f"limitdl: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
     except (SyntaxProblem, IllFormedMachine, E.SchemaError,
-            E.FrameInconsistency, OSError, UnicodeDecodeError) as e:
+            E.FrameInconsistency, TypeErrorLD, TheoryError, OSError,
+            UnicodeDecodeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TraceError as e:

@@ -267,7 +267,10 @@ class EntwinedStructure:
                 if ts != s:
                     raise FrameInconsistency(
                         f"top of {print_sort(ts)} used at {print_sort(s)}")
-                return self.top(s)
+                try:
+                    return self.top(s)
+                except StageOrderViolation as e:
+                    raise FrameInconsistency(str(e))
             case SVal(name):
                 if s == PROP:
                     if name not in ("true", "false"):
@@ -655,109 +658,42 @@ def enumerate_structures(p: Problem, theory: Theory,
 # satisfiable iff the least model satisfies the goals.
 
 
-def _extract_lia(theory: Theory, phi: P.Formula, comp: str) -> Upset:
+def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
+    """Descriptor of a set of numeric points given by a formula over the
+    component variables; the set must be upward closed in the working
+    order (the caller guarantees it, e.g. via limit clauses).
+
+    The descriptor is the set's minimal points in the working order, with
+    None (ω) marking unbounded coordinates.  Over y = s·x, with s = +1 in
+    the flipped order and s = -1 otherwise, they are the maximal points of
+    a set closed downward in y.  Each round asks for a seed point that no
+    generator covers and grows a generator from it one coordinate at a
+    time: the earlier coordinates are fixed to their generator values and
+    the later ones kept at y_j >= the seed's.  With J the ω coordinates so
+    far, on the DNF branches of that query coordinate i is ω iff a
+    satisfiable branch has an integer recession direction d with
+    s·d_j >= 1 on J and i; else it is the largest y_i of a branch with
+    such a direction on J (of any branch when J is empty).  Under nat
+    upward, x >= 0 keeps every direction d >= 0, so ω never arises.  lia
+    is the one-coordinate case: no generator is EMPTY, (ω) is ALL and (k)
+    is AtLeast(k)."""
+    s = 1 if theory.flipped else -1
+    bounds = theory.nat_bounds(comps)
     psi = P.eliminate(phi)
-    w_in = P.sat_exists_all([psi])
-    if w_in is None:
-        return EMPTY
-    w_out = P.sat_exists_all([P.Not(psi)])
-    if w_out is None:
-        return ALL
-    w_in, w_out = w_in.get(comp, 0), w_out.get(comp, 0)
-
-    def holds(x: int) -> bool:
-        return P.evaluate0(psi, {comp: x})
-
-    if theory.flipped:
-        lo, hi = w_in, w_out  # holds(lo), not holds(hi), lo < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if holds(mid):
-                lo = mid
-            else:
-                hi = mid
-        return AtLeast(lo)
-    lo, hi = w_out, w_in  # not holds(lo), holds(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return AtLeast(hi)
-
-
-def _extract_nat_up(theory: Theory, phi: P.Formula,
-                    comps: list[str]) -> Upset:
-    psi = P.eliminate(phi, nat_vars=comps)
-    bounds = theory.nat_bounds(comps)
-    gens: list[tuple[int, ...]] = []
-    while True:
-        ask = [psi] + bounds
-        if gens:
-            ask.append(P.Not(theory.upset_formula(Antichain(tuple(gens)),
-                                                  comps)))
-        w = P.sat_exists_all(ask)
-        if w is None:
-            break
-        pt = [w.get(c, 0) for c in comps]
-
-        def holds(p: Sequence[int]) -> bool:
-            return P.evaluate0(psi, dict(zip(comps, p)))
-
-        moved = True
-        while moved:
-            moved = False
-            for i in range(len(comps)):
-                lo, hi = 0, pt[i]  # least value keeping membership
-                if hi == 0:
-                    continue
-                probe = list(pt)
-                probe[i] = 0
-                if holds(probe):
-                    pt[i] = 0
-                    moved = True
-                    continue
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    probe[i] = mid
-                    if holds(probe):
-                        hi = mid
-                    else:
-                        lo = mid
-                if hi < pt[i]:
-                    pt[i] = hi
-                    moved = True
-        gens.append(tuple(pt))
-    return canonical_upset(theory, Antichain(tuple(gens)))
-
-
-def _extract_nat_down(theory: Theory, phi: P.Formula,
-                      comps: list[str]) -> Upset:
-    """Maximal points of a downward-closed set, with None (ω) marking
-    unbounded coordinates.  A generator grows from a seed point one
-    coordinate at a time: with J the ω coordinates so far, coordinate i is
-    the largest x_i among points whose J coordinates are arbitrarily large
-    (the ω-fibre).  On the DNF branches of the query, i is ω iff a
-    satisfiable branch has an integer recession direction positive on J and
-    i; else it is the largest x_i of a branch with a direction positive on
-    J (of any branch when J is empty)."""
-    bounds = theory.nat_bounds(comps)
-    psi = P.eliminate(phi, nat_vars=comps)
     gens: list[tuple[int | None, ...]] = []
 
     def atleast(c: str, v: int) -> P.Formula:
-        return P.ge(P.LinTerm.of_var(c), P.LinTerm.of_const(v))
+        return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
 
     def recedes(leaf: list, cs: list[str]) -> bool:
-        # some integer direction of the branch is positive on every cs
+        # some integer direction of the branch has s·d >= 1 on every cs
         cone = P.recession_cone(leaf) + [atleast(c, 1) for c in cs]
         return P.sat_exists_all(cone) is not None
 
     def reach(leaf: list, ci: str, v: int) -> int | None:
-        # x_i of a point of the branch with x_i >= v, or None
+        # y_i of a point of the branch with y_i >= v, or None
         w = P.sat_exists_all(leaf + [atleast(ci, v)])
-        return None if w is None else w.get(ci, 0)
+        return None if w is None else s * w.get(ci, 0)
 
     while True:
         ask = [psi] + bounds
@@ -767,7 +703,7 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
         w = P.sat_exists_all(ask)
         if w is None:
             break
-        seed = [w.get(c, 0) for c in comps]
+        seed = [s * w.get(c, 0) for c in comps]
         g: list[int | None] = []
         for i, ci in enumerate(comps):
             fixed = [P.eq(P.LinTerm.of_var(cj), P.LinTerm.of_const(gj))
@@ -782,16 +718,18 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
                 g.append(None)
                 continue
             # bounded on every branch that reaches the ω-fibre: maximise
-            # x_i per branch, jumping to each witness's value; the seed's
+            # y_i per branch, jumping to each witness's value; the seed's
             # own value is reached, so no smaller one needs a query
             best = seed[i] - 1
             for leaf in leaves:
                 lo = reach(leaf, ci, best + 1)
                 if lo is None or (omega and not recedes(leaf, omega)):
                     continue
-                while (up := reach(leaf, ci, 2 * lo + 1)) is not None:
+                step = 1
+                while (up := reach(leaf, ci, lo + step)) is not None:
                     lo = up
-                hi = 2 * lo + 1  # no point of the branch gets here
+                    step *= 2
+                hi = lo + step  # no point of the branch gets here
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
                     up = reach(leaf, ci, mid)
@@ -800,22 +738,15 @@ def _extract_nat_down(theory: Theory, phi: P.Formula,
                     else:
                         lo = up
                 best = lo
-            g.append(best)
+            g.append(s * best)
         gens.append(tuple(g))
         if len(gens) > 256:
             raise FrameTooLarge("descriptor extraction did not converge")
-    return canonical_upset(theory, Antichain(tuple(gens)))
-
-
-def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
-    """Descriptor of a set of numeric points given by a formula over the
-    component variables; the set must be upward closed in the working
-    order (the caller guarantees it, e.g. via limit clauses)."""
-    if theory.kind == "lia":
-        return _extract_lia(theory, phi, comps[0])
-    if theory.flipped:
-        return _extract_nat_down(theory, phi, comps)
-    return _extract_nat_up(theory, phi, comps)
+    if theory.nat:
+        return canonical_upset(theory, Antichain(tuple(gens)))
+    if not gens:
+        return EMPTY
+    return ALL if gens[0] == (None,) else AtLeast(gens[0][0])
 
 
 def _fn_from_bits(m: EntwinedStructure, s: Sort, bits: list[bool]) -> Value:

@@ -121,6 +121,8 @@ ROWS = {"G": {"args": [], "value": False},
     # R is not yet interpreted when its own rows are read
     ("R", {"pre": [{"app": ["R"]}], "post": [], "upset": ATLEAST3},
      "FrameInconsistency"),
+    # a finite sort has no top element
+    ("Q", {"args": [{"top": "S"}], "value": False}, "FrameInconsistency"),
     # a truth value must be a JSON boolean, not merely truthy
     ("G", {"args": [], "value": "false"}, "SchemaError"),
     ("Q", {"args": [{"s": "a"}], "value": {}}, "SchemaError"),
@@ -141,6 +143,38 @@ def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     capsys.readouterr()
     assert verify_rows(dict(ROWS, **{pred: row})) == 2
     assert error in capsys.readouterr().err
+
+
+def test_solve_skips_hint_with_top_at_finite_sort(capsys, tmp_path):
+    prob = tmp_path / "p.lchc"
+    prob.write_text(ROWS_TEXT)
+    hint = tmp_path / "m.json"
+    hint.write_text(json.dumps({"predicates": {
+        "G": {"kind": "inactive", "rows": [ROWS["G"]]},
+        "Q": {"kind": "inactive",
+              "rows": [{"args": [{"top": "S"}], "value": False}]},
+        "R": {"kind": "active", "rows": [ROWS["R"]]}}}))
+    assert main(["solve", str(prob), "--hint", str(hint)]) == 10
+    assert capsys.readouterr().err == ""
+
+
+NAT_UP = fx("fo", "nat_up_sat.lchc")
+MODEL = "<model>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", NAT_UP, "--budget-resolution", "0"],
+    ["solve", NAT_UP, "--budget-models", "0"],
+    ["eval", NAT_UP, MODEL, "(R (tuple 1 2) 3)"],  # ill-typed
+    ["eval", NAT_UP, MODEL, "(R (tuple -1 0))"],  # outside the domain
+], ids=["budget-resolution", "budget-models", "eval-ill-typed",
+        "eval-outside-domain"])
+def test_bad_argument_is_one_line(capsys, tmp_path, argv):
+    model = tmp_path / "m.json"
+    assert main(["solve", NAT_UP, "--emit-model", str(model)]) == 10
+    capsys.readouterr()
+    assert main([str(model) if a == MODEL else a for a in argv]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 BAD = "<not-utf8>"

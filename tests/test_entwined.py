@@ -398,6 +398,42 @@ def test_extract_upset_against_grid_membership():
                 (kind, direction, str(phi), u, pt)
 
 
+def test_extract_lia_thresholds_below_zero():
+    """lia sets on both sides of 0, in both orders: the descriptor agrees
+    with the set on [-45, 45]; each case must finish within 5 s.  Fixed
+    cases: projected thresholds, TRUE (ALL) and FALSE (EMPTY); then 60
+    fixed-seed unions of bounds with constants in [-40, 40]."""
+    x, y = P.LinTerm.of_var("c0"), P.LinTerm.of_var("y")
+    k = P.LinTerm.of_const
+    cases = [
+        # ∃y. x <= y ∧ 2y <= -9, that is x <= -5
+        ("downward", P.Exists("y", P.conj([P.le(x, y),
+                                           P.le(y.scale(2), k(-9))])),
+         lambda v: v <= -5, AtLeast(-5)),
+        # ∃y. y <= x ∧ 3y >= -20, that is x >= -6
+        ("upward", P.Exists("y", P.conj([P.le(y, x),
+                                         P.ge(y.scale(3), k(-20))])),
+         lambda v: v >= -6, AtLeast(-6)),
+    ] + [(d, f, lambda v, b=b: b, u) for d in ("upward", "downward")
+         for f, b, u in ((P.TRUE, True, ALL), (P.FALSE, False, EMPTY))]
+    rng = random.Random(20261018)
+    for _ in range(60):
+        direction = rng.choice(("upward", "downward"))
+        rel = P.le if direction == "downward" else P.ge
+        phi = P.disj(P.conj(rel(x, k(rng.randint(-40, 40)))
+                            for _ in range(rng.randint(1, 2)))
+                     for _ in range(rng.randint(1, 3)))
+        cases.append((direction, phi,
+                      lambda v, phi=phi: P.evaluate(phi, {"c0": v}), None))
+    for direction, phi, member, want in cases:
+        th = theory_for("lia", 1, direction)
+        with _deadline(5):
+            u = E.extract_upset(th, phi, ["c0"])
+        assert want is None or u == want, (direction, str(phi), u)
+        for v in range(-45, 46):
+            assert th.member((v,), u) == member(v), (direction, str(phi), u, v)
+
+
 def _grid_agrees(u, phi, comps, down, sides):
     """The generators of u (None for ω) and phi give the same membership on
     the grid [0, n) per coordinate, which reaches past every bound of
