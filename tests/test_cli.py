@@ -121,12 +121,12 @@ ROWS = {"G": {"args": [], "value": False},
     # R is not yet interpreted when its own rows are read
     ("R", {"pre": [{"app": ["R"]}], "post": [], "upset": ATLEAST3},
      "FrameInconsistency"),
-    # a finite sort has no top element
-    ("Q", {"args": [{"top": "S"}], "value": False}, "FrameInconsistency"),
     # a truth value must be a JSON boolean, not merely truthy
     ("G", {"args": [], "value": "false"}, "SchemaError"),
     ("Q", {"args": [{"s": "a"}], "value": {}}, "SchemaError"),
     ("Q", {"args": [{"s": "a"}], "value": 1}, "SchemaError"),
+    # a finite sort has no top element
+    ("Q", {"args": [{"top": "S"}], "value": False}, "FrameInconsistency"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"
