@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="refutation steps per round")
     sp.add_argument("--budget-models", type=_positive_int, default=50,
                     metavar="N", help="model candidates per round")
-    sp.add_argument("--total-budget", type=int, default=None, metavar="N")
+    sp.add_argument("--total-budget", type=_positive_int, default=None,
+                    metavar="N")
     sp.add_argument("--hint", metavar="FILE",
                     help="model witness to try first")
     sp.add_argument("--emit-proof", metavar="FILE")

@@ -24,6 +24,8 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.resolution_slice < 1 or self.model_slice < 1:
             raise ValueError("slices must be at least 1")
+        if self.total_budget is not None and self.total_budget < 1:
+            raise ValueError("the total budget must be at least 1")
 
 
 @dataclass

@@ -661,7 +661,13 @@ def enumerate_structures(p: Problem, theory: Theory,
 def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
     """Descriptor of a set of numeric points given by a formula over the
     component variables; the set must be upward closed in the working
-    order (the caller guarantees it, e.g. via limit clauses).
+    order (the caller guarantees it, e.g. via limit clauses).  Every other
+    free variable of phi is read existentially, so the set is a projection
+    that needs no quantifier elimination; so are the variables of a leading
+    ∃ block, renamed apart from the components.  The branch tests below
+    hold in the larger space: the components are among a branch's
+    variables, so its points grow without bound in some components
+    exactly when those of its projection do.
 
     The descriptor is the set's minimal points in the working order, with
     None (ω) marking unbounded coordinates.  Over y = s·x, with s = +1 in
@@ -679,7 +685,16 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
     is AtLeast(k)."""
     s = 1 if theory.flipped else -1
     bounds = theory.nat_bounds(comps)
-    psi = P.eliminate(phi)
+    psi, block = phi, set()
+    while type(psi) is P.Exists:  # a leading ∃ block: free, renamed apart
+        block.add(psi.var)
+        psi = psi.body
+    for c in comps:
+        if c in block:
+            taken = set(comps) | P.free_vars(psi)
+            y = next(n for k in itertools.count()
+                     if (n := f"{c}_{k}") not in taken)
+            psi = P.subst(psi, c, P.LinTerm.of_var(y))
     gens: list[tuple[int | None, ...]] = []
 
     def atleast(c: str, v: int) -> P.Formula:
@@ -804,7 +819,9 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
     converge within _MAX_ROUNDS.  ``p`` must be normalized
     (``normalize_problem``): every head argument is a distinct variable.
     Clause bodies are translated by the model checker's ``_body_formula``
-    on the structure the current tables describe."""
+    on the structure the current tables describe.  The numeric variables
+    of a clause other than the head's are left free in the formula handed
+    to ``extract_upset``, which reads them existentially."""
     for _, psort in p.decls:
         if any(s not in (FIN, PROP) for s in nonw_sorts(psort)):
             raise ValueError("least-model engine requires a first-order "
@@ -863,10 +880,8 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
                 comps = _w_comps(hw, theory.dim)
                 others = [v for n in wvars if n != hw
                           for v in _w_comps(n, theory.dim)]
+                # the other components stay free: read existentially
                 f = P.conj([body] + theory.nat_bounds(others))
-                for v in others:
-                    f = P.Exists(v, f)
-                f = P.eliminate(f, nat_vars=others if theory.nat else ())
                 phi = P.disj([theory.upset_formula(old, comps), f])
                 # quick no-op test: is phi ⊆ old?
                 gap = [phi, P.Not(theory.upset_formula(old, comps))]

@@ -656,6 +656,9 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # alternation.  We lazily expand the matrix into conjunctive branches and
 # decide each branch by unit-equality substitution, interval propagation,
 # and Cooper-style elimination one variable at a time with early exit.
+# Every solve path of the library goes through here; a query over a
+# projection leaves the projected variables free.  Cooper `eliminate` and
+# `decide` above are the reference the tests check this path against.
 # A negated union of boxes (such as a descriptor membership) expands as
 # the union of boxes of its complement, in the manner of the ideal
 # decompositions of Finkel and Goubault-Larrecq (STACS 2009), not as the
@@ -887,24 +890,6 @@ def _propagate_intervals(lits: list) -> bool | None:
     return None
 
 
-def _subst_lits(lits: list, var: str, t: LinTerm) -> list | None:
-    """Substitute into every literal; None when a literal folds to false."""
-    out = []
-    for f in lits:
-        if var not in f.t.vars:
-            out.append(f)
-            continue
-        if type(f) is Cmp:
-            g = cmp_atom(f.op, f.t.subst(var, t))
-        else:
-            g = div_atom(f.d, f.t.subst(var, t), f.neg)
-        if g is FALSE:
-            return None
-        if g is not TRUE:
-            out.append(g)
-    return out
-
-
 def _eval0(t: LinTerm, env: dict[str, int]) -> int:
     """Evaluate with 0 as the default for unconstrained variables."""
     total = t.const
@@ -945,37 +930,28 @@ def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
     """Satisfying assignment for a conjunction of Cmp/Div literals over the
     integers, or None.  Variables absent from the result are free; read
     them as 0."""
-    # normalize comparisons to '<='/'=' over the integers, fold constants
-    work: list = []
     for f in lits:
         if type(f) is Cmp and f.op == "!=":  # splits into two branches
             rest = [x for x in lits if x is not f]
-            w = _sat_lits(rest + [_to_le(Cmp("<", f.t))], depth)
+            w = _sat_lits(rest + [Cmp("<", f.t)], depth)
             if w is not None:
                 return w
-            return _sat_lits(rest + [_to_le(Cmp(">", f.t))], depth)
-        g = _to_le(f)
-        if g is FALSE:
-            return None
-        if g is not TRUE:
-            work.append(g)
-    lits = work
+            return _sat_lits(rest + [Cmp(">", f.t)], depth)
+    pins: dict[str, LinTerm] = {}
+    lits = _pin_units(lits, pins)
+    if lits is None:
+        return None
+    w = _sat_reduced(lits, depth)
+    if w is not None:
+        for v, t in pins.items():
+            w[v] = _eval0(t, w)
+    return w
 
-    # unit equality substitution
-    for i, f in enumerate(lits):
-        if isinstance(f, Cmp) and f.op == "=":
-            for v, c in f.t.coeffs:
-                if abs(c) == 1:
-                    rest = f.t.drop(v)
-                    sol = rest.neg() if c == 1 else rest
-                    nxt = _subst_lits(lits[:i] + lits[i + 1:], v, sol)
-                    if nxt is None:
-                        return None
-                    w = _sat_lits(nxt, depth)
-                    if w is not None:
-                        w[v] = _eval0(sol, w)
-                    return w
 
+def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
+    """_sat_lits of '<=', '=' and Div literals without a unit equality:
+    interval propagation, then Cooper-style elimination of the cheapest
+    variable, trying its candidate values with early exit."""
     if not lits:
         return {}
     if depth % 4 == 0 and _propagate_intervals(lits) is False:
@@ -1101,26 +1077,16 @@ def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
     return None
 
 
-def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
-    """Flatten a conjunction and eliminate every variable pinned by a
-    unit-coefficient equality, recording var -> term in pins (updated in
-    place; existing entries are kept reduced).  The residual list is
-    equivalent to the input over the remaining variables.  Returns None
-    when the conjunction folds to false."""
-    lits: list = []
-    stack = list(fs)
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.extend(f.args)
-            continue
-        f = _to_le(f)
-        if isinstance(f, TrueF):
-            continue
-        if isinstance(f, FalseF):
-            return None
-        lits.append(f)
-
+def _pin_units(lits: list, pins: dict[str, LinTerm]) -> list | None:
+    """Normalise the literals through _to_le, then eliminate every variable
+    pinned by a unit-coefficient equality: substitute its solution into the
+    other literals, each of them back through _to_le, and record var -> term
+    in pins (updated in place; existing entries are kept reduced).  The
+    result is equivalent to the input over the remaining variables; None
+    when it folds to false."""
+    lits = _admit(lits)
+    if lits is None:
+        return None
     while True:
         pin = None
         for idx, f in enumerate(lits):
@@ -1143,14 +1109,10 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
                 out.append(f)
                 continue
             g = subst(f, v, t)
-            if isinstance(g, FalseF):
+            new = _admit(g.args if type(g) is And else [g])
+            if new is None:
                 return None
-            if isinstance(g, TrueF):
-                continue
-            if isinstance(g, And):
-                out.extend(g.args)
-            else:
-                out.append(g)
+            out += new
         lits = out
         for k, tv in pins.items():
             if v in tv.vars:
@@ -1158,9 +1120,26 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
         pins[v] = t
 
 
+def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
+    """Flatten a conjunction and eliminate every variable pinned by a
+    unit-coefficient equality (_pin_units), recording var -> term in pins.
+    Every comparison of the residual is a '<=', '=' or '!=' literal.
+    Returns None when the conjunction folds to false."""
+    lits: list = []
+    stack = list(fs)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.extend(f.args)
+        else:
+            lits.append(f)
+    return _pin_units(lits, pins)
+
+
 def _admit(lits: list) -> list | None:
-    """Normalise literals once, as they join a branch: each comparison
-    through _to_le, in order, TRUE dropped; None when one is FALSE."""
+    """Normalise literals once, as they join a branch or are substituted
+    into: each comparison through _to_le, in order, TRUE dropped; None when
+    one is FALSE."""
     out = []
     for f in lits:
         g = _to_le(f)

@@ -167,8 +167,10 @@ MODEL = "<model>"
     ["solve", NAT_UP, "--budget-models", "0"],
     ["eval", NAT_UP, MODEL, "(R (tuple 1 2) 3)"],  # ill-typed
     ["eval", NAT_UP, MODEL, "(R (tuple -1 0))"],  # outside the domain
+    ["solve", NAT_UP, "--total-budget", "0"],
+    ["solve", NAT_UP, "--total-budget", "-5"],
 ], ids=["budget-resolution", "budget-models", "eval-ill-typed",
-        "eval-outside-domain"])
+        "eval-outside-domain", "total-budget-zero", "total-budget-negative"])
 def test_bad_argument_is_one_line(capsys, tmp_path, argv):
     model = tmp_path / "m.json"
     assert main(["solve", NAT_UP, "--emit-model", str(model)]) == 10

@@ -50,3 +50,22 @@ def unreferenced_functions() -> list[str]:
 
 def test_every_function_is_referenced():
     assert unreferenced_functions() == []
+
+
+# Cooper quantifier elimination is the reference the fast path is tested
+# against; no solve path of the library may run it
+COOPER = {"eliminate", "decide", "_cooper"}
+
+
+def test_only_presburger_names_cooper():
+    named = []
+    for mod, tree in _modules():
+        if mod == "presburger.py":
+            continue
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in COOPER:
+                named.append(f"{mod}:{node.lineno} {name}")
+    assert named == []

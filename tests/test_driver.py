@@ -132,6 +132,12 @@ def test_config_rejects_nonpositive_slices():
         SolveConfig(model_slice=-1)
 
 
+def test_config_rejects_nonpositive_total_budget():
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            SolveConfig(total_budget=budget)
+
+
 @pytest.mark.parametrize("pid,verdict,steps,models", PINNED,
                          ids=[row[0] for row in PINNED])
 def test_corpus_outcomes_are_pinned(pid, verdict, steps, models):

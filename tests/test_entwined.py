@@ -434,6 +434,57 @@ def test_extract_lia_thresholds_below_zero():
             assert th.member((v,), u) == member(v), (direction, str(phi), u, v)
 
 
+def test_extract_upset_projects_free_variables():
+    """A variable outside the components is read existentially: on 150
+    fixed-seed unions of conjunctions c_i <= a*y + b ∧ y <= h (c_i >= a*y + b
+    for an upward set), most with y >= 0, over lia and nat in d = 1, 2 and
+    both orders, the descriptor agrees on a grid with Cooper's projection
+    eliminate(∃y. phi), the tests' oracle; each case must finish within
+    5 s.  Then a fixed ω case, and a leading ∃ block whose variable is also
+    a component name, which must be renamed apart."""
+    configs = [(kind, dim, direction) for kind, dim in
+               (("lia", 1), ("nat", 1), ("nat", 2))
+               for direction in ("upward", "downward")]
+    rng = random.Random(20261019)
+    y = P.LinTerm.of_var("y")
+    k = P.LinTerm.of_const
+    for _ in range(150):
+        kind, dim, direction = rng.choice(configs)
+        th = theory_for(kind, dim, direction)
+        comps = [f"c{i}" for i in range(dim)]
+        rel = P.le if direction == "downward" else P.ge
+        conjs = []
+        for _ in range(rng.randint(1, 3)):
+            lits = [P.le(y, k(rng.randint(-3, 6)))]
+            if rng.random() < 0.7:
+                lits.append(P.ge(y, k(0)))
+            for ci in comps:
+                a = rng.choice((-3, -2, -1, 1, 2, 3))
+                lits.append(rel(P.LinTerm.of_var(ci),
+                                y.scale(a).add(k(rng.randint(-6, 10)))))
+            conjs.append(P.conj(lits))
+        phi = P.disj(conjs)
+        with _deadline(5):
+            u = E.extract_upset(th, phi, comps)
+        oracle = P.nnf(P.eliminate(P.Exists("y", phi)))
+        side = range(0, 31) if kind == "nat" else range(-40, 41)
+        for pt in itertools.product(side, repeat=dim):
+            want = P.evaluate(oracle, dict(zip(comps, pt)))
+            assert th.member(pt, u) == want, (kind, direction, str(phi), u, pt)
+    # c0 is ω only along a direction that lowers y: (ω, 7) and (6, 15)
+    th = theory_for("nat", 2, "downward")
+    c0, c1 = P.LinTerm.of_var("c0"), P.LinTerm.of_var("c1")
+    phi = P.disj([P.conj([P.le(c0, y.scale(-2).add(k(1))), P.le(c1, k(7)),
+                          P.le(y, k(2))]),
+                  P.conj([P.le(c0, y.add(k(4))),
+                          P.le(c1, y.scale(3).add(k(9))),
+                          P.ge(y, k(0)), P.le(y, k(2))])])
+    assert E.extract_upset(th, phi, ["c0", "c1"]) == \
+        Antichain(((6, 15), (None, 7)))
+    phi = P.Exists("c1", P.conj([P.le(c0, c1), P.le(c1, k(4))]))
+    assert E.extract_upset(th, phi, ["c0", "c1"]) == Antichain(((4, None),))
+
+
 def _grid_agrees(u, phi, comps, down, sides):
     """The generators of u (None for ω) and phi give the same membership on
     the grid [0, n) per coordinate, which reaches past every bound of

@@ -268,14 +268,30 @@ def test_fast_path_against_box_brute_force():
     Every returned witness must satisfy the input.  Cases over three
     variables are left out: at 150 of them the fast path did not finish
     within 100 s, the known slow case of the conjunction solver that the
-    planned Omega-test engine is to remove."""
+    planned Omega-test engine is to remove.  Then equality chains, alone
+    and with a random formula: x = y + k, 2y = x, and x = y under a
+    literal whose coefficients share a factor once x is substituted.  Every
+    comparison of a reduce_conj residual must be '<=', '=' or '!='; the
+    conjunction solver reads the others as '<='."""
     rng = random.Random(20261018)
     box = [k for name in ("x", "y")
            for k in (ge(v(name), c(-5)), le(v(name), c(5)))]
     points = [{"x": x, "y": y} for x in range(-5, 6) for y in range(-5, 6)]
-    for _ in range(300):
-        f = conj([rand_formula(rng, ["x", "y"], depth=3, quants_left=0,
-                               restrict=False)] + box)
+    x, y = v("x"), v("y")
+    chains = [eq(x, y.add(c(k))) for k in (-3, 0, 2)] + [
+        eq(y.scale(2), x),
+        conj([eq(x, y), le(x.scale(2).add(y.scale(2)), c(3))]),
+        conj([eq(x, y.neg()), lt(x.scale(3).sub(y.scale(3)), c(-7))]),
+        conj([eq(x, y.add(c(1))), ge(x.scale(2).add(y.scale(4)), c(5))]),
+    ]
+    cases = [rand_formula(rng, ["x", "y"], depth=3, quants_left=0,
+                            restrict=False) for _ in range(300)]
+    cases += chains + [
+        conj([chain, rand_formula(rng, ["x", "y"], depth=2, quants_left=0,
+                                  restrict=False)])
+        for chain in chains for _ in range(10)]
+    for g in cases:
+        f = conj([g] + box)
         truth = any(evaluate(f, env) for env in points)
         w = P.sat_exists_all([f])
         assert (w is not None) == truth, f
@@ -283,6 +299,9 @@ def test_fast_path_against_box_brute_force():
             assert P.evaluate0(f, w), (f, w)
         pins = {}
         residual = P.reduce_conj([f], pins)
+        assert residual is None or all(
+            type(h) is not Cmp or h.op in ("<=", "=", "!=")
+            for h in residual), (f, residual)
         w = None if residual is None else P.sat_exists_all(residual)
         assert (w is not None) == truth, f
         if w is not None:
