@@ -658,7 +658,8 @@ def enumerate_structures(p: Problem, theory: Theory,
 # satisfiable iff the least model satisfies the goals.
 
 
-def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
+def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
+                  base: Upset = EMPTY) -> Upset:
     """Descriptor of a set of numeric points given by a formula over the
     component variables; the set must be upward closed in the working
     order (the caller guarantees it, e.g. via limit clauses).  Every other
@@ -680,9 +681,19 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
     satisfiable branch has an integer recession direction d with
     s·d_j >= 1 on J and i; else it is the largest y_i of a branch with
     such a direction on J (of any branch when J is empty).  Under nat
-    upward, x >= 0 keeps every direction d >= 0, so ω never arises.  lia
-    is the one-coordinate case: no generator is EMPTY, (ω) is ALL and (k)
-    is AtLeast(k)."""
+    upward, x >= 0 keeps every direction d >= 0, so ω never arises.
+
+    ``base`` is a descriptor the result must include (a row's current
+    value): the result describes the upward closure of base ∪ phi.  Its
+    generators seed the cover, and new ones grow from phi alone.  The seed
+    order does not matter: each grown generator is a minimal point of its
+    set and the loop ends once everything is covered, so the minimal
+    points of base ∪ found are those of ↑(base ∪ phi) whichever generators
+    came first.  lia is the one-coordinate case: no generator is EMPTY, an
+    (ω) makes ALL, and otherwise the working-minimal threshold k gives
+    AtLeast(k)."""
+    if base == ALL:
+        return ALL
     s = 1 if theory.flipped else -1
     bounds = theory.nat_bounds(comps)
     psi, block = phi, set()
@@ -695,7 +706,9 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
             y = next(n for k in itertools.count()
                      if (n := f"{c}_{k}") not in taken)
             psi = P.subst(psi, c, P.LinTerm.of_var(y))
-    gens: list[tuple[int | None, ...]] = []
+    gens: list[tuple[int | None, ...]] = (
+        list(base.gens) if isinstance(base, Antichain)
+        else [(base.k,)] if isinstance(base, AtLeast) else [])
 
     def atleast(c: str, v: int) -> P.Formula:
         return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
@@ -761,7 +774,9 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str]) -> Upset:
         return canonical_upset(theory, Antichain(tuple(gens)))
     if not gens:
         return EMPTY
-    return ALL if gens[0] == (None,) else AtLeast(gens[0][0])
+    if (None,) in gens:
+        return ALL
+    return AtLeast(s * max(s * g[0] for g in gens))
 
 
 def _fn_from_bits(m: EntwinedStructure, s: Sort, bits: list[bool]) -> Value:
@@ -821,7 +836,16 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
     Clause bodies are translated by the model checker's ``_body_formula``
     on the structure the current tables describe.  The numeric variables
     of a clause other than the head's are left free in the formula handed
-    to ``extract_upset``, which reads them existentially."""
+    to ``extract_upset``, which reads them existentially, with the row's
+    current descriptor as its base; a row stays as it is when the result
+    equals that descriptor.
+
+    Evaluation is semi-naive: each predicate carries a version, bumped
+    whenever one of its rows changes, and a clause is skipped when its
+    body predicates have the versions they had when it last started.
+    Tables only grow (widening too), so such a clause would find every
+    body already inside its head row; the rounds, widening and result are
+    those of running every clause every round."""
     for _, psort in p.decls:
         if any(s not in (FIN, PROP) for s in nonw_sorts(psort)):
             raise ValueError("least-model engine requires a first-order "
@@ -848,10 +872,20 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
                 interps[pname] = _fn_from_bits(base, psort, vals)
         return EntwinedStructure(p, theory, interps)
 
+    version = dict.fromkeys(tables, 0)
+    body_preds = [sorted({a.head.name for a in c.body_atoms()
+                          if isinstance(a, FgAtom)
+                          and isinstance(a.head, PredRef)})
+                  for c in p.clauses]
+    started: list[tuple[int, ...] | None] = [None] * len(p.clauses)
     m = structure()
     for rnd in range(_MAX_ROUNDS):
         changed = False
-        for c in p.clauses:
+        for ci, c in enumerate(p.clauses):
+            stamp = tuple(version[q] for q in body_preds[ci])
+            if started[ci] == stamp:
+                continue
+            started[ci] = stamp
             hname, hargs = c.head
             wvars = [n for n, s in c.vars if s == W]
             wset = set(wvars)
@@ -873,6 +907,7 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
                     if P.sat_exists_all([body] + theory.nat_bounds(evars)) \
                             is not None:
                         table[row] = True
+                        version[hname] += 1
                         changed = True
                         m = structure()
                     continue
@@ -882,15 +917,13 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
                           for v in _w_comps(n, theory.dim)]
                 # the other components stay free: read existentially
                 f = P.conj([body] + theory.nat_bounds(others))
-                phi = P.disj([theory.upset_formula(old, comps), f])
-                # quick no-op test: is phi ⊆ old?
-                gap = [phi, P.Not(theory.upset_formula(old, comps))]
-                if P.sat_exists_all(gap + theory.nat_bounds(comps)) is None:
+                new = extract_upset(theory, f, comps, old)
+                if new == canonical_upset(theory, old):
                     continue
-                new = extract_upset(theory, phi, comps)
                 if rnd >= _WIDEN_AFTER:
                     new = _widen(theory, old, new)
                 table[row] = new
+                version[hname] += 1
                 changed = True
                 m = structure()
         if not changed:

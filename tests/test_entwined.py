@@ -14,7 +14,7 @@ from limitdl import presburger as P
 from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
-from corpus import FIRST_ORDER, problem
+from corpus import FIRST_ORDER, LEAST_MODEL_SHA256, model_sha256, problem
 from oracles import bounded_canonical_model
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -295,7 +295,48 @@ def test_least_model_decides_first_order_corpus(pid, verdict):
     p, th = problem(pid)
     m = E.fo_least_model(p, th)
     assert m is not None
+    assert model_sha256(m) == LEAST_MODEL_SHA256[pid]
     assert E.check_model(m, p) == (verdict == "SAT")
+
+
+# chained predicates, each clause before the one its body waits for: C's
+# clause first runs on an empty B, and B's on a false G
+CHAIN_TEXT = """
+(theory (nat 1))
+(direction upward)
+(declare A (-> W o))
+(declare B (-> W o))
+(declare C (-> W o))
+(declare G o)
+(clause ((u W)) (head (A u)) (body (geq u 3)))
+(clause ((u W)) (head (C u)) (body (B u)))
+(clause ((u W)) (head (B u)) (body (and (A u) G (geq u 5))))
+(clause () (head (G)) (body (A 4)))
+(goal () (body (C 4)))
+"""
+
+
+def test_least_model_skips_clauses_with_unchanged_bodies(monkeypatch):
+    """A clause runs again only when one of its body predicates has
+    changed since it last started.  A's and G's clauses run once; B's
+    twice (G turns true after its first start) and C's twice (B gets
+    rows after its first start).  Running every clause every round would
+    run each one in each of the four rounds."""
+    p = normalize_problem(parse_problem(CHAIN_TEXT))
+    heads = {c.body: c.head[0] for c in p.clauses if not c.is_limit}
+    runs = dict.fromkeys(heads.values(), 0)
+    body_formula = E._body_formula
+
+    def counted(m, b, wvars, val):
+        if b in heads:
+            runs[heads[b]] += 1
+        return body_formula(m, b, wvars, val)
+
+    monkeypatch.setattr(E, "_body_formula", counted)
+    m = E.fo_least_model(p, theory_of(p))
+    assert runs == {"A": 1, "B": 2, "C": 2, "G": 1}
+    assert m.interps["C"].descs == (Antichain(((5,),)),)
+    assert E.check_model(m, p)
 
 
 def test_bounded_oracle_upward_closure():
@@ -361,18 +402,26 @@ def _rand_closed_set(rng, names, down):
 
 @contextlib.contextmanager
 def _deadline(seconds):
-    """Raise TimeoutError inside the block once it has run for seconds."""
+    """Fail the running test once the block has run for seconds.  The
+    alarm's TimeoutError is caught here and the test failed outside the
+    except block, so a timeout deep inside the solver fails only this test
+    and pytest never formats the interrupted frames."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"took over {seconds} s")
+        raise TimeoutError
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
+    expired = False
     try:
         yield
+    except TimeoutError:
+        expired = True
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+    if expired:
+        pytest.fail(f"took over {seconds} s", pytrace=False)
 
 
 def test_extract_upset_against_grid_membership():
@@ -396,6 +445,43 @@ def test_extract_upset_against_grid_membership():
             env = dict(zip(comps, pt))
             assert P.evaluate(got, env) == P.evaluate(phi, env), \
                 (kind, direction, str(phi), u, pt)
+
+
+def test_extract_upset_seeded_by_base():
+    """Seeding the cover with a base descriptor gives the descriptor of
+    base ∪ phi: on 100 fixed-seed sets over lia, nat upward and nat
+    downward, extract_upset(th, phi, comps, base) equals the extraction of
+    upset_formula(base) ∨ phi for each base: another random set's
+    descriptor, EMPTY, ALL and, under nat, Antichain(()) and (downward)
+    random generators with ω coordinates; each case must finish within
+    5 s."""
+    configs = [("lia", 1, "upward"), ("lia", 1, "downward")] + [
+        ("nat", d, direction) for d in (1, 2, 3)
+        for direction in ("upward", "downward")]
+    rng = random.Random(20261021)
+    for _ in range(100):
+        kind, dim, direction = rng.choice(configs)
+        down = direction == "downward"
+        th = theory_for(kind, dim, direction)
+        comps = [f"c{i}" for i in range(dim)]
+        phi = _rand_closed_set(rng, comps, down)
+        with _deadline(5):
+            other = E.extract_upset(th, _rand_closed_set(rng, comps, down),
+                                    comps)
+        bases = [other, EMPTY, ALL]
+        if kind == "nat":
+            bases.append(Antichain(()))
+        if kind == "nat" and down:
+            bases.append(th.canonicalize(Antichain(tuple(
+                tuple(None if rng.random() < 0.4 else rng.randint(0, 40)
+                      for _ in comps)
+                for _ in range(rng.randint(1, 3))))))
+        for base in bases:
+            joined = P.disj([th.upset_formula(base, comps), phi])
+            with _deadline(5):
+                got = E.extract_upset(th, phi, comps, base)
+                want = E.extract_upset(th, joined, comps)
+            assert got == want, (kind, direction, str(phi), base)
 
 
 def test_extract_lia_thresholds_below_zero():
