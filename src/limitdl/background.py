@@ -247,9 +247,6 @@ class Theory:
                         yield a
                 budget += 1
 
-    def empty_upset(self) -> Upset:
-        return EMPTY if self.kind == "lia" else Antichain(())
-
     def nat_bounds(self, comps: Sequence[str]) -> list[Formula]:
         """``c >= 0`` for each component variable under nat; none under lia."""
         if not self.nat:
@@ -399,18 +396,6 @@ class BgState:
     witness: dict[str, int]  # satisfying assignment (absent vars read as 0)
 
 
-def _apply_pins(f: Formula, pins: dict[str, LinTerm]) -> Formula:
-    vs = f.t.vars if isinstance(f, (P.Cmp, P.Div)) else tuple(P.free_vars(f))
-    for v in vs:
-        t = pins.get(v)
-        if t is None:
-            continue
-        if isinstance(f, (P.TrueF, P.FalseF)):
-            break
-        f = P.subst(f, v, t)
-    return f
-
-
 def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str], theory: Theory,
              fin_elems: Sequence[str]) -> BgState | None:
     """Reduced state for a fresh conjunction; None when unsatisfiable."""
@@ -422,21 +407,16 @@ def bg_extend(state: BgState, new_atoms: Sequence[BgAtom],
               new_wvars: Sequence[str], theory: Theory,
               fin_elems: Sequence[str]) -> BgState | None:
     """Conjoin new atoms (and nonnegativity bounds for new numeric
-    variables) onto a reduced state; None when unsatisfiable."""
-    fs: list[Formula] = []
-    for a in new_atoms:
-        f = _apply_pins(compile_atom(a, theory, fin_elems=fin_elems),
-                        state.pins)
-        if isinstance(f, P.FalseF):
-            return None
-        if not isinstance(f, P.TrueF):
-            fs.append(f)
+    variables) onto a reduced state; None when unsatisfiable.  reduce_conj
+    folds the parent's pins into the new atoms; the parent's residual is
+    already reduced under them."""
+    fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in new_atoms]
     fs += theory.nat_bounds([comp_var(n, i + 1) for n in new_wvars
                              for i in range(theory.dim)])
     if not fs:
         return state
     pins = dict(state.pins)
-    residual = P.reduce_conj(fs + state.residual, pins)
+    residual = P.reduce_conj(fs, pins, state.residual)
     if residual is None:
         return None
     # the parent's witness usually still works; solve only when it fails

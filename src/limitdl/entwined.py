@@ -664,24 +664,25 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     component variables; the set must be upward closed in the working
     order (the caller guarantees it, e.g. via limit clauses).  Every other
     free variable of phi is read existentially, so the set is a projection
-    that needs no quantifier elimination; so are the variables of a leading
-    ∃ block, renamed apart from the components.  The branch tests below
-    hold in the larger space: the components are among a branch's
-    variables, so its points grow without bound in some components
-    exactly when those of its projection do.
+    that needs no quantifier elimination; phi must be quantifier-free (a
+    ValueError otherwise).  The branch tests below hold in the larger
+    space: the components are among a branch's variables, so its points
+    grow without bound in some components exactly when those of its
+    projection do.
 
     The descriptor is the set's minimal points in the working order, with
     None (ω) marking unbounded coordinates.  Over y = s·x, with s = +1 in
     the flipped order and s = -1 otherwise, they are the maximal points of
     a set closed downward in y.  Each round asks for a seed point that no
     generator covers and grows a generator from it one coordinate at a
-    time: the earlier coordinates are fixed to their generator values and
-    the later ones kept at y_j >= the seed's.  With J the ω coordinates so
-    far, on the DNF branches of that query coordinate i is ω iff a
-    satisfiable branch has an integer recession direction d with
-    s·d_j >= 1 on J and i; else it is the largest y_i of a branch with
-    such a direction on J (of any branch when J is empty).  Under nat
-    upward, x >= 0 keeps every direction d >= 0, so ω never arises.
+    time: the earlier coordinates are fixed to their generator values
+    (substituted into phi) and the later ones kept at y_j >= the seed's.
+    With J the ω coordinates so far, on the DNF branches of that query
+    coordinate i is ω iff a satisfiable branch has an integer recession
+    direction d with s·d_j >= 1 on J and i; else it is the largest y_i of
+    a branch with such a direction on J (of any branch when J is empty).
+    Under nat upward, x >= 0 keeps every direction d >= 0, so ω never
+    arises.
 
     ``base`` is a descriptor the result must include (a row's current
     value): the result describes the upward closure of base ∪ phi.  Its
@@ -696,16 +697,6 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         return ALL
     s = 1 if theory.flipped else -1
     bounds = theory.nat_bounds(comps)
-    psi, block = phi, set()
-    while type(psi) is P.Exists:  # a leading ∃ block: free, renamed apart
-        block.add(psi.var)
-        psi = psi.body
-    for c in comps:
-        if c in block:
-            taken = set(comps) | P.free_vars(psi)
-            y = next(n for k in itertools.count()
-                     if (n := f"{c}_{k}") not in taken)
-            psi = P.subst(psi, c, P.LinTerm.of_var(y))
     gens: list[tuple[int | None, ...]] = (
         list(base.gens) if isinstance(base, Antichain)
         else [(base.k,)] if isinstance(base, AtLeast) else [])
@@ -724,7 +715,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         return None if w is None else s * w.get(ci, 0)
 
     while True:
-        ask = [psi] + bounds
+        ask = [phi] + bounds
         if gens:
             ask.append(P.Not(theory.upset_formula(Antichain(tuple(gens)),
                                                   comps)))
@@ -734,11 +725,12 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         seed = [s * w.get(c, 0) for c in comps]
         g: list[int | None] = []
         for i, ci in enumerate(comps):
-            fixed = [P.eq(P.LinTerm.of_var(cj), P.LinTerm.of_const(gj))
-                     for cj, gj in zip(comps, g) if gj is not None]
-            fixed += [atleast(cj, sj)
-                      for cj, sj in zip(comps[i + 1:], seed[i + 1:])]
-            leaves = list(P.branches([psi] + bounds + fixed))
+            fixed = {cj: P.LinTerm.of_const(gj)
+                     for cj, gj in zip(comps, g) if gj is not None}
+            leaves = list(P.branches(
+                [P.subst(f, fixed) for f in [phi] + bounds]
+                + [atleast(cj, sj)
+                   for cj, sj in zip(comps[i + 1:], seed[i + 1:])]))
             omega = [cj for cj, gj in zip(comps, g) if gj is None]
             if any(recedes(leaf, omega + [ci])
                    and P.sat_exists_all(leaf) is not None
@@ -857,7 +849,7 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
     # per predicate: row of ground arguments -> descriptor (active) or bool
     tables = {pname: dict.fromkeys(
         base.rows(psort),
-        theory.empty_upset() if W in arg_sorts(psort) else False)
+        EMPTY if W in arg_sorts(psort) else False)
         for pname, psort in p.decls}
 
     def structure() -> EntwinedStructure:

@@ -75,11 +75,22 @@ class LinTerm:
     def drop(self, var: str) -> "LinTerm":
         return LinTerm(self.const, tuple((v, c) for v, c in self.coeffs if v != var))
 
-    def subst(self, var: str, t: "LinTerm") -> "LinTerm":
-        c = self.coeff(var)
-        if c == 0:
+    def subst(self, pins: Mapping[str, "LinTerm"]) -> "LinTerm":
+        """Replace each variable in pins by its term, in one pass over the
+        coefficients; self when no variable of pins occurs."""
+        if pins.keys().isdisjoint(self.vars):
             return self
-        return self.drop(var).add(t.scale(c))
+        const = self.const
+        d: dict[str, int] = {}
+        for v, c in self.coeffs:
+            t = pins.get(v)
+            if t is None:
+                d[v] = d.get(v, 0) + c
+                continue
+            const += c * t.const
+            for u, k in t.coeffs:
+                d[u] = d.get(u, 0) + c * k
+        return LinTerm.make(const, d)
 
     def eval(self, env: Mapping[str, int]) -> int:
         total = self.const
@@ -351,32 +362,31 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f)
 
 
-def subst(f: Formula, var: str, t: LinTerm) -> Formula:
+def subst(f: Formula, pins: Mapping[str, LinTerm]) -> Formula:
+    """f with each free variable in pins replaced by its term; f itself
+    when none of them occurs."""
     match f:
         case TrueF() | FalseF():
             return f
         case Cmp(op, u):
-            return cmp_atom(op, u.subst(var, t))
+            t = u.subst(pins)
+            return f if t is u else cmp_atom(op, t)
         case Div(d, u, neg):
-            return div_atom(d, u.subst(var, t), neg)
+            t = u.subst(pins)
+            return f if t is u else div_atom(d, t, neg)
         case Not(g):
-            return neg_f(subst(g, var, t))
-        case And(args):
-            return conj(subst(a, var, t) for a in args)
-        case Or(args):
-            return disj(subst(a, var, t) for a in args)
-        case Exists(v, b):
-            if v == var:
+            h = subst(g, pins)
+            return f if h is g else neg_f(h)
+        case And(args) | Or(args):
+            new = [subst(a, pins) for a in args]
+            if all(x is a for x, a in zip(new, args)):
                 return f
-            if v in t.vars:
+            return conj(new) if type(f) is And else disj(new)
+        case Exists(v, b) | Forall(v, b):
+            inner = {k: t for k, t in pins.items() if k != v}
+            if any(v in t.vars for t in inner.values()):
                 raise ValueError("substitution would capture bound variable")
-            return Exists(v, subst(b, var, t))
-        case Forall(v, b):
-            if v == var:
-                return f
-            if v in t.vars:
-                raise ValueError("substitution would capture bound variable")
-            return Forall(v, subst(b, var, t))
+            return type(f)(v, subst(b, inner))
     raise TypeError(f)
 
 
@@ -938,7 +948,7 @@ def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
                 return w
             return _sat_lits(rest + [Cmp(">", f.t)], depth)
     pins: dict[str, LinTerm] = {}
-    lits = _pin_units(lits, pins)
+    lits = _pin_units(lits, pins, [])
     if lits is None:
         return None
     w = _sat_reduced(lits, depth)
@@ -1077,16 +1087,21 @@ def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
     return None
 
 
-def _pin_units(lits: list, pins: dict[str, LinTerm]) -> list | None:
-    """Normalise the literals through _to_le, then eliminate every variable
-    pinned by a unit-coefficient equality: substitute its solution into the
-    other literals, each of them back through _to_le, and record var -> term
-    in pins (updated in place; existing entries are kept reduced).  The
-    result is equivalent to the input over the remaining variables; None
-    when it folds to false."""
-    lits = _admit(lits)
+def _pin_units(lits: list, pins: dict[str, LinTerm],
+               reduced: list) -> list | None:
+    """Fold the pins already recorded into the literals and normalise them
+    (_admit), after the reduced literals, which are normalised and mention
+    no pinned variable; then eliminate every variable pinned by a
+    unit-coefficient equality: substitute its solution into the literals
+    that mention it, each of them back through _admit, and record
+    var -> term in pins (updated in place; entries are kept reduced, so no
+    pinned variable occurs in a value).  The result, read with pins, is
+    equivalent to the input over the remaining variables; None when it
+    folds to false."""
+    lits = _admit(lits, pins)
     if lits is None:
         return None
+    lits = reduced + lits
     while True:
         pin = None
         for idx, f in enumerate(lits):
@@ -1102,28 +1117,30 @@ def _pin_units(lits: list, pins: dict[str, LinTerm]) -> list | None:
             return lits
         idx, v, t = pin
         del lits[idx]
+        one = {v: t}
         out: list = []
         for f in lits:
-            vs = f.t.vars if isinstance(f, (Cmp, Div)) else free_vars(f)
-            if v not in vs:
+            if v not in _vars(f):
                 out.append(f)
                 continue
-            g = subst(f, v, t)
-            new = _admit(g.args if type(g) is And else [g])
+            new = _admit([f], one)
             if new is None:
                 return None
             out += new
         lits = out
         for k, tv in pins.items():
             if v in tv.vars:
-                pins[k] = tv.subst(v, t)
+                pins[k] = tv.subst(one)
         pins[v] = t
 
 
-def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
-    """Flatten a conjunction and eliminate every variable pinned by a
-    unit-coefficient equality (_pin_units), recording var -> term in pins.
-    Every comparison of the residual is a '<=', '=' or '!=' literal.
+def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm],
+                residual: list) -> list | None:
+    """Conjoin fs onto a reduced system: pins and the residual an earlier
+    call returned with them (or {} and []).  fs is flattened, the pins are
+    folded into it, and every variable pinned by a unit-coefficient
+    equality is eliminated (_pin_units) and recorded var -> term in pins.
+    Every comparison of the result is a '<=', '=' or '!=' literal.
     Returns None when the conjunction folds to false."""
     lits: list = []
     stack = list(fs)
@@ -1133,15 +1150,30 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm]) -> list | None:
             stack.extend(f.args)
         else:
             lits.append(f)
-    return _pin_units(lits, pins)
+    # both lists last to first: the order decides which unit equality goes
+    # first, and so the pins and witnesses the search sees
+    return _pin_units(lits, pins, residual[::-1])
 
 
-def _admit(lits: list) -> list | None:
+def _vars(f: Formula) -> Iterable[str]:
+    return f.t.vars if type(f) is Cmp or type(f) is Div else free_vars(f)
+
+
+def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None:
     """Normalise literals once, as they join a branch or are substituted
-    into: each comparison through _to_le, in order, TRUE dropped; None when
-    one is FALSE."""
+    into: pins folded into each one that mentions a pinned variable (a
+    conjunction this yields is split), each comparison through _to_le, in
+    order, TRUE dropped; None when one is FALSE."""
     out = []
     for f in lits:
+        if pins and not pins.keys().isdisjoint(_vars(f)):
+            f = subst(f, pins)
+            if type(f) is And:
+                new = _admit(f.args)
+                if new is None:
+                    return None
+                out += new
+                continue
         g = _to_le(f)
         if g is FALSE:
             return None

@@ -42,26 +42,29 @@ def is_relational(s: Sort) -> bool:
     return False
 
 
-def is_initial(s: Sort) -> bool:
+def _initiality_fault(s: Sort) -> str | None:
+    """The first initiality condition s fails, worded for validate's
+    report, or None when s is initial."""
     if not is_relational(s):
-        return False
+        return f"sort {s} is not relational"
     args = arg_sorts(s)
     w_idx = [i for i, a in enumerate(args) if a == W]
     if len(w_idx) > 1:
-        return False  # O1
+        return "more than one W argument (O1)"
     if w_idx:
         j = w_idx[0]
-        suffix = mk_arrow(args[j:], PROP)
-        bound = type_order(suffix)
-        for a in args[:j]:
+        bound = type_order(mk_arrow(args[j:], PROP))
+        for i, a in enumerate(args[:j]):
             if type_order(a) >= bound:
-                return False  # O2
-    for a in args:
-        if a in (FIN, W):
-            continue
-        if not is_initial(a):
-            return False  # O3
-    return True
+                return (f"argument {i} has order >= order of the W suffix "
+                        "(O2)")
+    if any(a not in (FIN, W) and not is_initial(a) for a in args):
+        return "non-initial argument (O3)"
+    return None
+
+
+def is_initial(s: Sort) -> bool:
+    return _initiality_fault(s) is None
 
 
 def classify(s: Sort) -> str:
@@ -232,27 +235,7 @@ def validate(p: Problem) -> ValidationReport:
             "wPosition": w_position(s),
         }
         if cls == "noninitial":
-            if not is_relational(s):
-                errors.append(f"predicate {name!r}: sort {s} is not relational")
-            else:
-                # report which condition failed for diagnostics
-                args = arg_sorts(s)
-                wps = [i for i, a in enumerate(args) if a == W]
-                if len(wps) > 1:
-                    errors.append(f"predicate {name!r}: more than one W argument (O1)")
-                elif wps:
-                    j = wps[0]
-                    bound = type_order(mk_arrow(args[j:], PROP))
-                    bad = [i for i, a in enumerate(args[:j])
-                           if type_order(a) >= bound]
-                    if bad:
-                        errors.append(
-                            f"predicate {name!r}: argument {bad[0]} has order >= "
-                            f"order of the W suffix (O2)")
-                    else:
-                        errors.append(f"predicate {name!r}: non-initial argument (O3)")
-                else:
-                    errors.append(f"predicate {name!r}: non-initial argument (O3)")
+            errors.append(f"predicate {name!r}: {_initiality_fault(s)}")
         max_order = max(max_order, order)
         if order > 1 or any(a not in (FIN, W) for a in arg_sorts(s)):
             all_first_order = False

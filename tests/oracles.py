@@ -11,14 +11,20 @@ search code with the solver.
   valuation of the finite-sort variables, the reference for
   `background.exists_sat`.
 - `close`: substitute an assignment for a formula's free variables.
+- `deadline`: fail the running test when a block overruns, so a solver
+  that never ends fails one test instead of hanging the suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
+
+import pytest
 
 from limitdl import presburger as P
 from limitdl.background import Theory, comp_var, compile_atom
@@ -311,7 +317,28 @@ def enumerated_exists_sat(atoms: Sequence[BgAtom], varsorts: dict,
 
 def close(f: P.Formula, env: Mapping[str, int]) -> P.Formula:
     """Substitute an assignment for the free variables of f."""
-    g = f
-    for v in P.free_vars(f):
-        g = P.subst(g, v, P.LinTerm.of_const(env[v]))
-    return g
+    return P.subst(f, {v: P.LinTerm.of_const(env[v]) for v in P.free_vars(f)})
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the running test once the block has run for seconds.  The
+    alarm's TimeoutError is caught here and the test failed outside the
+    except block, so a timeout deep inside the solver fails only this test
+    and pytest never formats the interrupted frames."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    expired = False
+    try:
+        yield
+    except TimeoutError:
+        expired = True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    if expired:
+        pytest.fail(f"took over {seconds} s", pytrace=False)

@@ -12,11 +12,12 @@ import pytest
 
 from limitdl import presburger as P
 from limitdl.background import (
-    ALL, Antichain, AtLeast, EMPTY, Theory, TheoryError, comp_var,
-    compile_atom, exists_sat, theory_for, upset_from_json, upset_to_json,
+    ALL, Antichain, AtLeast, EMPTY, Theory, TheoryError, bg_extend, bg_state,
+    comp_var, compile_atom, exists_sat, theory_for, upset_from_json,
+    upset_to_json,
 )
 from limitdl.syntax import BgAtom, FIN, SConst, Var, W, WLit, WOp
-from oracles import enumerated_exists_sat
+from oracles import deadline, enumerated_exists_sat
 
 
 LIA_UP = Theory("lia", 1, flipped=False)
@@ -272,3 +273,79 @@ def test_exists_sat_equality_chain():
     assert exists_sat(atoms, {n: W for n in names}, th, [])
     atoms[-1] = BgAtom("eq", WOp("comp", (Var(names[9]),), k=1), WLit((8,)))
     assert not exists_sat(atoms, {n: W for n in names}, th, [])
+
+
+def random_extension(rng, th, fin, wvars, svars):
+    """One step of a goal's background: 1-3 atoms over the variables so far
+    and at most one new numeric variable (appended to wvars), which the
+    step's nonnegativity bounds then cover.  Under nat 2 the tuple neq, lt
+    and gt atoms compile to disjunctions."""
+    new_w = []
+    if not wvars or rng.random() < 0.4:
+        new_w.append(f"x{len(wvars)}")
+        wvars.append(new_w[0])
+
+    def wterm():
+        r = rng.random()
+        if r < 0.6:
+            t = Var(rng.choice(wvars))
+        else:
+            t = WLit(tuple(rng.randint(-1, 4) for _ in range(th.dim)))
+        if th.dim > 1 and rng.random() < 0.3:
+            t = WOp("comp", (Var(rng.choice(wvars)),), k=rng.randint(1, 2))
+        if rng.random() < 0.3:
+            t = WOp("+", (t, WLit((rng.randint(-2, 2),))))
+        return t
+
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            rhs = SConst(rng.choice(fin + ("z",)))
+            atoms.append(BgAtom("eqs", Var(rng.choice(svars)), rhs))
+            continue
+        rel = rng.choice(["eq", "eq", "leq", "geq", "neq", "lt", "gt"])
+        atoms.append(BgAtom(rel, wterm(), wterm()))
+    return atoms, new_w
+
+
+def test_bg_extend_matches_exists_sat():
+    """Chains of bg_state/bg_extend steps agree with exists_sat on the
+    atoms accumulated so far, over lia and nat 1 and 2, on 300 fixed-seed
+    chains of up to 6 steps; a satisfiable state's witness, extended
+    through its pins, satisfies every compiled atom and nonnegativity
+    bound.  Later equalities pin variables of the disjunctions already in
+    the residual, so substitution runs through them.  Each chain must
+    finish within 5 s."""
+    theories = [LIA_UP, Theory("nat", 1, flipped=False), NAT2_UP, NAT2_DOWN]
+    fin = ("a", "b", "c")
+    svars = ["s", "t"]
+    rng = random.Random(20261022)
+    outcomes = set()
+    for _ in range(300):
+        th = rng.choice(theories)
+        wvars: list[str] = []
+        atoms: list[BgAtom] = []
+        st = None
+        with deadline(5):
+            for step in range(rng.randint(1, 6)):
+                new_atoms, new_w = random_extension(rng, th, fin, wvars, svars)
+                atoms += new_atoms
+                if step == 0:
+                    st = bg_state(new_atoms, new_w, th, fin)
+                else:
+                    st = bg_extend(st, new_atoms, new_w, th, fin)
+                varsorts = {**{n: FIN for n in svars}, **{n: W for n in wvars}}
+                want = exists_sat(atoms, varsorts, th, fin)
+                assert (st is not None) == want, (th.kind, th.dim, atoms)
+                outcomes.add(want)
+                if st is None:
+                    break
+                comps = [comp_var(n, i + 1) for n in wvars
+                         for i in range(th.dim)]
+                env = dict.fromkeys([comp_var(n, 0) for n in svars] + comps, 0)
+                env.update(st.witness)
+                env.update({v: t.eval(env) for v, t in st.pins.items()})
+                fs = [compile_atom(a, th, fin_elems=fin) for a in atoms]
+                for f in fs + th.nat_bounds(comps):
+                    assert P.evaluate0(f, env), (th.kind, th.dim, atoms, f)
+    assert outcomes == {True, False}

@@ -1,11 +1,9 @@
 """Frame construction, clause checking, model serialization, least models."""
 
-import contextlib
 import itertools
 import json
 import os
 import random
-import signal
 
 import pytest
 
@@ -15,7 +13,7 @@ from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
 from corpus import FIRST_ORDER, LEAST_MODEL_SHA256, model_sha256, problem
-from oracles import bounded_canonical_model
+from oracles import bounded_canonical_model, deadline
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -237,14 +235,16 @@ def test_load_canonicalizes_dominated_generators():
 def test_least_model_of_multiplication():
     p = load("mult6.lchc")
     th = theory_of(p)
-    m = E.fo_least_model(p, th)
+    with deadline(10):
+        m = E.fo_least_model(p, th)
     assert m is not None
     assert m.interps["G"].descs == (Antichain(((6, 0),)),)
     f_rows = m.interps["F"].descs
     assert set(f_rows) == {Antichain(((0, 2), (3, 1), (6, 0)))}
     assert not E.check_model(m, p)  # goal G (6,0) is violated: unsatisfiable
     p5 = load("mult5.lchc")
-    m5 = E.fo_least_model(p5, th)
+    with deadline(10):
+        m5 = E.fo_least_model(p5, th)
     assert E.check_model(m5, p5)
 
 
@@ -266,7 +266,8 @@ INACTIVE_TEXT = """
 
 def test_least_model_with_inactive_and_propositional_heads():
     p = normalize_problem(parse_problem(INACTIVE_TEXT))
-    m = E.fo_least_model(p, theory_of(p))
+    with deadline(10):
+        m = E.fo_least_model(p, theory_of(p))
     assert m is not None
     # R c needs a point with u >= 3 and u <= 1, which does not exist
     assert m.full_table(m.problem.decl("R"), m.interps["R"]) == \
@@ -293,7 +294,8 @@ def test_least_model_requires_variable_heads():
 def test_least_model_decides_first_order_corpus(pid, verdict):
     # the least model satisfies the goals exactly when the problem is SAT
     p, th = problem(pid)
-    m = E.fo_least_model(p, th)
+    with deadline(30):
+        m = E.fo_least_model(p, th)
     assert m is not None
     assert model_sha256(m) == LEAST_MODEL_SHA256[pid]
     assert E.check_model(m, p) == (verdict == "SAT")
@@ -333,7 +335,8 @@ def test_least_model_skips_clauses_with_unchanged_bodies(monkeypatch):
         return body_formula(m, b, wvars, val)
 
     monkeypatch.setattr(E, "_body_formula", counted)
-    m = E.fo_least_model(p, theory_of(p))
+    with deadline(10):
+        m = E.fo_least_model(p, theory_of(p))
     assert runs == {"A": 1, "B": 2, "C": 2, "G": 1}
     assert m.interps["C"].descs == (Antichain(((5,),)),)
     assert E.check_model(m, p)
@@ -360,7 +363,8 @@ def test_extract_upset_downward_omega():
     # {u : u2 = 0} in the downward order is generated by (omega, 0)
     th = theory_for("nat", 2, "downward")
     phi = P.eq(P.LinTerm.of_var("c1"), P.LinTerm.of_const(0))
-    u = E.extract_upset(th, phi, ["c0", "c1"])
+    with deadline(5):
+        u = E.extract_upset(th, phi, ["c0", "c1"])
     assert u == Antichain(((None, 0),))
 
 
@@ -371,8 +375,9 @@ def test_extract_upset_downward_omega_fibre():
     a, b = P.LinTerm.of_var("a"), P.LinTerm.of_var("b")
     k = P.LinTerm.of_const
     phi = P.disj([P.le(b, k(5)), P.conj([P.le(a, k(2)), P.le(b, k(10))])])
-    assert E.extract_upset(th, phi, ["a", "b"]) == \
-        Antichain(((2, 10), (None, 5)))
+    with deadline(5):
+        u = E.extract_upset(th, phi, ["a", "b"])
+    assert u == Antichain(((2, 10), (None, 5)))
 
 
 def _rand_closed_set(rng, names, down):
@@ -400,30 +405,6 @@ def _rand_closed_set(rng, names, down):
     return P.disj(conjs)
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail the running test once the block has run for seconds.  The
-    alarm's TimeoutError is caught here and the test failed outside the
-    except block, so a timeout deep inside the solver fails only this test
-    and pytest never formats the interrupted frames."""
-
-    def expire(signum, frame):
-        raise TimeoutError
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    expired = False
-    try:
-        yield
-    except TimeoutError:
-        expired = True
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    if expired:
-        pytest.fail(f"took over {seconds} s", pytrace=False)
-
-
 def test_extract_upset_against_grid_membership():
     """Every extractor (lia, nat upward, nat downward) gives a descriptor
     whose membership formula agrees with the input set on the grid
@@ -438,7 +419,7 @@ def test_extract_upset_against_grid_membership():
         th = theory_for(kind, dim, direction)
         comps = [f"c{i}" for i in range(dim)]
         phi = _rand_closed_set(rng, comps, direction == "downward")
-        with _deadline(5):
+        with deadline(5):
             u = E.extract_upset(th, phi, comps)
         got = th.upset_formula(u, comps)
         for pt in itertools.product(range(0, 36, 5), repeat=dim):
@@ -465,7 +446,7 @@ def test_extract_upset_seeded_by_base():
         th = theory_for(kind, dim, direction)
         comps = [f"c{i}" for i in range(dim)]
         phi = _rand_closed_set(rng, comps, down)
-        with _deadline(5):
+        with deadline(5):
             other = E.extract_upset(th, _rand_closed_set(rng, comps, down),
                                     comps)
         bases = [other, EMPTY, ALL]
@@ -478,7 +459,7 @@ def test_extract_upset_seeded_by_base():
                 for _ in range(rng.randint(1, 3))))))
         for base in bases:
             joined = P.disj([th.upset_formula(base, comps), phi])
-            with _deadline(5):
+            with deadline(5):
                 got = E.extract_upset(th, phi, comps, base)
                 want = E.extract_upset(th, joined, comps)
             assert got == want, (kind, direction, str(phi), base)
@@ -492,13 +473,11 @@ def test_extract_lia_thresholds_below_zero():
     x, y = P.LinTerm.of_var("c0"), P.LinTerm.of_var("y")
     k = P.LinTerm.of_const
     cases = [
-        # ∃y. x <= y ∧ 2y <= -9, that is x <= -5
-        ("downward", P.Exists("y", P.conj([P.le(x, y),
-                                           P.le(y.scale(2), k(-9))])),
+        # x <= y ∧ 2y <= -9 with y free, that is x <= -5
+        ("downward", P.conj([P.le(x, y), P.le(y.scale(2), k(-9))]),
          lambda v: v <= -5, AtLeast(-5)),
-        # ∃y. y <= x ∧ 3y >= -20, that is x >= -6
-        ("upward", P.Exists("y", P.conj([P.le(y, x),
-                                         P.ge(y.scale(3), k(-20))])),
+        # y <= x ∧ 3y >= -20 with y free, that is x >= -6
+        ("upward", P.conj([P.le(y, x), P.ge(y.scale(3), k(-20))]),
          lambda v: v >= -6, AtLeast(-6)),
     ] + [(d, f, lambda v, b=b: b, u) for d in ("upward", "downward")
          for f, b, u in ((P.TRUE, True, ALL), (P.FALSE, False, EMPTY))]
@@ -513,7 +492,7 @@ def test_extract_lia_thresholds_below_zero():
                       lambda v, phi=phi: P.evaluate(phi, {"c0": v}), None))
     for direction, phi, member, want in cases:
         th = theory_for("lia", 1, direction)
-        with _deadline(5):
+        with deadline(5):
             u = E.extract_upset(th, phi, ["c0"])
         assert want is None or u == want, (direction, str(phi), u)
         for v in range(-45, 46):
@@ -526,8 +505,8 @@ def test_extract_upset_projects_free_variables():
     for an upward set), most with y >= 0, over lia and nat in d = 1, 2 and
     both orders, the descriptor agrees on a grid with Cooper's projection
     eliminate(∃y. phi), the tests' oracle; each case must finish within
-    5 s.  Then a fixed ω case, and a leading ∃ block whose variable is also
-    a component name, which must be renamed apart."""
+    5 s.  Then a fixed ω case, a set that leaves c1 unconstrained, and a
+    quantified input, which is refused."""
     configs = [(kind, dim, direction) for kind, dim in
                (("lia", 1), ("nat", 1), ("nat", 2))
                for direction in ("upward", "downward")]
@@ -550,7 +529,7 @@ def test_extract_upset_projects_free_variables():
                                 y.scale(a).add(k(rng.randint(-6, 10)))))
             conjs.append(P.conj(lits))
         phi = P.disj(conjs)
-        with _deadline(5):
+        with deadline(5):
             u = E.extract_upset(th, phi, comps)
         oracle = P.nnf(P.eliminate(P.Exists("y", phi)))
         side = range(0, 31) if kind == "nat" else range(-40, 41)
@@ -567,8 +546,12 @@ def test_extract_upset_projects_free_variables():
                           P.ge(y, k(0)), P.le(y, k(2))])])
     assert E.extract_upset(th, phi, ["c0", "c1"]) == \
         Antichain(((6, 15), (None, 7)))
-    phi = P.Exists("c1", P.conj([P.le(c0, c1), P.le(c1, k(4))]))
+    phi = P.conj([P.le(c0, y), P.le(y, k(4))])
     assert E.extract_upset(th, phi, ["c0", "c1"]) == Antichain(((4, None),))
+    with pytest.raises(ValueError):
+        E.extract_upset(th, P.Exists("c1", P.conj([P.le(c0, c1),
+                                                   P.le(c1, k(4))])),
+                        ["c0", "c1"])
 
 
 def _grid_agrees(u, phi, comps, down, sides):
@@ -591,7 +574,7 @@ def test_extract_nat_down_many_generators_quickly():
     phi = P.disj([P.conj([P.le(a.add(b), k(15)), P.le(c, k(1)),
                           P.le(b, k(37))]),
                   P.conj([P.le(a.add(c), k(5)), P.le(b, k(13))])])
-    with _deadline(2):
+    with deadline(2):
         u = E.extract_upset(th, phi, comps)
     assert len(u.gens) == 19
     _grid_agrees(u, phi, comps, True, (17, 39, 7))
@@ -608,7 +591,7 @@ def test_extract_nat_up_many_generators_terminates():
                   P.conj([P.ge(c0.add(c1), k(34)),
                           P.ge(c1.add(two_c2), k(15)),
                           P.ge(c1.add(two_c2), k(30))])])
-    with _deadline(30):
+    with deadline(30):
         u = E.extract_upset(th, phi, comps)
     assert len(u.gens) == 69
     _grid_agrees(u, phi, comps, False, (36, 36, 36))

@@ -69,7 +69,10 @@ def test_linterm_algebra():
     t = v("x").scale(3).add(v("y")).sub(c(5))
     assert t.eval({"x": 2, "y": 1}) == 2
     assert t.coeff("x") == 3 and t.coeff("z") == 0
-    assert t.subst("x", v("y").add(c(1))).eval({"y": 2}) == 3 * 3 + 2 - 5
+    assert t.subst({"x": v("y").add(c(1))}).eval({"y": 2}) == 3 * 3 + 2 - 5
+    # every pin in one pass; a term without a pinned variable is kept
+    assert t.subst({"x": v("z"), "y": c(4)}) == v("z").scale(3).sub(c(1))
+    assert t.subst({"z": c(1)}) is t
     assert v("x").sub(v("x")).is_const()
 
 
@@ -298,7 +301,7 @@ def test_fast_path_against_box_brute_force():
         if w is not None:
             assert P.evaluate0(f, w), (f, w)
         pins = {}
-        residual = P.reduce_conj([f], pins)
+        residual = P.reduce_conj([f], pins, [])
         assert residual is None or all(
             type(h) is not Cmp or h.op in ("<=", "=", "!=")
             for h in residual), (f, residual)
