@@ -682,7 +682,8 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     direction d with s·d_j >= 1 on J and i; else it is the largest y_i of
     a branch with such a direction on J (of any branch when J is empty).
     Under nat upward, x >= 0 keeps every direction d >= 0, so ω never
-    arises.
+    arises and no cone test is asked; the others are asked once per call,
+    since the branches of later seeds repeat them.
 
     ``base`` is a descriptor the result must include (a row's current
     value): the result describes the upward closure of base ∪ phi.  Its
@@ -704,10 +705,17 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     def atleast(c: str, v: int) -> P.Formula:
         return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
 
+    cones: dict[tuple, bool] = {}  # cone query -> answer, in this call
+
     def recedes(leaf: list, cs: list[str]) -> bool:
-        # some integer direction of the branch has s·d >= 1 on every cs
-        cone = P.recession_cone(leaf) + [atleast(c, 1) for c in cs]
-        return P.sat_exists_all(cone) is not None
+        # some integer direction of the branch has s·d >= 1 on every cs;
+        # never under nat upward, where x >= 0 keeps every d >= 0
+        if theory.nat and not theory.flipped:
+            return False
+        cone = tuple(P.recession_cone(leaf) + [atleast(c, 1) for c in cs])
+        if cone not in cones:
+            cones[cone] = P.sat_exists_all(list(cone)) is not None
+        return cones[cone]
 
     def reach(leaf: list, ci: str, v: int) -> int | None:
         # y_i of a point of the branch with y_i >= v, or None

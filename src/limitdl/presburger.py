@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from operator import le as le_
 from typing import Iterable, Iterator, Mapping
@@ -666,6 +667,10 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # alternation.  We lazily expand the matrix into conjunctive branches and
 # decide each branch by unit-equality substitution, interval propagation,
 # and Cooper-style elimination one variable at a time with early exit.
+# One bounds propagator, _narrow, prunes for both: down the branch walk
+# each child narrows a copy of its parent's bounds with only the literals
+# it adds, so a refuted branch is neither expanded nor decided, and the
+# elimination runs it from scratch on the literals it is left with.
 # Every solve path of the library goes through here; a query over a
 # projection leaves the projected variables free.  Cooper `eliminate` and
 # `decide` above are the reference the tests check this path against.
@@ -827,77 +832,108 @@ def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
             yield Cmp("<=", LinTerm(-hi, ((v, 1),)))  # x - hi <= 0
 
 
-def _propagate_intervals(lits: list) -> bool | None:
-    """Interval constraint propagation; returns False when definitely
-    unsatisfiable, None when inconclusive."""
-    lo: dict[str, int | None] = {}
-    hi: dict[str, int | None] = {}
-    vs: set[str] = set()
-    rows = []
-    for f in lits:
-        if isinstance(f, Cmp) and f.op in ("<=", "="):
-            rows.append(f)
-            vs.update(f.t.vars)
-    for v in vs:
-        lo[v] = None
-        hi[v] = None
+# visits per row in one _narrow call: a row whose bounds keep moving
+# (x <= y - 1 and y <= x - 1 over a wide box) is visited no more often
+_NARROW_VISITS = 40
 
-    def ceil_div(a: int, b: int) -> int:
-        return -((-a) // b)
 
-    for _ in range(40):
-        changed = False
-        for f in rows:
-            # interval of the whole term: finite partial sums plus a count
-            # of unbounded contributions, so excluding one var is O(1)
-            lo_sum = hi_sum = f.t.const
-            lo_none = hi_none = 0
-            for v, c in f.t.coeffs:
-                vl, vh = (lo[v], hi[v]) if c > 0 else (hi[v], lo[v])
-                if vl is None:
-                    lo_none += 1
+def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
+            todo: Iterable[int]) -> bool:
+    """Interval propagation over the '<=' and '=' literals among rows (the
+    others are skipped), in the manner of AC-3 (Mackworth, AIJ 8, 1977).
+    lo and hi map variables to integer bounds that rows imply (a variable
+    absent is unbounded); they are tightened in place.  The rows at the
+    indices in todo are visited first, then, first in first out, every row
+    that mentions a variable whose bound moved, each row at most
+    _NARROW_VISITS times.  Returns False when an interval empties, so rows
+    have no integer solution; True when inconclusive.
+
+    From scratch, todo is every row and the bounds start empty.  A branch
+    that adds rows to a parent starts from a copy of the parent's bounds
+    and is seeded with the added rows only: the parent's bounds hold on
+    every solution of the branch, so what the visits derive from them does
+    too."""
+    queue = deque(todo)
+    queued = set(queue)
+    visits = [0] * len(rows)
+    occ: dict[str, list[int]] = {}  # var -> rows; built at the first move
+
+    def moved(v: str) -> None:
+        if not occ:
+            for j, g in enumerate(rows):
+                if type(g) is Cmp and g.op != "!=":
+                    for u, _ in g.t.coeffs:
+                        occ.setdefault(u, []).append(j)
+        for j in occ[v]:
+            if j not in queued:
+                queued.add(j)
+                queue.append(j)
+
+    def upper(v: str, b: int) -> bool:  # b below hi[v]; False once empty
+        hi[v] = b
+        if v in lo and lo[v] > b:
+            return False
+        moved(v)
+        return True
+
+    def lower(v: str, b: int) -> bool:  # b above lo[v]; False once empty
+        lo[v] = b
+        if v in hi and hi[v] < b:
+            return False
+        moved(v)
+        return True
+
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        f = rows[i]
+        if type(f) is not Cmp or f.op == "!=" or \
+                visits[i] == _NARROW_VISITS:
+            continue
+        visits[i] += 1
+        # interval of the whole term: finite partial sums plus a count of
+        # unbounded contributions, so excluding one variable is O(1)
+        bounds = []
+        lo_sum = hi_sum = f.t.const
+        lo_none = hi_none = 0
+        for v, c in f.t.coeffs:
+            vl, vh = (lo.get(v), hi.get(v)) if c > 0 else \
+                (hi.get(v), lo.get(v))
+            bounds.append((v, c, vl, vh))
+            if vl is None:
+                lo_none += 1
+            else:
+                lo_sum += c * vl
+            if vh is None:
+                hi_none += 1
+            else:
+                hi_sum += c * vh
+        iseq = f.op == "="
+        for v, c, vl, vh in bounds:
+            # literal: c*v + rest <= 0 (or = 0)
+            if lo_none == (vl is None):
+                tlo = lo_sum if vl is None else lo_sum - c * vl
+                # c*v <= -rest <= -tlo
+                if c > 0:
+                    b = -tlo // c
+                    if (vh is None or b < vh) and not upper(v, b):
+                        return False
                 else:
-                    lo_sum += c * vl
-                if vh is None:
-                    hi_none += 1
+                    b = -(-tlo // -c)
+                    if (vh is None or b > vh) and not lower(v, b):
+                        return False
+            if iseq and hi_none == (vh is None):
+                thi = hi_sum if vh is None else hi_sum - c * vh
+                # c*v = -rest >= -thi
+                if c > 0:
+                    b = -(thi // c)
+                    if (vl is None or b > vl) and not lower(v, b):
+                        return False
                 else:
-                    hi_sum += c * vh
-            iseq = f.op == "="
-            for v, c in f.t.coeffs:
-                vl, vh = (lo[v], hi[v]) if c > 0 else (hi[v], lo[v])
-                # literal: c*v + rest <= 0 (or = 0)
-                if (lo_none - (1 if vl is None else 0)) == 0:
-                    tlo = lo_sum if vl is None else lo_sum - c * vl
-                    # c*v <= -rest <= -tlo
-                    if c > 0:
-                        b = (-tlo) // c
-                        if vh is None or b < vh:
-                            hi[v] = b
-                            changed = True
-                    else:
-                        b = ceil_div(tlo, -c)
-                        if vh is None or b > vh:
-                            lo[v] = b
-                            changed = True
-                if iseq and (hi_none - (1 if vh is None else 0)) == 0:
-                    thi = hi_sum if vh is None else hi_sum - c * vh
-                    # c*v = -rest >= -thi
-                    if c > 0:
-                        b = ceil_div(-thi, c)
-                        if vl is None or b > vl:
-                            lo[v] = b
-                            changed = True
-                    else:
-                        b = thi // (-c)
-                        if vl is None or b < vl:
-                            hi[v] = b
-                            changed = True
-        for v in vs:
-            if lo[v] is not None and hi[v] is not None and lo[v] > hi[v]:
-                return False
-        if not changed:
-            break
-    return None
+                    b = thi // -c
+                    if (vl is None or b < vl) and not upper(v, b):
+                        return False
+    return True
 
 
 def _eval0(t: LinTerm, env: dict[str, int]) -> int:
@@ -960,11 +996,12 @@ def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
 
 def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
     """_sat_lits of '<=', '=' and Div literals without a unit equality:
-    interval propagation, then Cooper-style elimination of the cheapest
-    variable, trying its candidate values with early exit."""
+    interval propagation (_narrow from scratch, at every fourth depth),
+    then Cooper-style elimination of the cheapest variable, trying its
+    candidate values with early exit."""
     if not lits:
         return {}
-    if depth % 4 == 0 and _propagate_intervals(lits) is False:
+    if depth % 4 == 0 and not _narrow(lits, {}, {}, range(len(lits))):
         return None
 
     # per-variable elimination cost, in one pass over the literals
@@ -1140,8 +1177,10 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm],
     call returned with them (or {} and []).  fs is flattened, the pins are
     folded into it, and every variable pinned by a unit-coefficient
     equality is eliminated (_pin_units) and recorded var -> term in pins.
-    Every comparison of the result is a '<=', '=' or '!=' literal.
-    Returns None when the conjunction folds to false."""
+    Every comparison of the result is a '<=', '=' or '!=' literal, and each
+    literal occurs once: a new one that repeats a residual literal, or
+    that a pin makes equal to another, is dropped.  Returns None when the
+    conjunction folds to false."""
     lits: list = []
     stack = list(fs)
     while stack:
@@ -1152,7 +1191,8 @@ def reduce_conj(fs: Iterable[Formula], pins: dict[str, LinTerm],
             lits.append(f)
     # both lists last to first: the order decides which unit equality goes
     # first, and so the pins and witnesses the search sees
-    return _pin_units(lits, pins, residual[::-1])
+    out = _pin_units(lits, pins, residual[::-1])
+    return None if out is None else list(dict.fromkeys(out))
 
 
 def _vars(f: Formula) -> Iterable[str]:
@@ -1182,15 +1222,17 @@ def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None
     return out
 
 
-def _leaves(lits: list, pends: list) -> Iterator[list]:
-    """The DNF leaves of lits and the pending disjunctions, in branch order;
-    each partial branch is pruned by interval propagation before it is
-    expanded further.  lits are normalised (see _admit), so a leaf is what
-    _sat_lits would have made of the raw literals itself."""
+def _leaves(lits: list, pends: list, lo: dict[str, int],
+            hi: dict[str, int]) -> Iterator[list]:
+    """The DNF leaves of lits and the pending disjunctions, in branch order,
+    less the branches that interval propagation refutes.  lo and hi are
+    the bounds _narrow found for lits; each child, leaves included, narrows
+    a copy of them seeded with only the literals its alternative adds, and
+    is neither expanded nor yielded when they empty.  lits are normalised
+    (see _admit), so a leaf is what _sat_lits would have made of the raw
+    literals itself."""
     if not pends:
         yield lits
-        return
-    if _propagate_intervals(lits) is False:
         return
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
     chosen = pends[i]
@@ -1200,15 +1242,19 @@ def _leaves(lits: list, pends: list) -> Iterator[list]:
         sub = list(rest)
         if _lits_of(alt, new, sub):
             new = _admit(new)
-            if new is not None:
-                yield from _leaves(lits + new, sub)
+            if new is None:
+                continue
+            child, clo, chi = lits + new, dict(lo), dict(hi)
+            if _narrow(child, clo, chi, range(len(lits), len(child))):
+                yield from _leaves(child, sub, clo, chi)
 
 
 def branches(matrices: list[Formula]) -> Iterator[list]:
     """The conjunctive branches of a conjunction of quantifier-free
     formulas: lists of Cmp/Div literals whose disjunction is equivalent to
-    it.  Without disjunctions the one branch is the raw literal list;
-    otherwise every literal is in _to_le form ('<=', '=', '!=', Div)."""
+    it, less branches that interval propagation refutes (_leaves).  Without
+    disjunctions the one branch is the raw literal list; otherwise every
+    literal is in _to_le form ('<=', '=', '!=', Div)."""
     acc: list = []
     pend: list = []
     for f in matrices:
@@ -1218,8 +1264,10 @@ def branches(matrices: list[Formula]) -> Iterator[list]:
         yield acc
         return
     acc = _admit(acc)
-    if acc is not None:
-        yield from _leaves(acc, pend)
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    if acc is not None and _narrow(acc, lo, hi, range(len(acc))):
+        yield from _leaves(acc, pend, lo, hi)
 
 
 def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:

@@ -7,6 +7,7 @@ import signal
 import pytest
 
 from corpus import HINTS, MODEL_SHA256, PINNED, model_sha256, problem
+from limitdl import presburger as P
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
 from limitdl.resolution import replay
@@ -109,6 +110,26 @@ def test_verify_accepts_good_witness():
     with open(os.path.join(FIX, "integral256.model.json")) as fh:
         ok, diag = verify(p, json.load(fh))
     assert ok and diag == "ok"
+
+
+def test_witness_check_effort_is_pinned(monkeypatch):
+    """Checking integral256's witness expands at most 131 frames of the DNF
+    walk and hands no branch to _sat_lits: interval propagation down the
+    walk refutes every branch of every check_clause query.  A walk that
+    propagates each partial branch from scratch and no leaf makes 1,185
+    frames and 891 _sat_lits calls here."""
+    calls = {"_leaves": 0, "_sat_lits": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(P, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(P, name, counted)
+    p = load("integral256.lchc")
+    with open(os.path.join(FIX, "integral256.model.json")) as fh:
+        ok, _ = verify(p, json.load(fh))
+    assert ok
+    assert calls["_sat_lits"] == 0
+    assert calls["_leaves"] <= 131, calls
 
 
 def test_verify_rejects_wrong_problem():

@@ -17,7 +17,7 @@ from limitdl.presburger import (
     conj, decide, disj, div_atom, eliminate, eq, evaluate, free_vars,
     ge, gt, le, lt, ne, neg_f, nnf,
 )
-from oracles import close
+from oracles import close, deadline
 
 
 def v(name):
@@ -400,6 +400,75 @@ def test_branch_search_first_witness():
             found += 1
             assert all(P.evaluate0(f, w) for f in matrices), (matrices, w)
     assert 30 < found < 270  # both outcomes are exercised
+
+
+def _rand_row(rng, names):
+    """A '<=' or '=' literal in _to_le form over one to three of names, or
+    None when it folds to a constant."""
+    vs = rng.sample(names, rng.randint(1, len(names)))
+    t = LinTerm.make(rng.randint(-6, 6),
+                     {n: rng.choice([-3, -2, -1, 1, 2, 3]) for n in vs})
+    f = P._to_le(rng.choice([le, le, lt, ge, eq])(t, c(0)))
+    return f if type(f) is Cmp else None
+
+
+def _within(points, names, lo, hi):
+    return all(lo.get(n, -99) <= p[n] <= hi.get(n, 99)
+               for p in points for n in names)
+
+
+def test_narrow_from_parent_bounds_is_sound():
+    """_narrow seeded with only the rows a child adds, from a copy of its
+    parent's bounds, against a from-scratch run and brute force.
+
+    Each case is a chain of '<=' and '=' additions over two or three
+    variables inside the box -3 <= x, y, z <= 3.  At every link both runs'
+    bounds must contain every integer solution in the box, and either run
+    may answer False only where there is none.  Then the branches of a
+    conjunction of random disjunctions of such rows, whose pruning starts
+    each child from its parent's bounds, must together hold every solution
+    in the box."""
+    rng = random.Random(20261020)
+    with deadline(60):
+        for case in range(300):
+            names = ["x", "y", "z"][:rng.choice([2, 3])]
+            grid = [dict(zip(names, p))
+                    for p in itertools.product(range(-3, 4), repeat=len(names))]
+            rows = [P._to_le(k) for n in names
+                    for k in (ge(v(n), c(-3)), le(v(n), c(3)))]
+            lo, hi = {}, {}
+            assert P._narrow(rows, lo, hi, range(len(rows)))
+            points = grid
+            for _ in range(rng.randint(1, 5)):
+                new = [r for r in (_rand_row(rng, names)
+                                   for _ in range(rng.randint(1, 2))) if r]
+                child = rows + new
+                points = [p for p in points
+                          if all(evaluate(f, p) for f in new)]
+                clo, chi = dict(lo), dict(hi)
+                inc = P._narrow(child, clo, chi, range(len(rows), len(child)))
+                slo, shi = {}, {}
+                full = P._narrow(child, slo, shi, range(len(child)))
+                assert inc or not points, (child, points[:1])
+                assert full or not points, (child, points[:1])
+                if full:
+                    assert _within(points, names, slo, shi), (child, slo, shi)
+                if not inc:
+                    break
+                assert _within(points, names, clo, chi), (child, clo, chi)
+                rows, lo, hi = child, clo, chi
+
+            box = [k for n in names for k in (ge(v(n), c(-3)), le(v(n), c(3)))]
+            ors = [disj(conj(r for r in (_rand_row(rng, names)
+                                         for _ in range(rng.randint(1, 2)))
+                             if r)
+                        for _ in range(rng.randint(2, 3)))
+                   for _ in range(rng.randint(1, 3))]
+            leaves = list(P.branches(box + ors))
+            for p in grid:  # the box holds on the grid
+                if all(evaluate(f, p) for f in ors):
+                    assert any(all(evaluate(f, p) for f in leaf)
+                               for leaf in leaves), (ors, p)
 
 
 def _unbounded_by_cones(matrices, names):
