@@ -483,10 +483,6 @@ def nnf(f: Formula) -> Formula:
 # Cooper elimination
 
 
-def _lcm(a: int, b: int) -> int:
-    return abs(a * b) // math.gcd(a, b)
-
-
 def _atoms_with(f: Formula, var: str) -> list[Formula]:
     out: list[Formula] = []
 
@@ -525,7 +521,7 @@ def _cooper(var: str, f: Formula) -> Formula:
     delta = 1
     for a in atoms:
         t = a.t  # type: ignore[union-attr]
-        delta = _lcm(delta, t.coeff(var))
+        delta = math.lcm(delta, t.coeff(var))
 
     # Rescale every literal so the variable's coefficient is +-delta, then
     # read it through x' = delta * var.  Literal shapes after rescaling:
@@ -566,7 +562,7 @@ def _cooper(var: str, f: Formula) -> Formula:
             elif r[0] == "ub":
                 ubs.append(r[1])
             else:
-                bigd = _lcm(bigd, r[1])
+                bigd = math.lcm(bigd, r[1])
 
     # Build substituted instances directly: given a LinTerm x_t for x',
     # rebuild each literal from its rescaled shape.  At -infinity (inf < 0)
@@ -664,13 +660,14 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # fast path: satisfiability of a single existential block
 #
 # The solver's hot queries are "exists xs . matrix" with no quantifier
-# alternation.  We lazily expand the matrix into conjunctive branches and
-# decide each branch by unit-equality substitution, interval propagation,
-# and Cooper-style elimination one variable at a time with early exit.
-# One bounds propagator, _narrow, prunes for both: down the branch walk
-# each child narrows a copy of its parent's bounds with only the literals
-# it adds, so a refuted branch is neither expanded nor decided, and the
-# elimination runs it from scratch on the literals it is left with.
+# alternation.  We lazily expand the matrix into conjunctive branches (a
+# '!=' is a disjunction of '<' and '>' there) and decide each branch by
+# unit-equality substitution and Cooper-style elimination one variable at
+# a time with early exit.  One node step, _child, builds every node of
+# this search: the walk's root, each branch alternative, each elimination
+# candidate and residue.  It admits the literals the node adds and
+# narrows a copy of its parent's bounds (_narrow) with only those, so a
+# refuted node is neither expanded nor decided.
 # Every solve path of the library goes through here; a query over a
 # projection leaves the projected variables free.  Cooper `eliminate` and
 # `decide` above are the reference the tests check this path against.
@@ -682,14 +679,21 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 
 def _lits_of(f: Formula, acc: list, pending: list) -> bool:
     """Split f into atomic literals (acc) and non-atomic parts (pending),
-    reading each negation through _wnnf.  Returns False if f is trivially
+    reading each negation through _wnnf and each 't != 0' as the pending
+    disjunction 't < 0 or t > 0'.  Returns False if f is trivially
     unsatisfiable."""
     match f:
         case TrueF():
             return True
         case FalseF():
             return False
-        case Cmp() | Div():
+        case Cmp():
+            if f.op == "!=":
+                pending.append(Or((Cmp("<", f.t), Cmp(">", f.t))))
+            else:
+                acc.append(f)
+            return True
+        case Div():
             acc.append(f)
             return True
         case And(args):
@@ -840,7 +844,8 @@ _NARROW_VISITS = 40
 def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
             todo: Iterable[int]) -> bool:
     """Interval propagation over the '<=' and '=' literals among rows (the
-    others are skipped), in the manner of AC-3 (Mackworth, AIJ 8, 1977).
+    Div literals are skipped; rows hold no '!='), in the manner of AC-3
+    (Mackworth, AIJ 8, 1977).
     lo and hi map variables to integer bounds that rows imply (a variable
     absent is unbounded); they are tightened in place.  The rows at the
     indices in todo are visited first, then, first in first out, every row
@@ -861,7 +866,7 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
     def moved(v: str) -> None:
         if not occ:
             for j, g in enumerate(rows):
-                if type(g) is Cmp and g.op != "!=":
+                if type(g) is Cmp:
                     for u, _ in g.t.coeffs:
                         occ.setdefault(u, []).append(j)
         for j in occ[v]:
@@ -887,8 +892,7 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
         i = queue.popleft()
         queued.discard(i)
         f = rows[i]
-        if type(f) is not Cmp or f.op == "!=" or \
-                visits[i] == _NARROW_VISITS:
+        if type(f) is not Cmp or visits[i] == _NARROW_VISITS:
             continue
         visits[i] += 1
         # interval of the whole term: finite partial sums plus a count of
@@ -972,38 +976,49 @@ def _to_le(f: Formula) -> Formula:
     return g
 
 
-def _sat_lits(lits: list, depth: int = 0) -> dict[str, int] | None:
-    """Satisfying assignment for a conjunction of Cmp/Div literals over the
-    integers, or None.  Variables absent from the result are free; read
-    them as 0."""
-    for f in lits:
-        if type(f) is Cmp and f.op == "!=":  # splits into two branches
-            rest = [x for x in lits if x is not f]
-            w = _sat_lits(rest + [Cmp("<", f.t)], depth)
-            if w is not None:
-                return w
-            return _sat_lits(rest + [Cmp(">", f.t)], depth)
+def _child(lits: list, new: list, lo: dict[str, int],
+           hi: dict[str, int]) -> tuple[list, dict, dict] | None:
+    """The one step that builds a search node (the walk's root, a DNF
+    alternative, an elimination candidate or residue): new admitted
+    (_admit) and appended to the parent's lits, and a copy of the parent's
+    bounds lo/hi narrowed (_narrow) with only the added rows.  None when
+    new folds to false or an interval empties."""
+    new = _admit(new)
+    if new is None:
+        return None
+    child, clo, chi = lits + new, dict(lo), dict(hi)
+    if not _narrow(child, clo, chi, range(len(lits), len(child))):
+        return None
+    return child, clo, chi
+
+
+def _sat_lits(lits: list, lo: dict[str, int],
+              hi: dict[str, int]) -> dict[str, int] | None:
+    """Satisfying assignment for a search node (_child): literals in _to_le
+    form without '!=', and the bounds _narrow found for them.  None when
+    there is none; variables absent from the result are free, read them
+    as 0.  Unit equalities are pinned first (_pin_units); the bounds
+    still hold on the variables that remain."""
     pins: dict[str, LinTerm] = {}
-    lits = _pin_units(lits, pins, [])
+    lits = _pin_units([], pins, lits)
     if lits is None:
         return None
-    w = _sat_reduced(lits, depth)
+    w = _sat_reduced(lits, lo, hi)
     if w is not None:
         for v, t in pins.items():
             w[v] = _eval0(t, w)
     return w
 
 
-def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
-    """_sat_lits of '<=', '=' and Div literals without a unit equality:
-    interval propagation (_narrow from scratch, at every fourth depth),
-    then Cooper-style elimination of the cheapest variable, trying its
-    candidate values with early exit."""
-    if not lits:
-        return {}
-    if depth % 4 == 0 and not _narrow(lits, {}, {}, range(len(lits))):
-        return None
-
+def _sat_reduced(lits: list, lo: dict[str, int],
+                 hi: dict[str, int]) -> dict[str, int] | None:
+    """_sat_lits of a node without a unit equality: Cooper-style
+    elimination of the cheapest variable, trying its candidate values (or
+    its residues, when it is unbounded in one direction) with early exit.
+    Each is a child node (_child) of the literals without the variable, so
+    it narrows the node's bounds with only the literals it adds; a
+    solution of the child extends to one of the node, on which the bounds
+    hold."""
     # per-variable elimination cost, in one pass over the literals
     stats: dict[str, list] = {}  # var -> [delta, nlb, nub, ndiv, has_eq]
     for f in lits:
@@ -1012,7 +1027,7 @@ def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
             st = stats.get(v)
             if st is None:
                 st = stats[v] = [1, 0, 0, 0, False]
-            st[0] = _lcm(st[0], c)
+            st[0] = math.lcm(st[0], c)
             if isdiv:
                 st[3] += 1
             elif f.op == "=":
@@ -1060,7 +1075,7 @@ def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
 
     bigd = delta
     for d, _, _ in divs:
-        bigd = _lcm(bigd, d)
+        bigd = math.lcm(bigd, d)
 
     def try_candidate(x_t: LinTerm) -> dict[str, int] | None:
         new: list = [div_atom(delta, x_t)]
@@ -1072,13 +1087,8 @@ def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
             new.append(cmp_atom("<=", s.sub(x_t)))
         for d, s, ng in divs:
             new.append(div_atom(d, x_t.add(s), ng))
-        folded = []
-        for g in new:
-            if isinstance(g, FalseF):
-                return None
-            if not isinstance(g, TrueF):
-                folded.append(g)
-        w = _sat_lits(others + folded, depth + 1)
+        node = _child(others, new, lo, hi)
+        w = None if node is None else _sat_lits(*node)
         if w is not None:
             w[var] = _eval0(x_t, w) // delta  # exact: delta | x_t was added
         return w
@@ -1089,18 +1099,9 @@ def _sat_reduced(lits: list, depth: int) -> dict[str, int] | None:
         # x' = delta*var is unbounded in one direction: every lb/ub literal
         # holds far enough out, only residues mod bigd matter
         for j in range(0, bigd, delta):
-            new: list = []
-            ok = True
-            for d, s, ng in divs:
-                g = div_atom(d, s.add(LinTerm.of_const(j)), ng)
-                if isinstance(g, FalseF):
-                    ok = False
-                    break
-                if not isinstance(g, TrueF):
-                    new.append(g)
-            if not ok:
-                continue
-            w = _sat_lits(others + new, depth + 1)
+            node = _child(others, [div_atom(d, s.add(LinTerm.of_const(j)), ng)
+                                   for d, s, ng in divs], lo, hi)
+            w = None if node is None else _sat_lits(*node)
             if w is None:
                 continue
             if lb_terms:
@@ -1222,76 +1223,66 @@ def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None
     return out
 
 
-def _leaves(lits: list, pends: list, lo: dict[str, int],
-            hi: dict[str, int]) -> Iterator[list]:
-    """The DNF leaves of lits and the pending disjunctions, in branch order,
-    less the branches that interval propagation refutes.  lo and hi are
-    the bounds _narrow found for lits; each child, leaves included, narrows
-    a copy of them seeded with only the literals its alternative adds, and
-    is neither expanded nor yielded when they empty.  lits are normalised
-    (see _admit), so a leaf is what _sat_lits would have made of the raw
-    literals itself."""
+def _leaves(lits: list, lo: dict[str, int], hi: dict[str, int],
+            pends: list) -> Iterator[tuple[list, dict, dict]]:
+    """The DNF leaves below a node (_child) and its pending disjunctions,
+    in branch order, as nodes.  Each alternative of the pending
+    disjunction with the fewest is a child node; a child whose bounds
+    empty is neither expanded nor yielded."""
     if not pends:
-        yield lits
+        yield lits, lo, hi
         return
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
-    chosen = pends[i]
     rest = pends[:i] + pends[i + 1:]
-    for alt in chosen.args:
+    for alt in pends[i].args:
         new: list = []
         sub = list(rest)
         if _lits_of(alt, new, sub):
-            new = _admit(new)
-            if new is None:
-                continue
-            child, clo, chi = lits + new, dict(lo), dict(hi)
-            if _narrow(child, clo, chi, range(len(lits), len(child))):
-                yield from _leaves(child, sub, clo, chi)
+            node = _child(lits, new, lo, hi)
+            if node is not None:
+                yield from _leaves(*node, sub)
 
 
-def branches(matrices: list[Formula]) -> Iterator[list]:
-    """The conjunctive branches of a conjunction of quantifier-free
-    formulas: lists of Cmp/Div literals whose disjunction is equivalent to
-    it, less branches that interval propagation refutes (_leaves).  Without
-    disjunctions the one branch is the raw literal list; otherwise every
-    literal is in _to_le form ('<=', '=', '!=', Div)."""
+def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
+    """The leaves (_leaves) of a conjunction of quantifier-free formulas,
+    below the root node: its atomic literals, a child of [] and empty
+    bounds."""
     acc: list = []
     pend: list = []
     for f in matrices:
         if not _lits_of(f, acc, pend):
             return
-    if not pend:
-        yield acc
-        return
-    acc = _admit(acc)
-    lo: dict[str, int] = {}
-    hi: dict[str, int] = {}
-    if acc is not None and _narrow(acc, lo, hi, range(len(acc))):
-        yield from _leaves(acc, pend, lo, hi)
+    root = _child([], acc, {}, {})
+    if root is not None:
+        yield from _leaves(*root, pend)
+
+
+def branches(matrices: list[Formula]) -> Iterator[list]:
+    """The conjunctive branches of a conjunction of quantifier-free
+    formulas: lists of '<=', '=' and Div literals in _to_le form whose
+    disjunction is equivalent to it, less branches that interval
+    propagation refutes (_walk)."""
+    return (lits for lits, _, _ in _walk(matrices))
 
 
 def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
     """Satisfying assignment for a conjunction of quantifier-free formulas
     (variables absent from the result are free; read them as 0), or None:
     the assignment _sat_lits gives the first satisfiable branch."""
-    for leaf in branches(matrices):
-        w = _sat_lits(leaf)
+    for node in _walk(matrices):
+        w = _sat_lits(*node)
         if w is not None:
             return w
     return None
 
 
 def recession_cone(leaf: list) -> list:
-    """The homogeneous system of a branch: every comparison in _to_le form
-    with its constant dropped, '!=' and Div literals dropped.  Its integer
+    """The homogeneous system of a branch (branches): every comparison
+    with its constant dropped, Div literals dropped.  Its integer
     solutions d are the directions of the branch: from any integer point x
-    of the branch, x + t*k*d stays in it for all but at most one t >= 0 per
-    '!=' literal (k the lcm of the Div moduli); and a branch whose integer
-    points grow without bound in some coordinates has such a direction that
-    is positive in all of them."""
-    out = []
-    for f in leaf:
-        g = _to_le(f)
-        if type(g) is Cmp and g.op != "!=":
-            out.append(cmp_atom(g.op, LinTerm(0, g.t.coeffs)))
-    return out
+    of the branch, x + t*k*d stays in it for all t >= 0 (k the lcm of the
+    Div moduli); and a branch whose integer points grow without bound in
+    some coordinates has such a direction that is positive in all of
+    them."""
+    return [cmp_atom(f.op, LinTerm(0, f.t.coeffs))
+            for f in leaf if type(f) is Cmp]

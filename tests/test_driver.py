@@ -114,8 +114,9 @@ def test_verify_accepts_good_witness():
 
 def test_witness_check_effort_is_pinned(monkeypatch):
     """Checking integral256's witness expands at most 131 frames of the DNF
-    walk and hands no branch to _sat_lits: interval propagation down the
-    walk refutes every branch of every check_clause query.  A walk that
+    walk and hands no leaf to _sat_lits: each node of the walk (_child)
+    narrows a copy of its parent's bounds with the literals it adds, and
+    that refutes every branch of every check_clause query.  A walk that
     propagates each partial branch from scratch and no leaf makes 1,185
     frames and 891 _sat_lits calls here."""
     calls = {"_leaves": 0, "_sat_lits": 0}

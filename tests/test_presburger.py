@@ -274,8 +274,9 @@ def test_fast_path_against_box_brute_force():
     planned Omega-test engine is to remove.  Then equality chains, alone
     and with a random formula: x = y + k, 2y = x, and x = y under a
     literal whose coefficients share a factor once x is substituted.  Every
-    comparison of a reduce_conj residual must be '<=', '=' or '!='; the
-    conjunction solver reads the others as '<='."""
+    comparison of a reduce_conj residual must be '<=', '=' or '!=': the
+    walker splits a '!=' into '<' and '>', and every node of the search
+    reads the others as '<='."""
     rng = random.Random(20261018)
     box = [k for name in ("x", "y")
            for k in (ge(v(name), c(-5)), le(v(name), c(5)))]
@@ -313,12 +314,50 @@ def test_fast_path_against_box_brute_force():
             assert P.evaluate0(f, env), (f, env)
 
 
+def test_search_nodes_narrow_from_their_parents(monkeypatch):
+    """Every node of the search narrows a copy of its parent's bounds: on
+    the 300 box formulas of test_fast_path_against_box_brute_force,
+    _narrow starts from empty bounds over every row at most once per
+    sat_exists_all call (at the walk's root), and every list _sat_lits
+    receives is a node, '<=', '=' and Div literals in _to_le form with no
+    '!='.  Narrowing each elimination level from scratch, or handing
+    _sat_lits raw literals or a '!=' to split, fails it."""
+    rng = random.Random(20261018)
+    box = [k for name in ("x", "y")
+           for k in (ge(v(name), c(-5)), le(v(name), c(5)))]
+    narrow, sat_lits = P._narrow, P._sat_lits
+    rescans: list[int] = []
+    bad: list = []
+
+    def counted_narrow(rows, lo, hi, todo):
+        if not lo and not hi and list(todo) == list(range(len(rows))):
+            rescans[-1] += 1
+        return narrow(rows, lo, hi, todo)
+
+    def checked_sat_lits(lits, *rest):
+        bad.extend(f for f in lits if not (
+            type(f) is Div
+            or type(f) is Cmp and f.op in ("<=", "=") and f.t.coeffs))
+        return sat_lits(lits, *rest)
+
+    monkeypatch.setattr(P, "_narrow", counted_narrow)
+    monkeypatch.setattr(P, "_sat_lits", checked_sat_lits)
+    for _ in range(300):
+        g = rand_formula(rng, ["x", "y"], depth=3, quants_left=0,
+                         restrict=False)
+        rescans.append(0)
+        P.sat_exists_all([conj([g] + box)])
+    over = sum(r > 1 for r in rescans)
+    assert over == 0 and not bad, (over, bad[:5])
+
+
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
 def test_to_le_gives_only_le_eq_ne(op):
     """_to_le must not hand back the '<' that cmp_atom's gcd step makes of a
-    literal whose coefficients share a factor; _sat_lits reads every
-    non-'=' comparison as '<='.  Raw atoms (not built by cmp_atom) reach it
-    through sat_exists_all's callers."""
+    literal whose coefficients share a factor; _narrow and _sat_lits read
+    every non-'=' comparison of a node as '<='.  Raw atoms (not built by
+    cmp_atom) reach _to_le through sat_exists_all's callers; a '!=' never
+    joins a node, the walker splits it first."""
     for g in (1, 2, 3):
         for k in range(-4, 5):
             f = Cmp(op, LinTerm(k, (("x", g),)))
@@ -342,10 +381,11 @@ def test_strict_gcd_literal_regression():
 
 def dnf_first_witness(lits, pends):
     """Reference for sat_exists_all on formulas with disjunctions: expand the
-    DNF in _leaves's branch order, without pruning or normalising, and
-    return _sat_lits of the first satisfiable branch."""
+    DNF in _leaves's branch order, without pruning, and return _sat_lits of
+    the first satisfiable branch, admitted (_admit) with no bounds."""
     if not pends:
-        return P._sat_lits(lits)
+        lits = P._admit(lits)
+        return None if lits is None else P._sat_lits(lits, {}, {})
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
     rest = pends[:i] + pends[i + 1:]
     for alt in pends[i].args:
