@@ -9,8 +9,8 @@ elimination and are accepted on input; the surface language never emits them.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from operator import le as le_
@@ -21,12 +21,52 @@ from typing import Iterable, Iterator, Mapping
 # linear terms
 
 
-@dataclass(frozen=True)
-class LinTerm:
+class _Value:
+    """Base of the slotted value types (terms and formulas): two values
+    are equal when they have the same class and equal fields (_key, in
+    __match_args__ order), and the hash of the tuple of fields is cached
+    in a slot on first use.  A value's fields are never assigned after its
+    __init__, nor its cache slots outside their accessor
+    (tests/test_values.py checks the source); nothing enforces this at run
+    time, where a guard would cost more than the caches save."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key())
+        return h
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._key())
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in fields) + ")"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()  # the cached hash is not carried
+
+
+class LinTerm(_Value):
     """const + sum(coeff * var); coeffs sorted by var name, zero-free."""
 
-    const: int
-    coeffs: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("const", "coeffs", "_vars")
+    __match_args__ = ("const", "coeffs")
+
+    def __init__(self, const: int,
+                 coeffs: tuple[tuple[str, int], ...] = ()) -> None:
+        self.const = const
+        self.coeffs = coeffs
+        self._hash = None
+        self._vars = None
+
+    def _key(self) -> tuple:
+        return self.const, self.coeffs
 
     @staticmethod
     def of_const(c: int) -> "LinTerm":
@@ -40,7 +80,7 @@ class LinTerm:
 
     @staticmethod
     def make(const: int, coeffs: Mapping[str, int]) -> "LinTerm":
-        items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
+        items = tuple(sorted([(v, c) for v, c in coeffs.items() if c != 0]))
         return LinTerm(const, items)
 
     def coeff(self, var: str) -> int:
@@ -49,9 +89,12 @@ class LinTerm:
                 return c
         return 0
 
-    @functools.cached_property
+    @property
     def vars(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coeffs)
+        vs = self._vars
+        if vs is None:
+            vs = self._vars = tuple([v for v, _ in self.coeffs])
+        return vs
 
     def is_const(self) -> bool:
         return not self.coeffs
@@ -63,18 +106,23 @@ class LinTerm:
         return LinTerm.make(self.const + other.const, d)
 
     def neg(self) -> "LinTerm":
-        return LinTerm(-self.const, tuple((v, -c) for v, c in self.coeffs))
+        return LinTerm(-self.const, tuple([(v, -c) for v, c in self.coeffs]))
 
     def sub(self, other: "LinTerm") -> "LinTerm":
-        return self.add(other.neg())
+        d = dict(self.coeffs)
+        for v, c in other.coeffs:
+            d[v] = d.get(v, 0) - c
+        return LinTerm.make(self.const - other.const, d)
 
     def scale(self, k: int) -> "LinTerm":
         if k == 0:
             return LinTerm(0)
-        return LinTerm(self.const * k, tuple((v, c * k) for v, c in self.coeffs))
+        return LinTerm(self.const * k,
+                       tuple([(v, c * k) for v, c in self.coeffs]))
 
     def drop(self, var: str) -> "LinTerm":
-        return LinTerm(self.const, tuple((v, c) for v, c in self.coeffs if v != var))
+        return LinTerm(self.const,
+                       tuple([(v, c) for v, c in self.coeffs if v != var]))
 
     def subst(self, pins: Mapping[str, "LinTerm"]) -> "LinTerm":
         """Replace each variable in pins by its term, in one pass over the
@@ -113,6 +161,9 @@ class LinTerm:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_ONE = LinTerm(1)
+
+
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -132,55 +183,87 @@ class FalseF:
 TRUE = TrueF()
 FALSE = FalseF()
 
-# comparison ops are over "t op 0"
-_OPS = ("<", "<=", "=", "!=", ">=", ">")
+# comparison ops are over "t op 0": each op's test of a value of t, and
+# the op of its negation
+_HOLDS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+          "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+_NEG_OP = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    t: LinTerm
+class Cmp(_Value):
+    __slots__ = ("op", "t")
+    __match_args__ = ("op", "t")
 
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"bad comparison op {self.op!r}")
+    def __init__(self, op: str, t: LinTerm) -> None:
+        if op not in _HOLDS:
+            raise ValueError(f"bad comparison op {op!r}")
+        self.op = op
+        self.t = t
+        self._hash = None
+
+    def _key(self) -> tuple:
+        return self.op, self.t
 
     def __str__(self) -> str:
         return f"({self.t} {self.op} 0)"
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(_Value):
     """d | t (or its negation when neg is set)."""
 
-    d: int
-    t: LinTerm
-    neg: bool = False
+    __slots__ = ("d", "t", "neg")
+    __match_args__ = ("d", "t", "neg")
+
+    def __init__(self, d: int, t: LinTerm, neg: bool = False) -> None:
+        self.d = d
+        self.t = t
+        self.neg = neg
+        self._hash = None
+
+    def _key(self) -> tuple:
+        return self.d, self.t, self.neg
 
     def __str__(self) -> str:
         bar = "∤" if self.neg else "|"
         return f"({self.d} {bar} {self.t})"
 
 
-@dataclass(frozen=True)
-class Not:
-    f: "Formula"
+class Not(_Value):
+    __slots__ = ("f",)
+    __match_args__ = ("f",)
+
+    def __init__(self, f: "Formula") -> None:
+        self.f = f
+        self._hash = None
+
+    def _key(self) -> tuple:
+        return (self.f,)
 
     def __str__(self) -> str:
         return f"(not {self.f})"
 
 
-@dataclass(frozen=True)
-class And:
-    args: tuple["Formula", ...]
+class _Connective(_Value):
+    __slots__ = ("args",)
+    __match_args__ = ("args",)
+
+    def __init__(self, args: tuple["Formula", ...]) -> None:
+        self.args = args
+        self._hash = None
+
+    def _key(self) -> tuple:
+        return (self.args,)
+
+
+class And(_Connective):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(and " + " ".join(map(str, self.args)) + ")"
 
 
-@dataclass(frozen=True)
-class Or:
-    args: tuple["Formula", ...]
+class Or(_Connective):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(or " + " ".join(map(str, self.args)) + ")"
@@ -212,13 +295,8 @@ Formula = TrueF | FalseF | Cmp | Div | Not | And | Or | Exists | Forall
 
 def cmp_atom(op: str, t: LinTerm) -> Formula:
     if t.is_const():
-        c = t.const
-        holds = {
-            "<": c < 0, "<=": c <= 0, "=": c == 0,
-            "!=": c != 0, ">=": c >= 0, ">": c > 0,
-        }[op]
-        return TRUE if holds else FALSE
-    g = math.gcd(*(abs(c) for _, c in t.coeffs))
+        return TRUE if _HOLDS[op](t.const, 0) else FALSE
+    g = math.gcd(*[c for _, c in t.coeffs])
     if g > 1:
         # t = g*u + c; rewrite each op over u with exact integer bounds
         u = LinTerm(0, tuple((v, c // g) for v, c in t.coeffs))
@@ -399,9 +477,7 @@ def evaluate(f: Formula, env: Mapping[str, int]) -> bool:
         case FalseF():
             return False
         case Cmp(op, t):
-            v = t.eval(env)
-            return {"<": v < 0, "<=": v <= 0, "=": v == 0,
-                    "!=": v != 0, ">=": v >= 0, ">": v > 0}[op]
+            return _HOLDS[op](t.eval(env), 0)
         case Div(d, t, neg):
             holds = t.eval(env) % d == 0
             return not holds if neg else holds
@@ -448,20 +524,19 @@ def _nnf(f: Formula, neg: bool) -> Formula:
             return div_atom(d, t, n != neg)
         case Cmp(op, t):
             if neg:
-                op = {"<": ">=", "<=": ">", "=": "!=",
-                      "!=": "=", ">=": "<", ">": "<="}[op]
-            one = LinTerm.of_const(1)
+                op = _NEG_OP[op]
             match op:
                 case "<":
                     return cmp_atom("<", t)
                 case "<=":
-                    return cmp_atom("<", t.sub(one))  # t <= 0  <=>  t - 1 < 0
+                    return cmp_atom("<", t.sub(_ONE))  # t <= 0  <=>  t - 1 < 0
                 case "=":
-                    return conj([cmp_atom("<", t.sub(one)), cmp_atom("<", t.neg().sub(one))])
+                    return conj([cmp_atom("<", t.sub(_ONE)),
+                                 cmp_atom("<", t.neg().sub(_ONE))])
                 case "!=":
                     return disj([cmp_atom("<", t), cmp_atom("<", t.neg())])
                 case ">=":
-                    return cmp_atom("<", t.neg().sub(one))
+                    return cmp_atom("<", t.neg().sub(_ONE))
                 case ">":
                     return cmp_atom("<", t.neg())
         case Exists(v, b):
@@ -948,9 +1023,6 @@ def _eval0(t: LinTerm, env: dict[str, int]) -> int:
     return total
 
 
-_ONE = LinTerm.of_const(1)
-
-
 def _to_le(f: Formula) -> Formula:
     """Rewrite a comparison as an equivalent '<=', '=' or '!=' literal over
     the integers, or TRUE/FALSE once constant; a Div is returned unchanged.
@@ -982,10 +1054,12 @@ def _child(lits: list, new: list, lo: dict[str, int],
     alternative, an elimination candidate or residue): new admitted
     (_admit) and appended to the parent's lits, and a copy of the parent's
     bounds lo/hi narrowed (_narrow) with only the added rows.  None when
-    new folds to false or an interval empties."""
+    new folds to false or an interval empties; the parent's own lits and
+    bounds when it adds no row (nothing writes to a node's lits or bounds
+    but _narrow, here on copies)."""
     new = _admit(new)
-    if new is None:
-        return None
+    if not new:
+        return None if new is None else (lits, lo, hi)
     child, clo, chi = lits + new, dict(lo), dict(hi)
     if not _narrow(child, clo, chi, range(len(lits), len(child))):
         return None
@@ -1027,7 +1101,8 @@ def _sat_reduced(lits: list, lo: dict[str, int],
             st = stats.get(v)
             if st is None:
                 st = stats[v] = [1, 0, 0, 0, False]
-            st[0] = math.lcm(st[0], c)
+            if c != 1 and c != -1:
+                st[0] = math.lcm(st[0], c)
             if isdiv:
                 st[3] += 1
             elif f.op == "=":
