@@ -147,8 +147,7 @@ class EntwinedStructure:
     induces.  Immutable once constructed."""
 
     def __init__(self, problem: Problem, theory: Theory,
-                 interps: Mapping[str, Value],
-                 max_frame: int = MAX_FRAME):
+                 interps: Mapping[str, Value]):
         self.problem = problem
         self.theory = theory
         # canonical descriptors make structural equality extensional
@@ -157,7 +156,6 @@ class EntwinedStructure:
                                     for d in v.descs))
             if isinstance(v, ActVal) else v
             for n, v in interps.items()}
-        self.max_frame = max_frame
         self._frames: dict[Sort, list[Value]] = {}
         self._canon: dict[Sort, list[CanonicalValue]] = {}
 
@@ -205,10 +203,10 @@ class EntwinedStructure:
 
     def _function_space(self, s: Arrow) -> tuple[list[Value], list]:
         size = self.frame_size(s)
-        if size > self.max_frame:
+        if size > MAX_FRAME:
             raise FrameTooLarge(
                 f"frame of {print_sort(s)} has {size} elements "
-                f"(limit {self.max_frame})")
+                f"(limit {MAX_FRAME})")
         dom = self.frame(s.arg)
         cod = self.frame(s.res)
         vals: list[Value] = []
@@ -246,7 +244,7 @@ class EntwinedStructure:
                             PredApp(pname, tuple(arg_canons))
                             if all(c is not None for c in arg_canons)
                             else None)
-        if len(vals) > self.max_frame:
+        if len(vals) > MAX_FRAME:
             raise FrameTooLarge(f"frame of {print_sort(s)} too large")
         return vals, canon
 
@@ -400,24 +398,11 @@ def _eval_w(t: Term, val: Mapping[str, object], dim: int) -> tuple[int, ...]:
 
 def eval_term(m: EntwinedStructure, t: Term,
               val: Mapping[str, object]) -> object:
-    """Evaluate a term whose numeric subterms are all concrete.  Numeric
-    points are passed as int tuples in ``val``."""
-    match t:
-        case Var(n):
-            if n not in val:
-                raise MissingValuation(n)
-            return val[n]
-        case PredRef(n):
-            return m.interps[n]
-        case SConst(n):
-            return n
-        case WLit() | WOp():
-            return _eval_w(t, val, m.theory.dim)
-        case App(fn, arg):
-            f = eval_term(m, fn, val)
-            a = eval_term(m, arg, val)
-            return m.apply(f, a)
-    raise TypeError(t)
+    """Evaluate a term whose numeric subterms are all concrete: the single
+    case of _sym_eval with no symbolic variable.  Numeric points are passed
+    as int tuples in ``val``."""
+    ((_, v),) = _sym_eval(m, t, set(), dict(val))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +596,8 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
                         [bool((weight >> i) & 1) for i in range(len(rows))])
 
 
-def enumerate_structures(p: Problem, theory: Theory,
-                         max_frame: int = MAX_FRAME
-                         ) -> Iterator[EntwinedStructure]:
+def enumerate_structures(p: Problem,
+                         theory: Theory) -> Iterator[EntwinedStructure]:
     """Fair enumeration: every finitely presented structure appears at some
     finite index.  Ends when the space is finite and used up: the totals
     that yield a structure run without gaps from 0, so the first total that
@@ -628,7 +612,7 @@ def enumerate_structures(p: Problem, theory: Theory,
                 yield dict(interps)
             return
         pname, psort = preds[i]
-        m = EntwinedStructure(p, theory, interps, max_frame)
+        m = EntwinedStructure(p, theory, interps)
         last = i == len(preds) - 1
         weights = [budget] if last else range(budget + 1)
         for w in weights:
@@ -641,7 +625,7 @@ def enumerate_structures(p: Problem, theory: Theory,
         found = False
         for interps in gen(0, total, {}):
             found = True
-            yield EntwinedStructure(p, theory, interps, max_frame)
+            yield EntwinedStructure(p, theory, interps)
         if not found:
             return
 
@@ -1013,8 +997,8 @@ def _truth(row: dict, pname: str) -> bool:
     return v
 
 
-def deserialize_model(p: Problem, theory: Theory, data: dict,
-                      max_frame: int = MAX_FRAME) -> EntwinedStructure:
+def deserialize_model(p: Problem, theory: Theory,
+                      data: dict) -> EntwinedStructure:
     if not isinstance(data, dict) or "predicates" not in data:
         raise SchemaError("witness must be an object with a 'predicates' key")
     pd = data["predicates"]
@@ -1030,7 +1014,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
 
     interps: dict[str, Value] = {}
     for pname, psort in sorted(p.decls, key=lambda d: (type_order(d[1]), d[0])):
-        m = EntwinedStructure(p, theory, interps, max_frame)
+        m = EntwinedStructure(p, theory, interps)
         entry = pd[pname]
         kind = "active" if psort != PROP and classify(psort) == "active" \
             else "inactive"
@@ -1104,7 +1088,7 @@ def deserialize_model(p: Problem, theory: Theory, data: dict,
                 raise FrameInconsistency(
                     f"witness for {pname!r} has rows outside the frame")
             interps[pname] = _fn_from_bits(m, psort, bits)
-    return EntwinedStructure(p, theory, interps, max_frame)
+    return EntwinedStructure(p, theory, interps)
 
 
 def load_model(p: Problem, theory: Theory, path: str) -> EntwinedStructure:

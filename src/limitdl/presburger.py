@@ -294,28 +294,22 @@ Formula = TrueF | FalseF | Cmp | Div | Not | And | Or | Exists | Forall
 
 
 def cmp_atom(op: str, t: LinTerm) -> Formula:
+    """'t op 0' in the one literal form: TRUE/FALSE once t is constant,
+    else a '<=', '=' or '!=' literal over a term whose coefficients have
+    gcd 1, the constraint form of the Omega test (Pugh, CACM 1992)."""
     if t.is_const():
         return TRUE if _HOLDS[op](t.const, 0) else FALSE
+    if op == ">" or op == ">=":  # -t < 0, -t <= 0
+        op, t = ("<" if op == ">" else "<="), t.neg()
+    if op == "<":  # t + 1 <= 0
+        op, t = "<=", LinTerm(t.const + 1, t.coeffs)
     g = math.gcd(*[c for _, c in t.coeffs])
     if g > 1:
-        # t = g*u + c; rewrite each op over u with exact integer bounds
-        u = LinTerm(0, tuple((v, c // g) for v, c in t.coeffs))
+        # t = g*u + c: g*u + c <= 0 iff u + ceil(c/g) <= 0; '=' needs g | c
         c = t.const
-        if op in ("=", "!="):
-            if c % g != 0:
-                return TRUE if op == "!=" else FALSE
-            t = u.add(LinTerm.of_const(c // g))
-        elif op == "<":
-            # g*u + c < 0  <=>  u <= floor((-c-1)/g)  <=>  u - floor(...) - 1 < 0
-            b = (-c - 1) // g
-            return cmp_atom("<", u.sub(LinTerm.of_const(b + 1)))
-        elif op == "<=":
-            b = (-c) // g
-            return cmp_atom("<", u.sub(LinTerm.of_const(b + 1)))
-        elif op == ">":
-            return cmp_atom("<", t.neg())
-        elif op == ">=":
-            return cmp_atom("<=", t.neg())
+        if op != "<=" and c % g:
+            return TRUE if op == "!=" else FALSE
+        t = LinTerm(-(-c // g), tuple([(v, k // g) for v, k in t.coeffs]))
     return Cmp(op, t)
 
 
@@ -501,7 +495,14 @@ def evaluate0(f: Formula, env: Mapping[str, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# negation normal form with strict-< literals
+# negation normal form with strict-< literals, the form Cooper elimination
+# reads (the solve paths keep cmp_atom's form)
+
+
+def _lt(t: LinTerm) -> Formula:
+    """'t < 0' as a strict literal over a gcd-1 term, or TRUE/FALSE."""
+    f = cmp_atom("<", t)
+    return Cmp("<", f.t.sub(_ONE)) if type(f) is Cmp else f
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
@@ -527,18 +528,17 @@ def _nnf(f: Formula, neg: bool) -> Formula:
                 op = _NEG_OP[op]
             match op:
                 case "<":
-                    return cmp_atom("<", t)
+                    return _lt(t)
                 case "<=":
-                    return cmp_atom("<", t.sub(_ONE))  # t <= 0  <=>  t - 1 < 0
+                    return _lt(t.sub(_ONE))  # t <= 0  <=>  t - 1 < 0
                 case "=":
-                    return conj([cmp_atom("<", t.sub(_ONE)),
-                                 cmp_atom("<", t.neg().sub(_ONE))])
+                    return conj([_lt(t.sub(_ONE)), _lt(t.neg().sub(_ONE))])
                 case "!=":
-                    return disj([cmp_atom("<", t), cmp_atom("<", t.neg())])
+                    return disj([_lt(t), _lt(t.neg())])
                 case ">=":
-                    return cmp_atom("<", t.neg().sub(_ONE))
+                    return _lt(t.neg().sub(_ONE))
                 case ">":
-                    return cmp_atom("<", t.neg())
+                    return _lt(t.neg())
         case Exists(v, b):
             if neg:
                 return Forall(v, _nnf(b, True))
@@ -653,8 +653,8 @@ def _cooper(var: str, f: Formula) -> Formula:
             if inf:
                 return TRUE if (r[0] == "ub") == (inf < 0) else FALSE
             if r[0] == "ub":
-                return cmp_atom("<", x_t.add(r[1]))
-            return cmp_atom("<", r[1].sub(x_t))
+                return _lt(x_t.add(r[1]))
+            return _lt(r[1].sub(x_t))
 
         return _map_atoms(f, fn)
 
@@ -735,14 +735,17 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # fast path: satisfiability of a single existential block
 #
 # The solver's hot queries are "exists xs . matrix" with no quantifier
-# alternation.  We lazily expand the matrix into conjunctive branches (a
-# '!=' is a disjunction of '<' and '>' there) and decide each branch by
-# unit-equality substitution and Cooper-style elimination one variable at
-# a time with early exit.  One node step, _child, builds every node of
-# this search: the walk's root, each branch alternative, each elimination
-# candidate and residue.  It admits the literals the node adds and
-# narrows a copy of its parent's bounds (_narrow) with only those, so a
-# refuted node is neither expanded nor decided.
+# alternation.  Every literal here is in cmp_atom's form or a Div: a
+# negation flips the op (_wnnf), and _to_le only sends a Cmp that a caller
+# built directly through cmp_atom.  We lazily expand the matrix into
+# conjunctive branches (a '!=' is a disjunction of '<' and '>' there) and
+# decide each branch by unit-equality substitution and Cooper-style
+# elimination one variable at a time with early exit.  One node step,
+# _child, builds every node of this search: the walk's root, each branch
+# alternative, each elimination candidate and residue.  It admits the
+# literals the node adds and narrows a copy of its parent's bounds
+# (_narrow) with only those, so a refuted node is neither expanded nor
+# decided.
 # Every solve path of the library goes through here; a query over a
 # projection leaves the projected variables free.  Cooper `eliminate` and
 # `decide` above are the reference the tests check this path against.
@@ -755,8 +758,8 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 def _lits_of(f: Formula, acc: list, pending: list) -> bool:
     """Split f into atomic literals (acc) and non-atomic parts (pending),
     reading each negation through _wnnf and each 't != 0' as the pending
-    disjunction 't < 0 or t > 0'.  Returns False if f is trivially
-    unsatisfiable."""
+    disjunction of cmp_atom's 't < 0' and 't > 0'.  Returns False if f is
+    trivially unsatisfiable."""
     match f:
         case TrueF():
             return True
@@ -764,7 +767,7 @@ def _lits_of(f: Formula, acc: list, pending: list) -> bool:
             return False
         case Cmp():
             if f.op == "!=":
-                pending.append(Or((Cmp("<", f.t), Cmp(">", f.t))))
+                pending.append(Or((cmp_atom("<", f.t), cmp_atom(">", f.t))))
             else:
                 acc.append(f)
             return True
@@ -785,8 +788,10 @@ def _lits_of(f: Formula, acc: list, pending: list) -> bool:
 
 
 def _wnnf(f: Formula, neg: bool) -> Formula:
-    """_nnf as the branch walker reads a negation: the same formula, except
-    that the negation of a disjunction with two or more box disjuncts
+    """f, negated when neg is set, in negation normal form as the branch
+    walker reads it: a negated comparison is cmp_atom of the negated op, a
+    negated Div flips its flag, and an atom read without negation is kept
+    as it is.  The negation of a disjunction with two or more box disjuncts
     (_box_bounds; nested disjunctions are flattened) is the conjunction of
     the negated other disjuncts with the boxes' complement (_complement),
     not with one disjunction of negated bounds per box."""
@@ -808,7 +813,13 @@ def _wnnf(f: Formula, neg: bool) -> Formula:
                     return conj([_wnnf(a, True) for a in rest] + [
                         _complement([b for b in boxes if b is not False])])
             return (conj if neg else disj)(_wnnf(a, neg) for a in args)
-    return _nnf(f, neg)
+        case Cmp(op, t):
+            return cmp_atom(_NEG_OP[op], t) if neg else f
+        case Div(d, t, n):
+            return Div(d, t, not n) if neg else f
+        case TrueF() | FalseF():
+            return neg_f(f) if neg else f
+    raise ValueError(f"quantifier reached branch expansion: {f}")
 
 
 def _disjuncts(f: Formula) -> Iterator[Formula]:
@@ -899,7 +910,7 @@ def _complement(boxes: list[dict[str, list]]) -> Formula:
 
 
 def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
-    """The bounds of a piece of _complement, in _to_le form."""
+    """The bounds of a piece of _complement, in cmp_atom's form."""
     for i, v in enumerate(names):
         nlo, hi = p[2 * i], p[2 * i + 1]
         if nlo + hi == 0:
@@ -1024,28 +1035,12 @@ def _eval0(t: LinTerm, env: dict[str, int]) -> int:
 
 
 def _to_le(f: Formula) -> Formula:
-    """Rewrite a comparison as an equivalent '<=', '=' or '!=' literal over
-    the integers, or TRUE/FALSE once constant; a Div is returned unchanged.
-    A '<=', '=' or '!=' literal over a non-constant term is returned as is,
-    so the rewrite is idempotent."""
-    if type(f) is not Cmp:
-        return f
-    t = f.t
-    if f.op == "<":
-        t = t.add(_ONE)
-    elif f.op == ">":
-        t = t.neg().add(_ONE)
-    elif f.op == ">=":
-        t = t.neg()
-    elif t.coeffs:
-        return f
-    else:
-        return cmp_atom(f.op, t)
-    g = cmp_atom("<=", t)
-    if type(g) is Cmp and g.op == "<":
-        # cmp_atom's gcd step yields 's < 0' with gcd(s) = 1
-        return Cmp("<=", g.t.add(_ONE))
-    return g
+    """A comparison in cmp_atom's form: one that a caller built directly
+    with another op, or over a constant term, goes through cmp_atom; every
+    other literal is returned as is."""
+    if type(f) is Cmp and (f.op not in ("<=", "=", "!=") or not f.t.coeffs):
+        return cmp_atom(f.op, f.t)
+    return f
 
 
 def _child(lits: list, new: list, lo: dict[str, int],
@@ -1068,11 +1063,11 @@ def _child(lits: list, new: list, lo: dict[str, int],
 
 def _sat_lits(lits: list, lo: dict[str, int],
               hi: dict[str, int]) -> dict[str, int] | None:
-    """Satisfying assignment for a search node (_child): literals in _to_le
-    form without '!=', and the bounds _narrow found for them.  None when
-    there is none; variables absent from the result are free, read them
-    as 0.  Unit equalities are pinned first (_pin_units); the bounds
-    still hold on the variables that remain."""
+    """Satisfying assignment for a search node (_child): literals in
+    cmp_atom's form without '!=', and the bounds _narrow found for them.
+    None when there is none; variables absent from the result are free,
+    read them as 0.  Unit equalities are pinned first (_pin_units); the
+    bounds still hold on the variables that remain."""
     pins: dict[str, LinTerm] = {}
     lits = _pin_units([], pins, lits)
     if lits is None:
@@ -1107,7 +1102,7 @@ def _sat_reduced(lits: list, lo: dict[str, int],
                 st[3] += 1
             elif f.op == "=":
                 st[4] = True
-            elif (c > 0) == (f.op == "<="):
+            elif c > 0:
                 st[2] += 1
             else:
                 st[1] += 1
@@ -1334,7 +1329,7 @@ def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
 
 def branches(matrices: list[Formula]) -> Iterator[list]:
     """The conjunctive branches of a conjunction of quantifier-free
-    formulas: lists of '<=', '=' and Div literals in _to_le form whose
+    formulas: lists of '<=', '=' and Div literals in cmp_atom's form whose
     disjunction is equivalent to it, less branches that interval
     propagation refutes (_walk)."""
     return (lits for lits, _, _ in _walk(matrices))

@@ -69,3 +69,33 @@ def test_only_presburger_names_cooper():
             if name in COOPER:
                 named.append(f"{mod}:{node.lineno} {name}")
     assert named == []
+
+
+# the solve path: the branch walk and the conjunction solver behind it.
+# It keeps cmp_atom's literal form and negates by flipping an op, so no
+# function it runs may name Cooper's strict-'<' NNF or Cooper itself
+SOLVE_PATH = {"_lits_of", "_wnnf", "_walk", "_leaves", "_child", "_admit",
+              "_to_le", "_pin_units", "_sat_lits", "_sat_reduced",
+              "reduce_conj", "sat_exists_all", "branches", "recession_cone"}
+COOPER_NNF = {"_nnf", "nnf", "_lt", "_cooper", "eliminate", "decide"}
+
+
+def test_solve_path_never_names_cooper_nnf():
+    """Every presburger.py function that a solve-path function calls,
+    directly or through others, is checked too."""
+    tree = dict(_modules())["presburger.py"]
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert SOLVE_PATH <= funcs.keys()
+    todo, seen, named = list(SOLVE_PATH), set(SOLVE_PATH), []
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(funcs[name]):
+            ref = (node.id if isinstance(node, ast.Name) else node.attr
+                   if isinstance(node, ast.Attribute) else None)
+            if ref in COOPER_NNF:
+                named.append(f"{name}:{node.lineno} {ref}")
+            elif ref in funcs and ref not in seen:
+                seen.add(ref)
+                todo.append(ref)
+    assert named == []

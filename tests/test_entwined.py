@@ -97,10 +97,11 @@ def test_inactive_function_space_count():
     assert len(m.frame(s)) == 65536
 
 
-def test_frame_too_large():
+def test_frame_too_large(monkeypatch):
+    monkeypatch.setattr(E, "MAX_FRAME", 1000)
     p = normalize_problem(parse_problem(XYZ_TEXT))
     th = theory_of(p)
-    m = E.EntwinedStructure(p, th, {}, max_frame=1000)
+    m = E.EntwinedStructure(p, th, {})
     with pytest.raises(E.FrameTooLarge):
         m.frame(p.decl_map["Y"])
 

@@ -7,6 +7,7 @@ Oracles:
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -85,7 +86,7 @@ def test_atom_constant_folding():
 
 
 def test_gcd_reduction_is_sound():
-    # 2x < 5  <=>  x <= 2  <=>  x - 3 < 0
+    # 2x < 5  <=>  x <= 2  <=>  x - 2 <= 0
     a = lt(v("x").scale(2), c(5))
     for k in range(-4, 5):
         assert evaluate(a, {"x": k}) == (2 * k < 5)
@@ -319,8 +320,8 @@ def test_search_nodes_narrow_from_their_parents(monkeypatch):
     the 300 box formulas of test_fast_path_against_box_brute_force,
     _narrow starts from empty bounds over every row at most once per
     sat_exists_all call (at the walk's root), and every list _sat_lits
-    receives is a node, '<=', '=' and Div literals in _to_le form with no
-    '!='.  Narrowing each elimination level from scratch, or handing
+    receives is a node, '<=', '=' and Div literals in cmp_atom's form with
+    no '!='.  Narrowing each elimination level from scratch, or handing
     _sat_lits raw literals or a '!=' to split, fails it."""
     rng = random.Random(20261018)
     box = [k for name in ("x", "y")
@@ -353,11 +354,10 @@ def test_search_nodes_narrow_from_their_parents(monkeypatch):
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
 def test_to_le_gives_only_le_eq_ne(op):
-    """_to_le must not hand back the '<' that cmp_atom's gcd step makes of a
-    literal whose coefficients share a factor; _narrow and _sat_lits read
-    every non-'=' comparison of a node as '<='.  Raw atoms (not built by
-    cmp_atom) reach _to_le through sat_exists_all's callers; a '!=' never
-    joins a node, the walker splits it first."""
+    """_to_le sends a raw atom (not built by cmp_atom, as sat_exists_all's
+    callers may pass) through cmp_atom: _narrow and _sat_lits read every
+    non-'=' comparison of a node as '<=', so no '<', '>' or '>=' may come
+    back.  A '!=' never joins a node, the walker splits it first."""
     for g in (1, 2, 3):
         for k in range(-4, 5):
             f = Cmp(op, LinTerm(k, (("x", g),)))
@@ -368,6 +368,86 @@ def test_to_le_gives_only_le_eq_ne(op):
                 assert evaluate(out, {"x": x}) == evaluate(f, {"x": x}), \
                     (f, out, x)
             assert P._to_le(out) is out
+
+
+def _gcd_one_form(f):
+    """f is TRUE/FALSE or a '<=', '=' or '!=' literal whose coefficients
+    have gcd 1: the one literal form."""
+    return f in (TRUE, FALSE) or (
+        type(f) is Cmp and f.op in ("<=", "=", "!=") and f.t.coeffs
+        and math.gcd(*[k for _, k in f.t.coeffs]) == 1)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
+def test_cmp_atom_gives_the_one_literal_form(op):
+    """cmp_atom turns 't op 0', for every op and for terms whose
+    coefficients share a factor, into TRUE/FALSE or a gcd-1 '<=', '=' or
+    '!=' literal that agrees with it on sampled points; _to_le, the solve
+    path's guard for directly built atoms, leaves that result as it is."""
+    rng = random.Random(f"cmp_atom {op}")
+    for _ in range(200):
+        g = rng.choice([1, 2, 3, 4, 6])
+        t = LinTerm.make(rng.randint(-9, 9), {
+            "x": g * rng.randint(-3, 3), "y": g * rng.randint(-3, 3)})
+        out = P.cmp_atom(op, t)
+        assert _gcd_one_form(out), (op, t, out)
+        assert P._to_le(out) is out
+        for _ in range(10):
+            env = {"x": rng.randint(-8, 8), "y": rng.randint(-8, 8)}
+            assert evaluate(out, env) == evaluate(Cmp(op, t), env), \
+                (op, t, out, env)
+
+
+def test_negated_implication_keeps_a_body_equality():
+    """check_clause asks for the branches of not (body -> head).  The walk
+    negates by flipping ops, so a body equality, read there without
+    negation, reaches every branch as the one '=' literal _pin_units pins,
+    not as two '<=' literals of Cooper's strict NNF."""
+    x, y = v("x"), v("y")
+    body = conj([eq(x, y.add(c(2))), le(c(0), y)])
+    f = Not(P.implies(body, le(x, c(5))))
+    same = {("x", 1), ("y", -1)}
+    leaves = list(P.branches([f]))
+    assert leaves
+    for lits in leaves:
+        assert Cmp("=", LinTerm(-2, (("x", 1), ("y", -1)))) in lits, lits
+        assert not any(type(g) is Cmp and g.op == "<=" and (
+            set(g.t.coeffs) == same or set(g.t.neg().coeffs) == same)
+            for g in lits), lits
+    w = P.sat_exists_all([f])
+    assert w is not None and P.evaluate0(f, w)
+
+
+def test_nnf_holds_only_strict_comparisons():
+    """Cooper's precondition: nnf turns comparisons of every op, built
+    directly or by cmp_atom, and under negations and quantifiers, into
+    strict '<' literals over gcd-1 terms, with no Not left."""
+    rng = random.Random(20261019)
+    ops = ["<", "<=", "=", "!=", ">=", ">"]
+
+    def check(g):
+        match g:
+            case Cmp(op, t):
+                assert op == "<" and math.gcd(
+                    *[k for _, k in t.coeffs]) == 1, g
+            case And(args) | Or(args):
+                for a in args:
+                    check(a)
+            case Exists(_, b) | Forall(_, b):
+                check(b)
+            case Div() | P.TrueF() | P.FalseF():
+                pass
+            case _:
+                raise AssertionError(g)
+
+    for i in range(300):
+        f = rand_formula(rng, VARS[:2], depth=3, quants_left=2,
+                         restrict=False)
+        if i % 2:  # raw atoms of every op, as callers may build them
+            f = conj([f, Not(Cmp(rng.choice(ops), rand_term(rng, VARS[:2])
+                                 .add(v("x").scale(2))))])
+        check(nnf(f))
+        check(nnf(Not(f)))
 
 
 def test_strict_gcd_literal_regression():
