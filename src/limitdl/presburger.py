@@ -100,19 +100,15 @@ class LinTerm(_Value):
         return not self.coeffs
 
     def add(self, other: "LinTerm") -> "LinTerm":
-        d = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) + c
-        return LinTerm.make(self.const + other.const, d)
+        return LinTerm(self.const + other.const,
+                       _merge(self.coeffs, other.coeffs, 1))
 
     def neg(self) -> "LinTerm":
         return LinTerm(-self.const, tuple([(v, -c) for v, c in self.coeffs]))
 
     def sub(self, other: "LinTerm") -> "LinTerm":
-        d = dict(self.coeffs)
-        for v, c in other.coeffs:
-            d[v] = d.get(v, 0) - c
-        return LinTerm.make(self.const - other.const, d)
+        return LinTerm(self.const - other.const,
+                       _merge(self.coeffs, other.coeffs, -1))
 
     def scale(self, k: int) -> "LinTerm":
         if k == 0:
@@ -159,6 +155,36 @@ class LinTerm(_Value):
         if self.const != 0 or not parts:
             parts.append(str(self.const))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _merge(xs: tuple, ys: tuple, k: int) -> tuple:
+    """The coefficients of xs + k*ys, for coefficient tuples sorted by
+    variable and zero-free: one pass over both, zero sums dropped."""
+    if not ys:
+        return xs
+    if not xs and k == 1:
+        return ys
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        v, c = xs[i]
+        u, d = ys[j]
+        if v < u:
+            out.append(xs[i])
+            i += 1
+        elif u < v:
+            out.append((u, k * d))
+            j += 1
+        else:
+            c += k * d
+            if c:
+                out.append((v, c))
+            i += 1
+            j += 1
+    out += xs[i:]
+    out += ys[j:] if k == 1 else [(u, k * d) for u, d in ys[j:]]
+    return tuple(out)
 
 
 _ONE = LinTerm(1)
@@ -742,10 +768,13 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # decide each branch by unit-equality substitution and Cooper-style
 # elimination one variable at a time with early exit.  One node step,
 # _child, builds every node of this search: the walk's root, each branch
-# alternative, each elimination candidate and residue.  It admits the
-# literals the node adds and narrows a copy of its parent's bounds
-# (_narrow) with only those, so a refuted node is neither expanded nor
-# decided.
+# alternative, each elimination candidate and residue.  It takes the
+# admitted literals the node adds, refutes the node outright when one of
+# them has no solution in its parent's box (most dead alternatives end
+# there, before any copy), and otherwise narrows a copy of the parent's
+# bounds (_narrow) with only those, so a refuted node is neither expanded
+# nor decided.  The walk splits each pending disjunction into admitted
+# alternatives once, and its nodes share that split.
 # Every solve path of the library goes through here; a query over a
 # projection leaves the projected variables free.  Cooper `eliminate` and
 # `decide` above are the reference the tests check this path against.
@@ -943,7 +972,8 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
     that adds rows to a parent starts from a copy of the parent's bounds
     and is seeded with the added rows only: the parent's bounds hold on
     every solution of the branch, so what the visits derive from them does
-    too."""
+    too.  _child calls it only for a node that the parent's box alone does
+    not refute (_box_refutes)."""
     queue = deque(todo)
     queued = set(queue)
     visits = [0] * len(rows)
@@ -1043,22 +1073,55 @@ def _to_le(f: Formula) -> Formula:
     return f
 
 
-def _child(lits: list, new: list, lo: dict[str, int],
+def _child(lits: list, rows: list | None, lo: dict[str, int],
            hi: dict[str, int]) -> tuple[list, dict, dict] | None:
     """The one step that builds a search node (the walk's root, a DNF
-    alternative, an elimination candidate or residue): new admitted
-    (_admit) and appended to the parent's lits, and a copy of the parent's
+    alternative, an elimination candidate or residue): rows, admitted
+    (_admit), appended to the parent's lits, and a copy of the parent's
     bounds lo/hi narrowed (_narrow) with only the added rows.  None when
-    new folds to false or an interval empties; the parent's own lits and
-    bounds when it adds no row (nothing writes to a node's lits or bounds
-    but _narrow, here on copies)."""
-    new = _admit(new)
-    if not new:
-        return None if new is None else (lits, lo, hi)
-    child, clo, chi = lits + new, dict(lo), dict(hi)
+    rows is None (they folded to false), when one of them has no solution
+    in the parent's box (_box_refutes, before anything is copied) or when
+    an interval empties; the parent's own lits and bounds when rows is
+    empty (nothing writes to a node's lits or bounds but _narrow, here on
+    copies)."""
+    if not rows:
+        return None if rows is None else (lits, lo, hi)
+    if _box_refutes(rows, lo, hi):
+        return None
+    child, clo, chi = lits + rows, dict(lo), dict(hi)
     if not _narrow(child, clo, chi, range(len(lits), len(child))):
         return None
     return child, clo, chi
+
+
+def _box_refutes(rows: list, lo: dict[str, int], hi: dict[str, int]) -> bool:
+    """Some '<=' or '=' literal of rows has no solution in the box lo/hi:
+    the range of its term there excludes 0 (the least value is above 0,
+    or, for '=', the greatest is below 0).  _narrow's visit of that row,
+    from these bounds or tighter ones, empties an interval."""
+    for f in rows:
+        if type(f) is Cmp:
+            least = _term_min(f.t, lo, hi)
+            if least is not None and least > 0:
+                return True
+            if f.op == "=":
+                most = _term_min(f.t, hi, lo)
+                if most is not None and most < 0:
+                    return True
+    return False
+
+
+def _term_min(t: LinTerm, lo: dict[str, int],
+              hi: dict[str, int]) -> int | None:
+    """The least value of t over the box lo/hi (its greatest with lo and
+    hi swapped); None when it is unbounded."""
+    total = t.const
+    for v, c in t.coeffs:
+        b = (lo if c > 0 else hi).get(v)
+        if b is None:
+            return None
+        total += c * b
+    return total
 
 
 def _sat_lits(lits: list, lo: dict[str, int],
@@ -1157,7 +1220,7 @@ def _sat_reduced(lits: list, lo: dict[str, int],
             new.append(cmp_atom("<=", s.sub(x_t)))
         for d, s, ng in divs:
             new.append(div_atom(d, x_t.add(s), ng))
-        node = _child(others, new, lo, hi)
+        node = _child(others, _admit(new), lo, hi)
         w = None if node is None else _sat_lits(*node)
         if w is not None:
             w[var] = _eval0(x_t, w) // delta  # exact: delta | x_t was added
@@ -1169,8 +1232,9 @@ def _sat_reduced(lits: list, lo: dict[str, int],
         # x' = delta*var is unbounded in one direction: every lb/ub literal
         # holds far enough out, only residues mod bigd matter
         for j in range(0, bigd, delta):
-            node = _child(others, [div_atom(d, s.add(LinTerm.of_const(j)), ng)
-                                   for d, s, ng in divs], lo, hi)
+            node = _child(others, _admit([
+                div_atom(d, s.add(LinTerm.of_const(j)), ng)
+                for d, s, ng in divs]), lo, hi)
             w = None if node is None else _sat_lits(*node)
             if w is None:
                 continue
@@ -1294,37 +1358,46 @@ def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None
 
 
 def _leaves(lits: list, lo: dict[str, int], hi: dict[str, int],
-            pends: list) -> Iterator[tuple[list, dict, dict]]:
+            pends: list, splits: dict) -> Iterator[tuple[list, dict, dict]]:
     """The DNF leaves below a node (_child) and its pending disjunctions,
     in branch order, as nodes.  Each alternative of the pending
     disjunction with the fewest is a child node; a child whose bounds
-    empty is neither expanded nor yielded."""
+    empty is neither expanded nor yielded.  splits is the walk's memo
+    (_walk): each disjunction maps to its alternatives, split by _lits_of
+    into admitted rows and pending disjunctions, less those that split to
+    false; so a disjunction is split once per walk, not once per node."""
     if not pends:
         yield lits, lo, hi
         return
     i = min(range(len(pends)), key=lambda j: len(pends[j].args))
-    rest = pends[:i] + pends[i + 1:]
-    for alt in pends[i].args:
-        new: list = []
-        sub = list(rest)
-        if _lits_of(alt, new, sub):
-            node = _child(lits, new, lo, hi)
-            if node is not None:
-                yield from _leaves(*node, sub)
+    rest, split = pends[:i] + pends[i + 1:], pends[i]
+    alts = splits.get(split)
+    if alts is None:
+        alts = splits[split] = []
+        for alt in split.args:
+            new: list = []
+            sub: list = []
+            if _lits_of(alt, new, sub):
+                alts.append((_admit(new), sub))
+    for rows, sub in alts:
+        node = _child(lits, rows, lo, hi)
+        if node is not None:
+            yield from _leaves(*node, rest + sub, splits)
 
 
 def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
     """The leaves (_leaves) of a conjunction of quantifier-free formulas,
     below the root node: its atomic literals, a child of [] and empty
-    bounds."""
+    bounds.  The memo of split disjunctions that _leaves shares lives for
+    this walk only."""
     acc: list = []
     pend: list = []
     for f in matrices:
         if not _lits_of(f, acc, pend):
             return
-    root = _child([], acc, {}, {})
+    root = _child([], _admit(acc), {}, {})
     if root is not None:
-        yield from _leaves(*root, pend)
+        yield from _leaves(*root, pend, {})
 
 
 def branches(matrices: list[Formula]) -> Iterator[list]:

@@ -75,6 +75,7 @@ def test_only_presburger_names_cooper():
 # It keeps cmp_atom's literal form and negates by flipping an op, so no
 # function it runs may name Cooper's strict-'<' NNF or Cooper itself
 SOLVE_PATH = {"_lits_of", "_wnnf", "_walk", "_leaves", "_child", "_admit",
+              "_box_refutes", "_term_min", "_merge",
               "_to_le", "_pin_units", "_sat_lits", "_sat_reduced",
               "reduce_conj", "sat_exists_all", "branches", "recession_cone"}
 COOPER_NNF = {"_nnf", "nnf", "_lt", "_cooper", "eliminate", "decide"}

@@ -133,6 +133,28 @@ def test_witness_check_effort_is_pinned(monkeypatch):
     assert calls["_leaves"] <= 131, calls
 
 
+def test_witness_check_builds_no_dead_node(monkeypatch):
+    """integral256's witness check builds 1,185 search nodes (_child), and
+    1,054 of them are dead on arrival: an added row has no solution in the
+    parent's box.  _child refutes those with the box test before it copies
+    or narrows, so _narrow runs at most 131 times (once per live node);
+    and the walk splits each pending disjunction once, not once per node,
+    so _lits_of runs at most 507 times.  Narrowing every node makes 1,185
+    _narrow calls here, and splitting at every node 3,331 _lits_of calls."""
+    calls = dict.fromkeys(("_child", "_narrow", "_lits_of", "_sat_lits"), 0)
+    for name in calls:
+        def counted(*args, _f=getattr(P, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(P, name, counted)
+    p = load("integral256.lchc")
+    with open(os.path.join(FIX, "integral256.model.json")) as fh:
+        ok, _ = verify(p, json.load(fh))
+    assert ok
+    assert calls["_child"] == 1185 and calls["_sat_lits"] == 0, calls
+    assert calls["_narrow"] <= 131 and calls["_lits_of"] <= 507, calls
+
+
 def test_verify_rejects_wrong_problem():
     p = load("integral255.lchc")
     with open(os.path.join(FIX, "integral256.model.json")) as fh:

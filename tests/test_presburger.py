@@ -352,6 +352,72 @@ def test_search_nodes_narrow_from_their_parents(monkeypatch):
     assert over == 0 and not bad, (over, bad[:5])
 
 
+def test_box_test_refutes_only_dead_rows(monkeypatch):
+    """_child's box test runs before it copies or narrows anything, so it
+    may refute only what _narrow would: on every node (_child call) of
+    sat_exists_all over 300 random formulas (rand_formula over x and y)
+    inside the box -5 <= x, y <= 5, whenever _box_refutes finds an added
+    row with no solution in the parent's bounds, _narrow on copies of those
+    bounds returns False for the node, and no integer point of the bounds
+    satisfies that row."""
+    rng = random.Random(20261021)
+    box = [k for name in ("x", "y")
+           for k in (ge(v(name), c(-5)), le(v(name), c(5)))]
+    child = P._child
+    refuted = [0, 0]  # nodes the box test refutes, nodes with added rows
+
+    def checked_child(lits, rows, lo, hi):
+        if rows:
+            refuted[1] += 1
+        if rows and P._box_refutes(rows, lo, hi):
+            refuted[0] += 1
+            n = len(lits)
+            assert not P._narrow(lits + rows, dict(lo), dict(hi),
+                                 range(n, n + len(rows))), (lits, rows)
+            dead = [f for f in rows if P._box_refutes([f], lo, hi)]
+            assert dead, rows
+            for f in dead:
+                vs = f.t.vars
+                for p in itertools.product(
+                        *(range(lo[u], hi[u] + 1) for u in vs)):
+                    assert not evaluate(f, dict(zip(vs, p))), (f, lo, hi, p)
+        return child(lits, rows, lo, hi)
+
+    monkeypatch.setattr(P, "_child", checked_child)
+    for _ in range(300):
+        g = rand_formula(rng, ["x", "y"], depth=3, quants_left=0,
+                         restrict=False)
+        P.sat_exists_all([conj([g] + box)])
+    assert 30 < refuted[0] < refuted[1], refuted
+
+
+def test_term_sum_matches_the_dict_reference():
+    """LinTerm.add and sub merge two coefficient tuples sorted by variable
+    in one pass; on random terms (disjoint, overlapping, cancelling and
+    constant ones) the result equals the reference that sums into a dict
+    and sorts it, zero sums dropped."""
+    rng = random.Random(20261021)
+    names = ["X", "a", "b", "x", "x1", "x_0", "y", "z"]
+
+    def term():
+        vs = rng.sample(names, rng.randint(0, len(names)))
+        return LinTerm.make(rng.randint(-3, 3),
+                            {n: rng.choice([-2, -1, 1, 2]) for n in vs})
+
+    for _ in range(3000):
+        s, t = term(), term()
+        if rng.random() < 0.1:
+            t = s
+        for k, got in ((1, s.add(t)), (-1, s.sub(t))):
+            d = dict(s.coeffs)
+            for u, a in t.coeffs:
+                d[u] = d.get(u, 0) + k * a
+            want = tuple(sorted((u, a) for u, a in d.items() if a != 0))
+            assert type(got.coeffs) is tuple
+            assert (got.const, got.coeffs) == (s.const + k * t.const, want), \
+                (s, t, k, got)
+
+
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
 def test_to_le_gives_only_le_eq_ne(op):
     """_to_le sends a raw atom (not built by cmp_atom, as sat_exists_all's
