@@ -162,6 +162,10 @@ class Theory:
         raise TypeError(u)
 
     def canonicalize(self, u: Upset) -> Upset:
+        """One descriptor per denoted set, so that structural equality is
+        extensional: an antichain without generators is EMPTY, one holding
+        the working order's bottom is ALL, and any other keeps its minimal
+        generators, once each, in a fixed order."""
         match u:
             case Empty() | All() | AtLeast():
                 return u
@@ -170,6 +174,10 @@ class Theory:
                     raise TheoryError("antichain descriptor outside nat")
                 if not self.flipped and any(x is None for g in gens for x in g):
                     raise TheoryError("omega coordinates only in the flipped order")
+                if not gens:
+                    return EMPTY
+                if (None if self.flipped else 0,) * self.dim in gens:
+                    return ALL
                 keep = []
                 for g in gens:
                     if any(h != g and self.w_leq(h, g) for h in gens):
@@ -219,8 +227,7 @@ class Theory:
                 yield AtLeast(-k)
                 k += 1
         else:
-            seen: set[Antichain] = set()
-            yield EMPTY  # Antichain(()) is the same set; emit the canonical empty
+            seen: set[Upset] = set()
             budget = 1
             while True:
                 entries: list[int | None] = list(range(budget))
@@ -229,11 +236,8 @@ class Theory:
                 grid = sorted(itertools.product(entries, repeat=self.dim),
                               key=lambda g: _gen_key(g))
 
-                def extend(prefix: list, start: int) -> Iterator[Antichain]:
-                    if prefix:
-                        a = self.canonicalize(Antichain(tuple(prefix)))
-                        if len(a.gens) == len(prefix):
-                            yield a
+                def extend(prefix: list, start: int) -> Iterator[Upset]:
+                    yield self.canonicalize(Antichain(tuple(prefix)))
                     if len(prefix) < budget:
                         for i in range(start, len(grid)):
                             g = grid[i]

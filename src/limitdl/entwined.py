@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from . import presburger as P
 from .background import (ALL, EMPTY, Antichain, AtLeast, Theory, Upset,
@@ -88,20 +87,25 @@ CanonicalValue = Top | SVal | PredApp
 # A frame element is one of
 #   bool                        sort o
 #   str                         finite-sort constant
-#   FnVal(sort, vals)           arrow without numeric argument: the table of
-#                               results, indexed by the argument's frame
+#   FnVal(sort, vals)           arrow without numeric argument: one boolean
+#                               per row of the sort
 #   ActVal(sort, descs)         arrow with a numeric argument: one upset
-#                               descriptor per combination of the non-numeric
-#                               arguments (row-major over their frames)
+#                               descriptor per row of the sort
 #
-# Values are compared structurally; because upsets are kept canonical and
-# tables are fully materialized, structural equality is extensional equality.
+# The rows of a sort are the combinations of its non-numeric arguments
+# (``EntwinedStructure.rows``), row-major over their frames, so both kinds
+# are flat tables: applying a value to its first non-numeric argument takes
+# the slice of rows that start with it.
+#
+# Values are compared structurally; because descriptors are kept canonical
+# and tables are fully materialized, structural equality is extensional
+# equality.
 
 
 @dataclass(frozen=True)
 class FnVal:
     sort: Sort
-    vals: tuple
+    vals: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -125,19 +129,6 @@ def suffix_sort(s: Sort, k: int) -> Sort:
     return s
 
 
-def canonical_upset(theory: Theory, u: Upset) -> Upset:
-    """One representative per denoted set (needed for extensional dedup)."""
-    u = theory.canonicalize(u)
-    if isinstance(u, Antichain):
-        if not u.gens:
-            return EMPTY
-        bottom = tuple([None] * theory.dim) if theory.flipped else \
-            tuple([0] * theory.dim)
-        if u.gens == (bottom,):
-            return ALL
-    return u
-
-
 # ---------------------------------------------------------------------------
 # structures
 
@@ -152,8 +143,7 @@ class EntwinedStructure:
         self.theory = theory
         # canonical descriptors make structural equality extensional
         self.interps = {
-            n: ActVal(v.sort, tuple(canonical_upset(theory, d)
-                                    for d in v.descs))
+            n: ActVal(v.sort, tuple(theory.canonicalize(d) for d in v.descs))
             if isinstance(v, ActVal) else v
             for n, v in interps.items()}
         self._frames: dict[Sort, list[Value]] = {}
@@ -207,13 +197,13 @@ class EntwinedStructure:
             raise FrameTooLarge(
                 f"frame of {print_sort(s)} has {size} elements "
                 f"(limit {MAX_FRAME})")
-        dom = self.frame(s.arg)
-        cod = self.frame(s.res)
-        vals: list[Value] = []
-        for combo in itertools.product(cod, repeat=len(dom)):
-            vals.append(FnVal(s, combo))
+        nrows = len(self.rows(s))
+        vals: list[Value] = [
+            FnVal(s, bits)
+            for bits in itertools.product((False, True), repeat=nrows)]
         # the constant-true table is the only one with a canonical name
-        canon = [Top(s) if v == self.top(s) else None for v in vals]
+        top = self.top(s)
+        canon = [Top(s) if v == top else None for v in vals]
         return vals, canon
 
     def _active_frame(self, s: Arrow) -> tuple[list[Value], list]:
@@ -274,6 +264,9 @@ class EntwinedStructure:
                     if name not in ("true", "false"):
                         raise SchemaError(f"bad boolean constant {name!r}")
                     return name == "true"
+                if s != FIN:
+                    raise SchemaError(
+                        f"constant {name!r} used at {print_sort(s)}")
                 if name not in self.problem.fin_elems:
                     raise SchemaError(f"unknown finite constant {name!r}")
                 return name
@@ -309,63 +302,31 @@ class EntwinedStructure:
             raise StageOrderViolation(f"no top element at {print_sort(s)}")
         if classify(s) == "active":
             return ActVal(s, (ALL,) * len(self.rows(s)))
-        return FnVal(s, (self.top(s.res),) * self.frame_size(s.arg))
+        return FnVal(s, (True,) * len(self.rows(s)))
 
     # -- application -----------------------------------------------------
 
     def apply(self, v: Value, arg) -> Value:
         """Apply a value to a concrete argument (a Value, or a concrete
         numeric point for the numeric slot of an active value)."""
+        if not isinstance(v, (FnVal, ActVal)):
+            raise TypeError(f"cannot apply {v!r}")
+        s: Arrow = v.sort
+        if s.arg == W:
+            # each row collapses to 'does the point lie in its upset'
+            bits = tuple(self.theory.member(arg, d) for d in v.descs)
+            return bits[0] if s.res == PROP else FnVal(s.res, bits)
+        dom = self.frame(s.arg)
+        i = dom.index(arg)
         if isinstance(v, FnVal):
-            dom = self.frame(v.sort.arg)
-            return v.vals[dom.index(arg)]
-        if isinstance(v, ActVal):
-            s: Arrow = v.sort
-            if s.arg == W:
-                return self._apply_w(v, arg)
-            dom = self.frame(s.arg)
-            i = dom.index(arg)
-            rest = nonw_sorts(s.res)
-            stride = math.prod(self.frame_size(a) for a in rest)
-            sub = v.descs[i * stride:(i + 1) * stride]
-            res = s.res
-            if res == PROP:
-                raise StageOrderViolation("active value with no numeric slot")
-            return ActVal(res, sub)
-        raise TypeError(f"cannot apply {v!r}")
-
-    def _apply_w(self, v: ActVal, w: Sequence[int]) -> Value:
-        """Apply at the numeric slot: each residual row collapses to the
-        boolean 'does w lie in the row's upset'."""
-        res = v.sort.res
-        rest = nonw_sorts(res)
-        sizes = [self.frame_size(a) for a in rest]
-
-        def build(s: Sort, base: int, strides: list[int]) -> Value:
-            if s == PROP:
-                return self.theory.member(w, v.descs[base])
-            stride = strides[0]
-            dom = self.frame(s.arg)
-            return FnVal(s, tuple(build(s.res, base + i * stride, strides[1:])
-                                  for i in range(len(dom))))
-
-        strides = []
-        acc = 1
-        for sz in reversed(sizes):
-            strides.append(acc)
-            acc *= sz
-        strides.reverse()
-        return build(res, 0, strides)
-
-    def full_table(self, s: Sort, v: Value) -> tuple[bool, ...]:
-        """Flatten a value of inactive relational sort into its boolean table
-        over rows(s) (all argument combinations, row-major)."""
-        if s == PROP:
-            return (bool(v),)
-        out: list[bool] = []
-        for a in self.frame(s.arg):
-            out.extend(self.full_table(s.res, self.apply(v, a)))
-        return tuple(out)
+            if s.res == PROP:
+                return v.vals[i]
+            stride = len(v.vals) // len(dom)
+            return FnVal(s.res, v.vals[i * stride:(i + 1) * stride])
+        if s.res == PROP:
+            raise StageOrderViolation("active value with no numeric slot")
+        stride = len(v.descs) // len(dom)
+        return ActVal(s.res, v.descs[i * stride:(i + 1) * stride])
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +411,8 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
             # region split: one case per candidate residual value
             row_fs = [th.upset_formula(d, comps) for d in v.descs]
             for u in m.frame(res):
-                table = m.full_table(res, u)
                 parts = [f if b else P.neg_f(f)
-                         for f, b in zip(row_fs, table)]
+                         for f, b in zip(row_fs, u.vals)]
                 out.append((P.conj([g] + parts), u))
         return out
     # ordinary argument: evaluate it (itself possibly case-split)
@@ -576,7 +536,6 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
                   cache: list, it) -> Iterator[Value]:
     """All interpretations of one predicate with the given size measure,
     relative to the already-fixed lower interpretations held by m."""
-    th = m.theory
     if psort == PROP:
         if weight in (0, 1):
             yield weight == 1
@@ -584,16 +543,15 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
     if classify(psort) == "active":
         nrows = len(m.rows(psort))
         for idxs in _compositions(weight, nrows):
-            descs = tuple(canonical_upset(th, _upset_pool(k, cache, it))
-                          for k in idxs)
-            yield ActVal(psort, descs)
+            yield ActVal(psort, tuple(_upset_pool(k, cache, it)
+                                      for k in idxs))
         return
     # inactive: finite table space, index = weight
     rows = m.rows(psort)
     if weight >= (1 << len(rows)):
         return
-    yield _fn_from_bits(m, psort,
-                        [bool((weight >> i) & 1) for i in range(len(rows))])
+    yield FnVal(psort, tuple(bool((weight >> i) & 1)
+                             for i in range(len(rows))))
 
 
 def enumerate_structures(p: Problem,
@@ -755,23 +713,12 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         if len(gens) > 256:
             raise FrameTooLarge("descriptor extraction did not converge")
     if theory.nat:
-        return canonical_upset(theory, Antichain(tuple(gens)))
+        return theory.canonicalize(Antichain(tuple(gens)))
     if not gens:
         return EMPTY
     if (None,) in gens:
         return ALL
     return AtLeast(s * max(s * g[0] for g in gens))
-
-
-def _fn_from_bits(m: EntwinedStructure, s: Sort, bits: list[bool]) -> Value:
-    it = iter(bits)
-
-    def build(t: Sort) -> Value:
-        if t == PROP:
-            return next(it)
-        return FnVal(t, tuple(build(t.res) for _ in m.frame(t.arg)))
-
-    return build(s)
 
 
 # After this many fixpoint rounds without convergence, accelerate growing
@@ -853,7 +800,7 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
             elif psort == PROP:
                 interps[pname] = vals[0]
             else:
-                interps[pname] = _fn_from_bits(base, psort, vals)
+                interps[pname] = FnVal(psort, tuple(vals))
         return EntwinedStructure(p, theory, interps)
 
     version = dict.fromkeys(tables, 0)
@@ -902,7 +849,7 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
                 # the other components stay free: read existentially
                 f = P.conj([body] + theory.nat_bounds(others))
                 new = extract_upset(theory, f, comps, old)
-                if new == canonical_upset(theory, old):
+                if new == old:
                     continue
                 if rnd >= _WIDEN_AFTER:
                     new = _widen(theory, old, new)
@@ -977,10 +924,9 @@ def serialize_model(m: EntwinedStructure) -> dict:
                     "upset": upset_to_json(desc),
                 })
         else:
-            table = m.full_table(psort, v)
+            table = (v,) if psort == PROP else v.vals
             args_sorts = arg_sorts(psort)
-            combos = itertools.product(*(m.frame(s_) for s_ in args_sorts))
-            for combo, b in zip(combos, table):
+            for combo, b in zip(m.rows(psort), table):
                 rows.append({
                     "args": [_canon_to_json(m.canon_of(s_, x))
                              for s_, x in zip(args_sorts, combo)],
@@ -1026,68 +972,45 @@ def deserialize_model(p: Problem, theory: Theory,
                     not isinstance(r.get(k, []), list)
                     for k in ("pre", "post", "args")):
                 raise SchemaError(f"bad row in {pname!r}")
-        if kind == "active":
-            nw = nonw_sorts(psort)
-            rows = m.rows(psort)
-            table: dict[tuple, Upset] = {}
-            for r in entry["rows"]:
-                if "upset" not in r:
-                    raise SchemaError(f"bad row in {pname!r}")
-                pre = [m.resolve_canon(s_, _canon_from_json(x))
-                       for s_, x in zip(nw, r.get("pre", []))]
-                post = [m.resolve_canon(s_, _canon_from_json(x))
-                        for s_, x in zip(nw[len(pre):], r.get("post", []))]
-                key = tuple(pre) + tuple(post)
-                if len(key) != len(nw):
-                    raise FrameInconsistency(
-                        f"row arity mismatch for {pname!r}")
-                try:
-                    u = canonical_upset(theory, upset_from_json(r["upset"]))
-                except Exception as e:
-                    raise SchemaError(f"bad upset in {pname!r}: {e}")
-                if key in table:
-                    raise FrameInconsistency(f"duplicate row in {pname!r}")
-                table[key] = u
-            descs = []
-            for row in rows:
-                if row not in table:
-                    raise FrameInconsistency(
-                        f"witness for {pname!r} misses a frame row")
-                descs.append(table.pop(row))
-            if table:
-                raise FrameInconsistency(
-                    f"witness for {pname!r} has rows outside the frame")
-            interps[pname] = ActVal(psort, tuple(descs))
-        elif psort == PROP:
+        if psort == PROP:
             rows = entry["rows"]
             if len(rows) != 1 or "value" not in rows[0]:
                 raise SchemaError(f"bad propositional entry {pname!r}")
             interps[pname] = _truth(rows[0], pname)
-        else:
-            args_sorts = arg_sorts(psort)
-            combos = list(itertools.product(
-                *(m.frame(s_) for s_ in args_sorts)))
-            table2: dict[tuple, bool] = {}
-            for r in entry["rows"]:
-                if "value" not in r:
-                    raise SchemaError(f"bad row in {pname!r}")
-                key = tuple(m.resolve_canon(s_, _canon_from_json(x))
-                            for s_, x in zip(args_sorts, r.get("args", [])))
-                if len(key) != len(args_sorts):
-                    raise FrameInconsistency(f"row arity mismatch {pname!r}")
-                if key in table2:
-                    raise FrameInconsistency(f"duplicate row in {pname!r}")
-                table2[key] = _truth(r, pname)
-            bits = []
-            for combo in combos:
-                if combo not in table2:
-                    raise FrameInconsistency(
-                        f"witness for {pname!r} misses a frame row")
-                bits.append(table2.pop(combo))
-            if table2:
+            continue
+        # one cell per row of the sort: a descriptor or a truth value
+        nw = nonw_sorts(psort)
+        table: dict[tuple, Upset | bool] = {}
+        for r in entry["rows"]:
+            if ("upset" if kind == "active" else "value") not in r:
+                raise SchemaError(f"bad row in {pname!r}")
+            args = r.get("pre", []) + r.get("post", []) \
+                if kind == "active" else r.get("args", [])
+            key = tuple(m.resolve_canon(s_, _canon_from_json(x))
+                        for s_, x in zip(nw, args))
+            if len(key) != len(nw):
+                raise FrameInconsistency(f"row arity mismatch for {pname!r}")
+            if kind == "active":
+                try:
+                    cell = theory.canonicalize(upset_from_json(r["upset"]))
+                except Exception as e:
+                    raise SchemaError(f"bad upset in {pname!r}: {e}")
+            else:
+                cell = _truth(r, pname)
+            if key in table:
+                raise FrameInconsistency(f"duplicate row in {pname!r}")
+            table[key] = cell
+        cells = []
+        for row in m.rows(psort):
+            if row not in table:
                 raise FrameInconsistency(
-                    f"witness for {pname!r} has rows outside the frame")
-            interps[pname] = _fn_from_bits(m, psort, bits)
+                    f"witness for {pname!r} misses a frame row")
+            cells.append(table.pop(row))
+        if table:
+            raise FrameInconsistency(
+                f"witness for {pname!r} has rows outside the frame")
+        interps[pname] = (ActVal if kind == "active" else FnVal)(
+            psort, tuple(cells))
     return EntwinedStructure(p, theory, interps)
 
 

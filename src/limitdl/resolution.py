@@ -426,7 +426,11 @@ def replay(trace: ProofTrace, problem: Problem, theory: Theory) -> bool:
         if print_goal(child) != s.goal:
             raise TraceError("replayed goal differs from recorded goal")
         goals.append(child)
-    final = goals[steps[-1].parent] if steps[-1].parent is not None else goals[-1]
-    if not try_refute(final, theory, problem.fin_elems):
+    last = steps[-1].parent
+    if last is None:
+        last = len(goals) - 1
+    if not 0 <= last < len(goals):
+        raise TraceError("bad parent reference")
+    if not try_refute(goals[last], theory, problem.fin_elems):
         raise TraceError("final refutation check failed")
     return True

@@ -135,8 +135,8 @@ def test_enumeration_reaches_targets():
             if i > cap:
                 raise AssertionError(f"{target} not reached in {cap}")
     assert index_of(LIA_UP, AtLeast(5)) < 20
-    assert index_of(NAT2_UP, Antichain(((0, 0),))) < 10  # the whole domain
-    assert index_of(NAT2_DOWN, Antichain(((None, None),))) < 10
+    assert index_of(NAT2_UP, ALL) < 10  # the whole domain
+    assert index_of(NAT2_DOWN, ALL) < 10
     assert index_of(NAT2_DOWN, Antichain(((1, 2),))) < 200
     th1 = Theory("nat", 1, flipped=True)
     assert index_of(th1, Antichain(((3,),))) < 30

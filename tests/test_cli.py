@@ -158,6 +158,37 @@ def test_solve_skips_hint_with_top_at_finite_sort(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
+# a finite constant passed where P expects a numeric point
+CONST_AT_W_TEXT = """(theory (nat 1))
+(finsort S (c))
+(declare P (-> W o))
+(declare Q (-> (-> W o) o))
+(clause ((x W)) (head (P x)) (body (geq x 3)))
+(goal () (body (and (P 0) (Q P))))
+"""
+CONST_AT_W = {"predicates": {
+    "P": {"kind": "active",
+          "rows": [{"pre": [], "post": [],
+                    "upset": {"kind": "antichain", "min": [[3]]}}]},
+    "Q": {"kind": "inactive",
+          "rows": [{"args": [{"top": "(-> W o)"}], "value": False},
+                   {"args": [{"app": ["P", {"s": "c"}]}], "value": True}]}}}
+
+
+def test_constant_at_numeric_sort_is_a_schema_error(capsys, tmp_path):
+    prob = tmp_path / "p.lchc"
+    prob.write_text(CONST_AT_W_TEXT)
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps(CONST_AT_W))
+    assert main(["verify-model", str(prob), str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    # the same witness as a hint is skipped, not a crash
+    assert main(["solve", str(prob), "--hint", str(wit)]) == 10
+    assert capsys.readouterr().err == ""
+
+
 NAT_UP = fx("fo", "nat_up_sat.lchc")
 MODEL = "<model>"
 

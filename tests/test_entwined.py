@@ -52,9 +52,8 @@ def xyz_structure():
     fins = m0.frame(ysort.arg)
     # Y s1 s2 iff both arguments are diamond or spade
     mid = {"diamond", "spade"}
-    y_val = E.FnVal(ysort, tuple(
-        E.FnVal(ysort.res, tuple(s1 in mid and s2 in mid for s2 in fins))
-        for s1 in fins))
+    y_val = E.FnVal(ysort, tuple(s1 in mid and s2 in mid
+                                 for s1 in fins for s2 in fins))
     # X s f b w g iff b and f(s) and w > 5; rows cover all non-W argument
     # positions, including the (W -> o) position after the W argument
     descs = []
@@ -95,6 +94,37 @@ def test_inactive_function_space_count():
     s = p.decl_map["Y"]  # S -> S -> o with four elements: (2^4)^4 tables
     assert m.frame_size(s) == 65536
     assert len(m.frame(s)) == 65536
+
+
+def test_inactive_frame_is_flat_and_in_binary_order():
+    """An inactive value holds one boolean per row, row-major; the k-th
+    table of S -> S -> o spells k in binary, most significant bit first,
+    and applying it to s1 then s2 reads row i1 * 4 + i2."""
+    m, p, th = xyz_structure()
+    s = p.decl_map["Y"]
+    fins = m.frame(s.arg)
+    assert len(m.rows(s)) == 16
+    for k, f in enumerate(m.frame(s)):
+        assert f.vals == tuple(bool((k >> (15 - j)) & 1) for j in range(16))
+        for i1, s1 in enumerate(fins):
+            g = m.apply(f, s1)
+            assert g == E.FnVal(s.res, f.vals[i1 * 4:(i1 + 1) * 4])
+            for i2, s2 in enumerate(fins):
+                assert m.apply(g, s2) is f.vals[i1 * 4 + i2]
+
+
+def test_numeric_slot_application_is_membership_per_row():
+    p = load("integral256.lchc")
+    th = theory_of(p)
+    m = E.load_model(p, th, os.path.join(FIX, "integral256.model.json"))
+    integral = m.interps["Integral"]
+    rows = m.rows(integral.sort)
+    for w in ((0, 0), (3, 1), (10, 5), (255, 0), (256, 0), (300, 7)):
+        got = m.apply(integral, w)
+        assert got == E.FnVal(integral.sort.res, tuple(
+            th.member(w, d) for _, d in zip(rows, integral.descs)))
+        for (f,), d in zip(rows, integral.descs):
+            assert m.apply(got, f) is th.member(w, d)
 
 
 def test_frame_too_large(monkeypatch):
@@ -271,8 +301,7 @@ def test_least_model_with_inactive_and_propositional_heads():
         m = E.fo_least_model(p, theory_of(p))
     assert m is not None
     # R c needs a point with u >= 3 and u <= 1, which does not exist
-    assert m.full_table(m.problem.decl("R"), m.interps["R"]) == \
-        (False, True, False)
+    assert m.interps["R"].vals == (False, True, False)
     assert m.interps["G"] is True
     assert m.interps["T"].descs == (EMPTY, Antichain(((4,),)), EMPTY)
     assert E.check_model(m, p)

@@ -145,6 +145,25 @@ def test_replay_rejects_corrupted_trace():
         replay(bad2, p, th)
 
 
+def test_replay_range_checks_the_refutation_parent():
+    """The refutation step's parent is checked like every other parent
+    reference; None still names the last goal."""
+    p, th = problem("fo/lia_threshold_unsat")
+    r = saturate(p, th, budget=100)
+    assert isinstance(r, Refuted)
+    d = r.trace.to_json()
+    ngoals = len(d["steps"]) - 1  # every step but the refutation adds one
+    for parent, ok in ((None, True), (ngoals - 1, True), (ngoals, False),
+                       (-1, False)):
+        t = ProofTrace.from_json(d)
+        t.steps[-1].parent = parent
+        if ok:
+            assert replay(t, p, th)
+        else:
+            with pytest.raises(TraceError):
+                replay(t, p, th)
+
+
 def test_canonical_goal_renaming_invariance():
     p, _ = load(SAT_SIMPLE)
     g = goal_of_clause(p.goals[0])
