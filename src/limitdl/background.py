@@ -187,11 +187,10 @@ class Theory:
                 return Antichain(tuple(sorted(keep, key=_gen_key)))
         raise TypeError(u)
 
-    def upset_formula(self, u: Upset, comps: Sequence[str]) -> Formula:
-        """Membership of the point named by component variables comps."""
-        if len(comps) != self.dim:
+    def upset_formula(self, u: Upset, vs: Sequence[LinTerm]) -> Formula:
+        """Membership of the point whose components are the terms vs."""
+        if len(vs) != self.dim:
             raise TheoryError("component count mismatch")
-        vs = [LinTerm.of_var(c) for c in comps]
         match u:
             case Empty():
                 return P.FALSE
@@ -275,23 +274,24 @@ def w_var_terms(name: str, dim: int) -> list[LinTerm]:
     return [LinTerm.of_var(comp_var(name, i + 1)) for i in range(dim)]
 
 
-def _components(t: Term, dim: int, sval_env: dict[str, str] | None) -> list[LinTerm]:
-    """Compile a numeric term to its component LinTerms (length dim or 1)."""
+def components(t: Term, dim: int) -> list[LinTerm]:
+    """Compile a numeric term to its component LinTerms: dim of them, or one
+    for a scalar term, which stands for that value in every coordinate."""
     match t:
         case Var(n):
             return w_var_terms(n, dim)
         case WLit(vals):
             return [LinTerm.of_const(v) for v in vals]
         case WOp("comp", (a,), k):
-            cs = _components(a, dim, sval_env)
-            if len(cs) == 1:
+            cs = components(a, dim)
+            if len(cs) != dim:
                 raise TheoryError("comp applied to a scalar term")
             return [cs[k - 1]]
         case WOp("scale", (a,), k):
-            return [c.scale(k) for c in _components(a, dim, sval_env)]
+            return [c.scale(k) for c in components(a, dim)]
         case WOp("+" | "-" as op, (a, b)):
-            ca = _components(a, dim, sval_env)
-            cb = _components(b, dim, sval_env)
+            ca = components(a, dim)
+            cb = components(b, dim)
             if len(ca) == 1 and len(cb) > 1:
                 ca = ca * len(cb)
             if len(cb) == 1 and len(ca) > 1:
@@ -337,8 +337,8 @@ def compile_atom(atom: BgAtom, theory: Theory,
             r = LinTerm.of_const(fin_elems.index(r))
         return P.eq(l, r)
 
-    ls = _components(atom.lhs, theory.dim, sval_env)
-    rs = _components(atom.rhs, theory.dim, sval_env)
+    ls = components(atom.lhs, theory.dim)
+    rs = components(atom.rhs, theory.dim)
     if len(ls) == 1 and len(rs) > 1:
         ls = ls * len(rs)
     if len(rs) == 1 and len(ls) > 1:
@@ -425,7 +425,7 @@ def bg_extend(state: BgState, new_atoms: Sequence[BgAtom],
         return None
     # the parent's witness usually still works; solve only when it fails
     w = state.witness
-    if all(P.evaluate0(f, w) for f in residual):
+    if all(P.evaluate(f, w) for f in residual):
         return BgState(pins, residual, w)
     w = P.sat_exists_all(residual)
     if w is None:

@@ -141,7 +141,7 @@ def _cmd_eval(args) -> int:
         return EXIT_USAGE
     t = ctx.parse_term(exprs[0], {})
     infer_sort(t, {}, p.decl_map)
-    v = E.eval_term(m, t, {})
+    v = E.eval_term(m, t)
     out = str(v).lower() if isinstance(v, bool) else repr(v)
     _emit(args, {"value": v if isinstance(v, (bool, str)) else out}, out)
     return EXIT_OK

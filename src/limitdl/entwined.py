@@ -27,8 +27,8 @@ from typing import Iterator, Mapping
 
 from . import presburger as P
 from .background import (ALL, EMPTY, Antichain, AtLeast, Theory, Upset,
-                         compile_atom, comp_var, upset_from_json,
-                         upset_to_json)
+                         compile_atom, comp_var, components,
+                         upset_from_json, upset_to_json)
 from .syntax import (FIN, PROP, W, AndF, App, Arrow, Atom, BgAtom, BodyF,
                      Clause, FgAtom, OrF, PredRef, Problem, SConst, Sort,
                      Term, Var, WLit, WOp, arg_sorts, mk_app, print_sort)
@@ -330,39 +330,14 @@ class EntwinedStructure:
 
 
 # ---------------------------------------------------------------------------
-# term evaluation (all numeric subterms concrete)
+# term evaluation (no numeric variable)
 
 
-def _eval_w(t: Term, val: Mapping[str, object], dim: int) -> tuple[int, ...]:
-    match t:
-        case WLit(vs):
-            return tuple(vs) if len(vs) > 1 or dim == 1 else tuple(vs) * dim
-        case Var(n):
-            if n not in val:
-                raise MissingValuation(n)
-            w = val[n]
-            if not isinstance(w, tuple):
-                raise MissingValuation(f"{n} is not a numeric point")
-            return w
-        case WOp("+", (a, b)):
-            return tuple(x + y for x, y in
-                         zip(_eval_w(a, val, dim), _eval_w(b, val, dim)))
-        case WOp("-", (a, b)):
-            return tuple(x - y for x, y in
-                         zip(_eval_w(a, val, dim), _eval_w(b, val, dim)))
-        case WOp("scale", (a,), k):
-            return tuple(k * x for x in _eval_w(a, val, dim))
-        case WOp("comp", (a,), k):
-            return (_eval_w(a, val, dim)[k - 1],)
-    raise MissingValuation(f"non-concrete numeric term {t!r}")
-
-
-def eval_term(m: EntwinedStructure, t: Term,
-              val: Mapping[str, object]) -> object:
-    """Evaluate a term whose numeric subterms are all concrete: the single
-    case of _sym_eval with no symbolic variable.  Numeric points are passed
-    as int tuples in ``val``."""
-    ((_, v),) = _sym_eval(m, t, set(), dict(val))
+def eval_term(m: EntwinedStructure, t: Term) -> object:
+    """Evaluate a closed term: the single case of _sym_eval with no
+    numeric variable.  A numeric term evaluates to its point, an int
+    tuple."""
+    ((_, v),) = _sym_eval(m, t, set(), {})
     return v
 
 
@@ -373,9 +348,10 @@ def eval_term(m: EntwinedStructure, t: Term,
 # stay symbolic as component variables.  Evaluating a term symbolically
 # yields a list of guarded outcomes: each case is (guard formula, value) with
 # mutually exclusive guards; an outcome of sort o is a formula instead of a
-# value.  Passing a symbolic numeric variable into an active value whose
-# residual sort is not o splits into one case per candidate frame element
-# (region splitting).
+# value.  A numeric argument compiles to one term per component
+# (``components``); when one of them holds a variable, passing it into an
+# active value whose residual sort is not o splits into one case per
+# candidate frame element (region splitting).
 
 
 _Cases = list[tuple[P.Formula, object]]
@@ -388,28 +364,38 @@ def _w_comps(name: str, dim: int) -> list[str]:
     return [comp_var(name, i + 1) for i in range(dim)]
 
 
+def _w_terms(t: Term, dim: int) -> tuple[list[P.LinTerm],
+                                         tuple[int, ...] | None]:
+    """A numeric argument's component terms (a scalar broadcast to every
+    coordinate), and its point when every term is constant."""
+    ts = components(t, dim)
+    if len(ts) == 1:
+        ts = ts * dim
+    if any(x.coeffs for x in ts):
+        return ts, None
+    return ts, tuple(x.const for x in ts)
+
+
 def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
                wvars: set[str], val: dict) -> _Cases:
     th = m.theory
     # numeric argument?
     if isinstance(arg_t, (WLit, WOp)) or (
             isinstance(arg_t, Var) and arg_t.name in wvars):
-        symbolic = isinstance(arg_t, Var) and arg_t.name in wvars
+        ts, point = _w_terms(arg_t, th.dim)
         out: _Cases = []
         for g, v in cases:
             if not isinstance(v, ActVal) or v.sort.arg != W:
                 raise TypeError("numeric argument to a non-active value")
-            if not symbolic:
-                w = _eval_w(arg_t, val, th.dim)
-                out.append((g, m.apply(v, w)))
+            if point is not None:
+                out.append((g, m.apply(v, point)))
                 continue
-            comps = _w_comps(arg_t.name, th.dim)
+            row_fs = [th.upset_formula(d, ts) for d in v.descs]
             res = v.sort.res
             if res == PROP:
-                out.append((g, th.upset_formula(v.descs[0], comps)))
+                out.append((g, row_fs[0]))
                 continue
             # region split: one case per candidate residual value
-            row_fs = [th.upset_formula(d, comps) for d in v.descs]
             for u in m.frame(res):
                 parts = [f if b else P.neg_f(f)
                          for f, b in zip(row_fs, u.vals)]
@@ -446,7 +432,11 @@ def _sym_eval(m: EntwinedStructure, t: Term, wvars: set[str],
         case SConst(n):
             return [(P.TRUE, n)]
         case WLit() | WOp():
-            return [(P.TRUE, _eval_w(t, val, m.theory.dim))]
+            _, point = _w_terms(t, m.theory.dim)
+            if point is None:
+                raise MissingValuation(
+                    f"numeric term {t} outside an argument position")
+            return [(P.TRUE, point)]
         case App(fn, arg):
             return _sym_apply(m, _sym_eval(m, fn, wvars, val), arg, wvars, val)
     raise TypeError(t)
@@ -640,6 +630,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         return ALL
     s = 1 if theory.flipped else -1
     bounds = theory.nat_bounds(comps)
+    cterms = [P.LinTerm.of_var(c) for c in comps]
     gens: list[tuple[int | None, ...]] = (
         list(base.gens) if isinstance(base, Antichain)
         else [(base.k,)] if isinstance(base, AtLeast) else [])
@@ -668,7 +659,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         ask = [phi] + bounds
         if gens:
             ask.append(P.Not(theory.upset_formula(Antichain(tuple(gens)),
-                                                  comps)))
+                                                  cterms)))
         w = P.sat_exists_all(ask)
         if w is None:
             break
@@ -986,10 +977,12 @@ def deserialize_model(p: Problem, theory: Theory,
                 raise SchemaError(f"bad row in {pname!r}")
             args = r.get("pre", []) + r.get("post", []) \
                 if kind == "active" else r.get("args", [])
+            # an active row's arguments split at the numeric slot
+            if len(args) != len(nw) or kind == "active" and \
+                    len(r.get("pre", [])) != w_position(psort):
+                raise FrameInconsistency(f"row arity mismatch for {pname!r}")
             key = tuple(m.resolve_canon(s_, _canon_from_json(x))
                         for s_, x in zip(nw, args))
-            if len(key) != len(nw):
-                raise FrameInconsistency(f"row arity mismatch for {pname!r}")
             if kind == "active":
                 try:
                     cell = theory.canonicalize(upset_from_json(r["upset"]))

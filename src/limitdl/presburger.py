@@ -138,9 +138,10 @@ class LinTerm(_Value):
         return LinTerm.make(const, d)
 
     def eval(self, env: Mapping[str, int]) -> int:
+        """The value under env; a variable absent from env reads as 0."""
         total = self.const
         for v, c in self.coeffs:
-            total += c * env[v]
+            total += c * env.get(v, 0)
         return total
 
     def __str__(self) -> str:
@@ -490,7 +491,8 @@ def subst(f: Formula, pins: Mapping[str, LinTerm]) -> Formula:
 
 
 def evaluate(f: Formula, env: Mapping[str, int]) -> bool:
-    """Evaluate a quantifier-free formula under a total assignment."""
+    """Evaluate a quantifier-free formula; a variable absent from env reads
+    as 0, as in every witness the solver returns."""
     match f:
         case TrueF():
             return True
@@ -508,16 +510,6 @@ def evaluate(f: Formula, env: Mapping[str, int]) -> bool:
         case Or(args):
             return any(evaluate(a, env) for a in args)
     raise ValueError(f"quantifier in evaluate: {f}")
-
-
-class _ZeroEnv(dict):
-    def __missing__(self, key: str) -> int:
-        return 0
-
-
-def evaluate0(f: Formula, env: Mapping[str, int]) -> bool:
-    """Evaluate with 0 as the default for unassigned variables."""
-    return evaluate(f, _ZeroEnv(env))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,14 +1048,6 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
     return True
 
 
-def _eval0(t: LinTerm, env: dict[str, int]) -> int:
-    """Evaluate with 0 as the default for unconstrained variables."""
-    total = t.const
-    for v, c in t.coeffs:
-        total += c * env.get(v, 0)
-    return total
-
-
 def _to_le(f: Formula) -> Formula:
     """A comparison in cmp_atom's form: one that a caller built directly
     with another op, or over a constant term, goes through cmp_atom; every
@@ -1138,7 +1122,7 @@ def _sat_lits(lits: list, lo: dict[str, int],
     w = _sat_reduced(lits, lo, hi)
     if w is not None:
         for v, t in pins.items():
-            w[v] = _eval0(t, w)
+            w[v] = t.eval(w)
     return w
 
 
@@ -1223,7 +1207,7 @@ def _sat_reduced(lits: list, lo: dict[str, int],
         node = _child(others, _admit(new), lo, hi)
         w = None if node is None else _sat_lits(*node)
         if w is not None:
-            w[var] = _eval0(x_t, w) // delta  # exact: delta | x_t was added
+            w[var] = x_t.eval(w) // delta  # exact: delta | x_t was added
         return w
 
     if eq_terms:
@@ -1239,10 +1223,10 @@ def _sat_reduced(lits: list, lo: dict[str, int],
             if w is None:
                 continue
             if lb_terms:
-                base = max(_eval0(b, w) for b in lb_terms)
+                base = max(b.eval(w) for b in lb_terms)
                 xp = base + ((j - base) % bigd)
             elif ub_terms:
-                top = min(_eval0(a, w) for a in ub_terms)
+                top = min(a.eval(w) for a in ub_terms)
                 xp = top - ((top - j) % bigd)
             else:
                 xp = j

@@ -23,11 +23,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Sequence
 
 from .background import BgState, Theory, bg_extend, bg_state, exists_sat
 from .syntax import (
     App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, Sort, Term, Var,
-    W, WOp, print_term, spine,
+    W, WOp, print_formula, spine,
 )
 
 LIMIT_COST = 64
@@ -65,35 +66,23 @@ def subst_atom(a: Atom, env: dict[str, Term]) -> Atom:
 
 # A shape is an atom's name-blind skeleton with a slot for each variable
 # occurrence, plus the variables that fill the slots in traversal order
-# (repeats kept).  The skeleton is a %-format template: the slots read "(%d)",
-# which no name or printed term can produce (names hold no parentheses, and
-# every parenthesised term has a space), and any "%" of a name is doubled.
-# Two atoms have equal skeletons exactly when they are equal up to the names
-# of their variables.
+# (repeats kept).  The skeleton is the atom's printed text (print_formula) as
+# a %-format template: each variable reads "%s", and any "%" of another name
+# is doubled.  Two atoms have equal skeletons exactly when they are equal up
+# to the names of their variables.
 Shape = tuple[str, tuple[str, ...]]
 
 
 def atom_shape(a: Atom) -> Shape:
     occs: list[str] = []
 
-    def blind(t: Term) -> str:
-        match t:
-            case Var(n):
-                occs.append(n)
-                return "(%d)"
-            case App(f, x):
-                return f"({blind(f)} {blind(x)})"
-            case WOp(op, args, k):
-                return f"({op}{k if k is not None else ''} " + \
-                    " ".join(blind(x) for x in args) + ")"
-            case _:
-                return print_term(t).replace("%", "%%")
+    def name(t: Term) -> str:
+        if isinstance(t, Var):
+            occs.append(t.name)
+            return "%s"
+        return t.name.replace("%", "%%")
 
-    if isinstance(a, BgAtom):
-        skel = f"({a.rel} {blind(a.lhs)} {blind(a.rhs)})"
-    else:
-        skel = blind(a.term)
-    return skel, tuple(occs)
+    return print_formula(a, name), tuple(occs)
 
 
 @dataclass(frozen=True)
@@ -117,42 +106,27 @@ def goal_of_clause(cl: Clause) -> Goal:
     return _live(atoms, tuple(map(atom_shape, atoms)), cl.vars)
 
 
+def _fill(shapes: Sequence[Shape], slot: str) -> str:
+    """The shapes' skeletons joined by " & ", the variables numbered 0, 1,
+    ... by first occurrence and printed as slot % number."""
+    occs = list(itertools.chain.from_iterable(o for _, o in shapes))
+    names = {n: slot % i for i, n in enumerate(dict.fromkeys(occs))}
+    return " & ".join([s for s, _ in shapes]) % tuple(map(names.__getitem__,
+                                                           occs))
+
+
 def canonical_goal(g: Goal) -> str:
     """Renaming-invariant seen-set key: atoms sorted by skeleton (stably, so
     equal skeletons keep goal order), then variables renumbered (0), (1), ...
-    by first occurrence."""
-    shapes = sorted(g.shapes, key=itemgetter(0))
-    occs = list(itertools.chain.from_iterable(o for _, o in shapes))
-    num = dict(zip(dict.fromkeys(occs), itertools.count()))
-    return " & ".join([s for s, _ in shapes]) % tuple(map(num.__getitem__,
-                                                           occs))
+    by first occurrence, which no name or printed term can read (names hold
+    no parentheses, and every parenthesised term has a space)."""
+    return _fill(sorted(g.shapes, key=itemgetter(0)), "(%d)")
 
 
 def print_goal(g: Goal) -> str:
     """The goal's atoms in order, variables renamed v0, v1, ... by first
     occurrence: the form a proof trace records."""
-    names: dict[str, str] = {}
-
-    def ren(t: Term) -> Term:
-        match t:
-            case Var(n):
-                if n not in names:
-                    names[n] = f"v{len(names)}"
-                return Var(names[n])
-            case App(f, x):
-                return App(ren(f), ren(x))
-            case WOp(op, args, k):
-                return WOp(op, tuple(ren(x) for x in args), k)
-            case _:
-                return t
-
-    parts = []
-    for a in g.atoms:
-        if isinstance(a, BgAtom):
-            parts.append(f"({a.rel} {print_term(ren(a.lhs))} {print_term(ren(a.rhs))})")
-        else:
-            parts.append(print_term(ren(a.term)))
-    return " & ".join(parts)
+    return _fill(g.shapes, "v%d")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +349,6 @@ class Saturator:
                                None, None))
         # root index is stored in the first step's definite slot
         steps[0].definite = chain[0].root
-        from .syntax import print_formula
         bg = [a for a in node.goal.atoms if isinstance(a, BgAtom)]
         constraints = " & ".join(print_formula(a) for a in bg)
         return ProofTrace(steps, constraints)

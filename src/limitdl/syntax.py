@@ -19,7 +19,7 @@ literals, (tuple k ...), (+ t t), (- t t), (* k t), (comp x i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class SyntaxProblem(Exception):
@@ -532,36 +532,39 @@ def print_sort(s: Sort) -> str:
     return str(s)
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, name: Callable[[Term], str] | None = None) -> str:
+    """A term's text; ``name``, when given, prints each variable, predicate
+    and constant, left to right, in place of its own name."""
     match t:
         case Var(n) | PredRef(n) | SConst(n):
-            return n
+            return n if name is None else name(t)
         case WLit(vals):
             if len(vals) == 1:
                 return str(vals[0])
             return "(tuple " + " ".join(map(str, vals)) + ")"
         case WOp("+" | "-" as op, (a, b)):
-            return f"({op} {print_term(a)} {print_term(b)})"
+            return f"({op} {print_term(a, name)} {print_term(b, name)})"
         case WOp("scale", (a,), k):
-            return f"(* {k} {print_term(a)})"
+            return f"(* {k} {print_term(a, name)})"
         case WOp("comp", (a,), k):
-            return f"(comp {print_term(a)} {k})"
+            return f"(comp {print_term(a, name)} {k})"
         case App():
             h, args = spine(t)
-            return "(" + " ".join([print_term(h)] + [print_term(a) for a in args]) + ")"
+            return "(" + " ".join([print_term(x, name)
+                                   for x in [h] + args]) + ")"
     raise TypeError(t)
 
 
-def print_formula(f: BodyF) -> str:
+def print_formula(f: BodyF, name: Callable[[Term], str] | None = None) -> str:
     match f:
         case BgAtom(rel, l, r):
-            return f"({rel} {print_term(l)} {print_term(r)})"
+            return f"({rel} {print_term(l, name)} {print_term(r, name)})"
         case FgAtom(t):
-            return print_term(t)
+            return print_term(t, name)
         case AndF(args):
-            return "(and " + " ".join(print_formula(a) for a in args) + ")"
+            return "(and " + " ".join(print_formula(a, name) for a in args) + ")"
         case OrF(args):
-            return "(or " + " ".join(print_formula(a) for a in args) + ")"
+            return "(or " + " ".join(print_formula(a, name) for a in args) + ")"
     raise TypeError(f)
 
 

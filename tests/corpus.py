@@ -5,7 +5,7 @@ An id names its fixture: `mult6` and `fo/nat_trade_unsat` are `.lchc` files
 under `fixtures/`, and `lcm/m3/b:2,0` is machine `m3` with target state `b`
 and counter values (2, 0).  `integral255` is left out of `PINNED`: its single
 solve takes longer than the rest of the corpus together, and criterion 1
-checks its verdict.
+checks its verdict and its proof.
 """
 
 import hashlib
@@ -102,6 +102,59 @@ MODEL_SHA256 = {
 }
 
 
+# SHA-256 of the proof trace each UNSAT row's solve returns (see
+# proof_sha256)
+PROOF_SHA256 = {
+    "fo/lia_down_unsat":
+        "2d24617f77d78f6ffaa8416b2c217a7f6d6881d1deec9b3fe9575af4a6a53d7e",
+    "fo/lia_join_unsat":
+        "a27233b92683c81fe1ef29d772992b081c34decc59622ada1cc7c787097df5f6",
+    "fo/lia_rec_unsat":
+        "f03c0e6d133bcf33642e5d0a93227ba87c9f371bfd048117536570504f9b98a6",
+    "fo/lia_shift_unsat":
+        "e18eef79a0954d3de6156fb26ed27da5d6d52f8d74a598e6973b69ac418fa943",
+    "fo/lia_threshold_edge":
+        "dae693c2e5fed0271d9e197cc0dfbf9a6aa1d59d4aeb6f9d6fe4658d79f6d902",
+    "fo/lia_threshold_unsat":
+        "e55dbc6fd69fbff9e84ec6b6b8aaff6d98c6d5840b4b2cb81e427fb9186f8c8d",
+    "fo/nat1_down_unsat":
+        "1eb45167c52998444e26588f30c06bba121e424370e85d2cb9c5a652fcc425fd",
+    "fo/nat1_rec_unsat":
+        "4b63cdd35deb81d406148a3c2a8e1ba89be12d193e209c46843af469c2f41669",
+    "fo/nat_axis_unsat":
+        "889b04d2de0d80526f49264ee7f93c8e0d9daaf5f0b0cf7b4951484627fda09c",
+    "fo/nat_down_unsat":
+        "e643f8ddefe520c1db5b580bbbe1f647489db137645194fa0ad6203a05c164f8",
+    "fo/nat_join_unsat":
+        "c0451d7916aed70a62f65d34c5406f654eb4b901537fb61b23448e2c034061e4",
+    "fo/nat_trade_unsat":
+        "dd7159b8e11e7469dd20a8c155ee0b0c511177e8fb06746b4951ce81252805d2",
+    "fo/nat_up_unsat":
+        "6bd88641507d8666683a537bad4f8635975913e4282396e3d6b787d1eee0b977",
+    "mult6":
+        "630e4c1552d694131cb12dcf32d8d3b9b8a01bee979881aadc1a91cfaa5a6c8e",
+    "mult7":
+        "5d1a2802b8aec48f81e97cf6a7bf7c28caef8d09a8ca9864702ab0445ddfeb9f",
+    "lcm/m1/q0:2":
+        "2774ee36fe31b4c3d1113f5e3d94f4dba81684ce4bc60b1ca32ed3afb976c869",
+    "lcm/m1/q1:5":
+        "b483f0d5963ba5614f4cfbbc6fe0bc419b32b7cd81b254e9bea4264e0a0afec7",
+    "lcm/m1/q2:0":
+        "7df5c4ea120011e9bea65169b07f290659f89062a83c108588412845b6010567",
+    "lcm/m2/f:0,3":
+        "73c98d04b9c31e5487cfd62893274d90bc9d990670c85a556359a3688c181a2b",
+    "lcm/m2/s:2,2":
+        "cfd014e2303e4c9485d6011151f06f0cc1514defe399414b0cd0d4addd62d60f",
+    "lcm/m2/t:0,4":
+        "0bc00ccd1820461c79e15b967d54b453979bc57640517036b91327a39d71ccbd",
+    "lcm/m3/f:0,2":
+        "c6fd35d96621cc1f8e84d43e57f424c62fc93313219f49528355b3355cb96703",
+    "lcm/m3/a:3,3":
+        "d3507480d4da66886eb08f4b775cb9d9b8e450ed991a9b4072e647c59d478170",
+    "lcm/m3/b:2,0":
+        "f32ddbcb43e3b353b69dc43ab69859ddf162da59d5bc0156c1f5432b30b498c2",
+}
+
 # SHA-256 of each first-order problem's least model (`fo_least_model`;
 # see model_sha256)
 LEAST_MODEL_SHA256 = {
@@ -190,6 +243,11 @@ def model_sha256(m):
     """SHA-256 of a model's serialization, keys sorted."""
     text = json.dumps(serialize_model(m), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def proof_sha256(trace):
+    """SHA-256 of a proof trace's JSON text (`ProofTrace.dumps`)."""
+    return hashlib.sha256(trace.dumps().encode()).hexdigest()
 
 
 # the first-order problems: every pinned one but the higher-order integral256

@@ -27,12 +27,18 @@ from typing import Iterator, Mapping, Sequence
 import pytest
 
 from limitdl import presburger as P
-from limitdl.background import Theory, comp_var, compile_atom
-from limitdl.entwined import _eval_w
+from limitdl.background import Theory, comp_var, compile_atom, components
 from limitdl.frontends import LCM, InstrA, LCMConfig, check_machine
 from limitdl.resolution import Goal
 from limitdl.syntax import (FIN, W, App, BgAtom, Clause, PredRef, Problem,
                             SConst, Term, Var, WOp, print_term, spine)
+
+
+def _point(t: Term, dim: int) -> tuple[int, ...]:
+    """A closed numeric term's point, compiled by the library's one numeric
+    compiler; a scalar stands for that value in every coordinate."""
+    cs = [c.const for c in components(t, dim)]
+    return tuple(cs * dim if len(cs) == 1 else cs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +127,7 @@ def bounded_canonical_model(p: Problem, theory: Theory,
                     elif isinstance(t, SConst):
                         getters.append(("k", t.name))
                     else:
-                        getters.append(("k", _eval_w(t, {}, dim)))
+                        getters.append(("k", _point(t, dim)))
                 fgs.append((head.name, getters))
         bg_f = P.conj(bgs)
         bg_test = eval("lambda w: " + _py_expr(bg_f, names))  # noqa: S307
@@ -152,7 +158,7 @@ def bounded_canonical_model(p: Problem, theory: Theory,
             elif isinstance(t, SConst):
                 out.append(t.name)
             else:
-                out.append(_eval_w(t, {}, dim))
+                out.append(_point(t, dim))
         return tuple(out)
 
     compiled = []

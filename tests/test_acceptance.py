@@ -17,6 +17,7 @@ from limitdl.resolution import BudgetExhausted, Refuted, Saturator, replay
 from limitdl.syntax import mk_arrow, normalize_problem, parse_problem
 from limitdl.typesys import is_initial, validate
 from limitdl.syntax import FIN, PROP, W
+from corpus import proof_sha256
 from oracles import bounded_canonical_model, simulate_reachable
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -70,6 +71,11 @@ def _lcm_cases():
             yield mname, m, LCMConfig(state, tuple(vals))
 
 
+# SHA-256 of integral255's proof trace (corpus.proof_sha256)
+INTEGRAL255_PROOF_SHA256 = \
+    "7afd721ca8c538c171a10a6ab1709c8a314943d156d398df221a18cc02840a30"
+
+
 def test_criterion_1_flagship_unsat_and_sat():
     with gate(1, "threshold-255 refuted, threshold-256 modelled", 120):
         p255 = load(fx("integral255.lchc"))
@@ -78,6 +84,8 @@ def test_criterion_1_flagship_unsat_and_sat():
         assert v.kind == "UNSAT"
         th = theory_for(p255.theory_kind, p255.dim, p255.direction)
         assert replay(v.trace, p255, th)
+        assert v.stats["resolutionSteps"] == 1840
+        assert proof_sha256(v.trace) == INTEGRAL255_PROOF_SHA256
         assert time.monotonic() - t0 < 60
         _SOLVED[fx("integral255.lchc")] = v.kind
 

@@ -103,7 +103,7 @@ def test_formula_agreement_1000_samples():
         ups = [next(it) for _ in range(40)]
         comps = [comp_var("w", i + 1) for i in range(th.dim)]
         for u in ups:
-            f = th.upset_formula(u, comps)
+            f = th.upset_formula(u, [P.LinTerm.of_var(c) for c in comps])
             for _ in range(10):
                 if th.nat:
                     w = tuple(rng.randint(0, 8) for _ in range(th.dim))
@@ -169,6 +169,14 @@ def test_compile_atom_components_and_arith():
     f = compile_atom(a, th)
     env = {comp_var("u", 1): 5, comp_var("v", 2): 4}
     assert P.evaluate(P.nnf(f), env)
+    # in one dimension every point is a tuple of one: comp 1 is the point
+    g = compile_atom(BgAtom("eq", WOp("comp", (Var("u"),), k=1), WLit((5,))),
+                     LIA_UP)
+    assert P.evaluate(g, {comp_var("u", 1): 5})
+    assert not P.evaluate(g, {comp_var("u", 1): 4})
+    with pytest.raises(TheoryError):
+        compile_atom(BgAtom("eq", WOp("comp", (WLit((5,)),), k=1),
+                            WLit((5,))), th)
 
 
 def test_compile_eqs():
@@ -347,5 +355,5 @@ def test_bg_extend_matches_exists_sat():
                 env.update({v: t.eval(env) for v, t in st.pins.items()})
                 fs = [compile_atom(a, th, fin_elems=fin) for a in atoms]
                 for f in fs + th.nat_bounds(comps):
-                    assert P.evaluate0(f, env), (th.kind, th.dim, atoms, f)
+                    assert P.evaluate(f, env), (th.kind, th.dim, atoms, f)
     assert outcomes == {True, False}

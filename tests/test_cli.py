@@ -127,6 +127,14 @@ ROWS = {"G": {"args": [], "value": False},
     ("Q", {"args": [{"s": "a"}], "value": 1}, "SchemaError"),
     # a finite sort has no top element
     ("Q", {"args": [{"top": "S"}], "value": False}, "FrameInconsistency"),
+    # arguments past the sort's arity are not dropped unread
+    ("Q", {"args": [{"s": "a"}, {"s": "a"}, {"top": "S"}], "value": False},
+     "FrameInconsistency"),
+    ("R", {"pre": [{"s": "a"}, {"s": "zzz"}], "post": [{"s": "a"}],
+           "upset": ATLEAST3}, "FrameInconsistency"),
+    # an active row splits at the numeric slot
+    ("R", {"pre": [], "post": [{"s": "a"}], "upset": ATLEAST3},
+     "FrameInconsistency"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"
@@ -142,7 +150,33 @@ def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     assert verify_rows(ROWS) == 0
     capsys.readouterr()
     assert verify_rows(dict(ROWS, **{pred: row})) == 2
-    assert error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert error in err and len(err.strip().splitlines()) == 1
+
+
+# F reads the truth of Q at x + 1, a numeric argument nested under a
+# boolean one: the model checker compiles it to a term and splits on it
+NESTED_TEXT = """(theory (nat 1))
+(direction upward)
+(declare Q (-> W o))
+(declare F (-> o o))
+(clause ((x W)) (head (Q x)) (body (geq x 5)))
+(clause ((b o)) (head (F b)) (body b))
+(goal ((x W)) (body (and (F (Q (+ x 1))) (leq x {k}))))
+"""
+
+
+def test_nested_numeric_argument(capsys, tmp_path):
+    prob = tmp_path / "p.lchc"
+    model = tmp_path / "m.json"
+    prob.write_text(NESTED_TEXT.format(k=2))
+    assert main(["solve", str(prob), "--emit-model", str(model)]) == 10
+    assert main(["verify-model", str(prob), str(model)]) == 0
+    prob.write_text(NESTED_TEXT.format(k=4))
+    capsys.readouterr()
+    assert main(["solve", str(prob), "--json"]) == 20
+    out = json.loads(capsys.readouterr().out)
+    assert out["stats"]["resolutionSteps"] == 4
 
 
 def test_solve_skips_hint_with_top_at_finite_sort(capsys, tmp_path):

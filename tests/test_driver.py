@@ -6,7 +6,8 @@ import signal
 
 import pytest
 
-from corpus import HINTS, MODEL_SHA256, PINNED, model_sha256, problem
+from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, model_sha256,
+                    problem, proof_sha256)
 from limitdl import presburger as P
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
@@ -191,6 +192,8 @@ def test_corpus_outcomes_are_pinned(pid, verdict, steps, models):
                                            "modelsChecked": models})
     if verdict == "SAT":
         assert model_sha256(v.model) == MODEL_SHA256[pid]
+    else:
+        assert proof_sha256(v.trace) == PROOF_SHA256[pid]
 
 
 @pytest.fixture

@@ -451,7 +451,7 @@ def test_extract_upset_against_grid_membership():
         phi = _rand_closed_set(rng, comps, direction == "downward")
         with deadline(5):
             u = E.extract_upset(th, phi, comps)
-        got = th.upset_formula(u, comps)
+        got = th.upset_formula(u, [P.LinTerm.of_var(c) for c in comps])
         for pt in itertools.product(range(0, 36, 5), repeat=dim):
             env = dict(zip(comps, pt))
             assert P.evaluate(got, env) == P.evaluate(phi, env), \
@@ -488,7 +488,8 @@ def test_extract_upset_seeded_by_base():
                       for _ in comps)
                 for _ in range(rng.randint(1, 3))))))
         for base in bases:
-            joined = P.disj([th.upset_formula(base, comps), phi])
+            joined = P.disj([th.upset_formula(
+                base, [P.LinTerm.of_var(c) for c in comps]), phi])
             with deadline(5):
                 got = E.extract_upset(th, phi, comps, base)
                 want = E.extract_upset(th, joined, comps)

@@ -301,7 +301,7 @@ def test_fast_path_against_box_brute_force():
         w = P.sat_exists_all([f])
         assert (w is not None) == truth, f
         if w is not None:
-            assert P.evaluate0(f, w), (f, w)
+            assert P.evaluate(f, w), (f, w)
         pins = {}
         residual = P.reduce_conj([f], pins, [])
         assert residual is None or all(
@@ -311,8 +311,8 @@ def test_fast_path_against_box_brute_force():
         assert (w is not None) == truth, f
         if w is not None:
             env = dict(w)
-            env.update((x, P._eval0(t, w)) for x, t in pins.items())
-            assert P.evaluate0(f, env), (f, env)
+            env.update((x, t.eval(w)) for x, t in pins.items())
+            assert P.evaluate(f, env), (f, env)
 
 
 def test_search_nodes_narrow_from_their_parents(monkeypatch):
@@ -481,7 +481,7 @@ def test_negated_implication_keeps_a_body_equality():
             set(g.t.coeffs) == same or set(g.t.neg().coeffs) == same)
             for g in lits), lits
     w = P.sat_exists_all([f])
-    assert w is not None and P.evaluate0(f, w)
+    assert w is not None and P.evaluate(f, w)
 
 
 def test_nnf_holds_only_strict_comparisons():
@@ -584,7 +584,7 @@ def test_branch_search_first_witness():
         assert (w is not None) == truth, matrices
         if w is not None:
             found += 1
-            assert all(P.evaluate0(f, w) for f in matrices), (matrices, w)
+            assert all(P.evaluate(f, w) for f in matrices), (matrices, w)
     assert 30 < found < 270  # both outcomes are exercised
 
 
@@ -785,7 +785,7 @@ def test_walker_complements_unions_of_boxes():
             w = P.sat_exists_all(query)
             assert (w is not None) == truth, query
             if w is not None:
-                assert all(P.evaluate0(f, w) for f in query), (query, w)
+                assert all(P.evaluate(f, w) for f in query), (query, w)
             if case % 10 == 0:
                 sentence = conj(query)
                 for n in names:
