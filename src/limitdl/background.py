@@ -16,11 +16,11 @@ as the whole domain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import presburger as P
 from .presburger import Formula, LinTerm
+from .record import Record
 from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp
 
 
@@ -32,29 +32,37 @@ class TheoryError(Exception):
 # descriptors
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "empty"
 
 
-@dataclass(frozen=True)
-class All:
+class All(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "all"
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    k: int
+class AtLeast(Record):
+    __slots__ = __match_args__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self._hash = None
 
     def __str__(self) -> str:
         return f"atleast({self.k})"
 
 
-@dataclass(frozen=True)
-class Antichain:
-    gens: tuple[tuple[int | None, ...], ...]  # None encodes omega
+class Antichain(Record):
+    __slots__ = __match_args__ = ("gens",)
+
+    def __init__(self, gens: tuple[tuple[int | None, ...], ...]) -> None:
+        self.gens = gens  # None encodes omega
+        self._hash = None
 
     def __str__(self) -> str:
         def fmt(g):
@@ -393,11 +401,16 @@ def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
 # atoms it adds rather than to the whole system.
 
 
-@dataclass
-class BgState:
-    pins: dict[str, LinTerm]
-    residual: list  # quantifier-free formulas, conjoined
-    witness: dict[str, int]  # satisfying assignment (absent vars read as 0)
+class BgState(Record):
+    __slots__ = __match_args__ = ("pins", "residual", "witness")
+    __hash__ = None
+
+    def __init__(self, pins: dict[str, LinTerm], residual: list,
+                 witness: dict[str, int]) -> None:
+        self.pins = pins
+        self.residual = residual  # quantifier-free formulas, conjoined
+        # satisfying assignment (absent vars read as 0)
+        self.witness = witness
 
 
 def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str], theory: Theory,

@@ -94,9 +94,11 @@ def _cmd_verify_model(args) -> int:
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             witness = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        print(f"SchemaError: {e}", file=sys.stderr)
-        _emit(args, {"ok": False, "error": f"SchemaError: {e}"}, "false")
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        why = "witness is nested too deeply to read" \
+            if isinstance(e, RecursionError) else e
+        print(f"SchemaError: {why}", file=sys.stderr)
+        _emit(args, {"ok": False, "error": f"SchemaError: {why}"}, "false")
         return EXIT_REJECTED
     ok, diag = verify(p, witness)
     if not ok:

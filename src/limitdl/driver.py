@@ -3,38 +3,48 @@ enumeration and checking, re-verifying whichever side succeeds first."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import entwined as E
 from .background import Theory, theory_for
+from .record import Record
 from .resolution import (BudgetExhausted, ProofTrace, Refuted, Saturator,
                          replay)
 from .syntax import Problem, normalize_problem
 from .typesys import ValidationReport, validate
 
 
-@dataclass
-class SolveConfig:
-    resolution_slice: int = 2000
-    model_slice: int = 50
-    total_budget: int | None = None
-    hint: str | None = None
+class SolveConfig(Record):
+    __slots__ = __match_args__ = ("resolution_slice", "model_slice",
+                                  "total_budget", "hint")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.resolution_slice < 1 or self.model_slice < 1:
+    def __init__(self, resolution_slice: int = 2000, model_slice: int = 50,
+                 total_budget: int | None = None,
+                 hint: str | None = None) -> None:
+        if resolution_slice < 1 or model_slice < 1:
             raise ValueError("slices must be at least 1")
-        if self.total_budget is not None and self.total_budget < 1:
+        if total_budget is not None and total_budget < 1:
             raise ValueError("the total budget must be at least 1")
+        self.resolution_slice = resolution_slice
+        self.model_slice = model_slice
+        self.total_budget = total_budget
+        self.hint = hint
 
 
-@dataclass
-class Verdict:
-    kind: str  # SAT | UNSAT | UNKNOWN | INVALID
-    model: E.EntwinedStructure | None = None
-    trace: ProofTrace | None = None
-    report: ValidationReport | None = None
-    stats: dict = field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = __match_args__ = ("kind", "model", "trace", "report", "stats")
+    __hash__ = None
+
+    def __init__(self, kind: str, model: E.EntwinedStructure | None = None,
+                 trace: ProofTrace | None = None,
+                 report: ValidationReport | None = None,
+                 stats: dict | None = None) -> None:
+        self.kind = kind  # SAT | UNSAT | UNKNOWN | INVALID
+        self.model = model
+        self.trace = trace
+        self.report = report
+        self.stats = {} if stats is None else stats
 
 
 def _hint_model(p: Problem, theory: Theory,

@@ -22,16 +22,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from . import presburger as P
 from .background import (ALL, EMPTY, Antichain, AtLeast, Theory, Upset,
                          compile_atom, comp_var, components,
                          upset_from_json, upset_to_json)
-from .syntax import (FIN, PROP, W, AndF, App, Arrow, Atom, BgAtom, BodyF,
-                     Clause, FgAtom, OrF, PredRef, Problem, SConst, Sort,
-                     Term, Var, WLit, WOp, arg_sorts, mk_app, print_sort)
+from .record import Record
+from .syntax import (FIN, MAX_DEPTH, PROP, W, AndF, App, Arrow, Atom,
+                     BgAtom, BodyF, Clause, FgAtom, OrF, PredRef, Problem,
+                     SConst, Sort, Term, Var, WLit, WOp, arg_sorts, mk_app,
+                     print_sort)
 from .typesys import classify, type_order, w_position
 
 
@@ -62,20 +63,29 @@ MAX_FRAME = 1 << 16
 # canonical value-terms (used for witness serialization and provenance)
 
 
-@dataclass(frozen=True)
-class Top:
-    sort: Sort
+class Top(Record):
+    __slots__ = __match_args__ = ("sort",)
+
+    def __init__(self, sort: Sort) -> None:
+        self.sort = sort
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class SVal:
-    const: str
+class SVal(Record):
+    __slots__ = __match_args__ = ("const",)
+
+    def __init__(self, const: str) -> None:
+        self.const = const
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class PredApp:
-    pred: str
-    args: tuple["CanonicalValue", ...]
+class PredApp(Record):
+    __slots__ = __match_args__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple["CanonicalValue", ...]) -> None:
+        self.pred = pred
+        self.args = args
+        self._hash = None
 
 
 CanonicalValue = Top | SVal | PredApp
@@ -102,16 +112,22 @@ CanonicalValue = Top | SVal | PredApp
 # equality.
 
 
-@dataclass(frozen=True)
-class FnVal:
-    sort: Sort
-    vals: tuple[bool, ...]
+class FnVal(Record):
+    __slots__ = __match_args__ = ("sort", "vals")
+
+    def __init__(self, sort: Sort, vals: tuple[bool, ...]) -> None:
+        self.sort = sort
+        self.vals = vals
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class ActVal:
-    sort: Sort
-    descs: tuple[Upset, ...]
+class ActVal(Record):
+    __slots__ = __match_args__ = ("sort", "descs")
+
+    def __init__(self, sort: Sort, descs: tuple[Upset, ...]) -> None:
+        self.sort = sort
+        self.descs = descs
+        self._hash = None
 
 
 Value = bool | str | FnVal | ActVal
@@ -868,7 +884,10 @@ def _canon_to_json(c: CanonicalValue) -> dict:
     raise TypeError(c)
 
 
-def _canon_from_json(d) -> CanonicalValue:
+def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
+    # a value nests no deeper than its sort, and the reader bounds sorts
+    if depth > MAX_DEPTH:
+        raise SchemaError("canonical value nested too deeply")
     if not isinstance(d, dict):
         raise SchemaError(f"bad canonical value {d!r}")
     if "top" in d:
@@ -879,7 +898,8 @@ def _canon_from_json(d) -> CanonicalValue:
         a = d["app"]
         if not isinstance(a, list) or not a or not isinstance(a[0], str):
             raise SchemaError("bad application value")
-        return PredApp(a[0], tuple(_canon_from_json(x) for x in a[1:]))
+        return PredApp(a[0], tuple(_canon_from_json(x, depth + 1)
+                                   for x in a[1:]))
     raise SchemaError(f"bad canonical value {d!r}")
 
 
@@ -1015,4 +1035,6 @@ def load_model(p: Problem, theory: Theory, path: str) -> EntwinedStructure:
             raise SchemaError(f"witness is not valid JSON: {e}")
         except UnicodeDecodeError as e:
             raise SchemaError(f"witness is not UTF-8 text: {e}")
+        except RecursionError:
+            raise SchemaError("witness is nested too deeply to read")
     return deserialize_model(p, theory, data)

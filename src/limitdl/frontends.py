@@ -4,8 +4,8 @@ problems over tuples of naturals."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from .record import Record
 from .syntax import (PROP, W, AndF, Arrow, BgAtom, Clause, FgAtom, Problem,
                      PredRef, Var, WOp, mk_app, normalize_problem)
 
@@ -14,36 +14,54 @@ class IllFormedMachine(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InstrA:
+class InstrA(Record):
     """q: c_i := c_i + 1; goto q'"""
-    src: str
-    counter: int  # 1-based
-    dst: str
+
+    __slots__ = __match_args__ = ("src", "counter", "dst")
+
+    def __init__(self, src: str, counter: int, dst: str) -> None:
+        self.src = src
+        self.counter = counter  # 1-based
+        self.dst = dst
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class InstrB:
+class InstrB(Record):
     """q: if c_i = 0 then goto q' else c_i := c_i - 1; goto q''"""
-    src: str
-    counter: int
-    if_zero: str
-    dec_to: str
+
+    __slots__ = __match_args__ = ("src", "counter", "if_zero", "dec_to")
+
+    def __init__(self, src: str, counter: int, if_zero: str,
+                 dec_to: str) -> None:
+        self.src = src
+        self.counter = counter
+        self.if_zero = if_zero
+        self.dec_to = dec_to
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class LCM:
-    states: tuple[str, ...]
-    initial: str
-    final: str
-    counters: int
-    instructions: tuple[InstrA | InstrB, ...]
+class LCM(Record):
+    __slots__ = __match_args__ = ("states", "initial", "final", "counters",
+                                  "instructions")
+
+    def __init__(self, states: tuple[str, ...], initial: str, final: str,
+                 counters: int,
+                 instructions: tuple[InstrA | InstrB, ...]) -> None:
+        self.states = states
+        self.initial = initial
+        self.final = final
+        self.counters = counters
+        self.instructions = instructions
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class LCMConfig:
-    state: str
-    values: tuple[int, ...]
+class LCMConfig(Record):
+    __slots__ = __match_args__ = ("state", "values")
+
+    def __init__(self, state: str, values: tuple[int, ...]) -> None:
+        self.state = state
+        self.values = values
+        self._hash = None
 
 
 def lcm_from_json(data: dict) -> LCM:
@@ -171,4 +189,6 @@ def load_machine(path: str) -> LCM:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise IllFormedMachine(f"machine file is not valid JSON: {e}")
+        except RecursionError:
+            raise IllFormedMachine("machine file is nested too deeply to read")
     return lcm_from_json(data)

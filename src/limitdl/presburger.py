@@ -12,47 +12,17 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from operator import le as le_
 from typing import Iterable, Iterator, Mapping
+
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # linear terms
 
 
-class _Value:
-    """Base of the slotted value types (terms and formulas): two values
-    are equal when they have the same class and equal fields (_key, in
-    __match_args__ order), and the hash of the tuple of fields is cached
-    in a slot on first use.  A value's fields are never assigned after its
-    __init__, nor its cache slots outside their accessor
-    (tests/test_values.py checks the source); nothing enforces this at run
-    time, where a guard would cost more than the caches save."""
-
-    __slots__ = ("_hash",)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._key())
-        return h
-
-    def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._key())
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{n}={v!r}" for n, v in fields) + ")"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._key()  # the cached hash is not carried
-
-
-class LinTerm(_Value):
+class LinTerm(Record):
     """const + sum(coeff * var); coeffs sorted by var name, zero-free."""
 
     __slots__ = ("const", "coeffs", "_vars")
@@ -64,9 +34,6 @@ class LinTerm(_Value):
         self.coeffs = coeffs
         self._hash = None
         self._vars = None
-
-    def _key(self) -> tuple:
-        return self.const, self.coeffs
 
     @staticmethod
     def of_const(c: int) -> "LinTerm":
@@ -195,14 +162,16 @@ _ONE = LinTerm(1)
 # formulas
 
 
-@dataclass(frozen=True)
-class TrueF:
+class TrueF(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class FalseF:
+class FalseF(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "false"
 
@@ -217,9 +186,8 @@ _HOLDS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
 _NEG_OP = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 
-class Cmp(_Value):
-    __slots__ = ("op", "t")
-    __match_args__ = ("op", "t")
+class Cmp(Record):
+    __slots__ = __match_args__ = ("op", "t")
 
     def __init__(self, op: str, t: LinTerm) -> None:
         if op not in _HOLDS:
@@ -228,18 +196,14 @@ class Cmp(_Value):
         self.t = t
         self._hash = None
 
-    def _key(self) -> tuple:
-        return self.op, self.t
-
     def __str__(self) -> str:
         return f"({self.t} {self.op} 0)"
 
 
-class Div(_Value):
+class Div(Record):
     """d | t (or its negation when neg is set)."""
 
-    __slots__ = ("d", "t", "neg")
-    __match_args__ = ("d", "t", "neg")
+    __slots__ = __match_args__ = ("d", "t", "neg")
 
     def __init__(self, d: int, t: LinTerm, neg: bool = False) -> None:
         self.d = d
@@ -247,39 +211,28 @@ class Div(_Value):
         self.neg = neg
         self._hash = None
 
-    def _key(self) -> tuple:
-        return self.d, self.t, self.neg
-
     def __str__(self) -> str:
         bar = "∤" if self.neg else "|"
         return f"({self.d} {bar} {self.t})"
 
 
-class Not(_Value):
-    __slots__ = ("f",)
-    __match_args__ = ("f",)
+class Not(Record):
+    __slots__ = __match_args__ = ("f",)
 
     def __init__(self, f: "Formula") -> None:
         self.f = f
         self._hash = None
 
-    def _key(self) -> tuple:
-        return (self.f,)
-
     def __str__(self) -> str:
         return f"(not {self.f})"
 
 
-class _Connective(_Value):
-    __slots__ = ("args",)
-    __match_args__ = ("args",)
+class _Connective(Record):
+    __slots__ = __match_args__ = ("args",)
 
     def __init__(self, args: tuple["Formula", ...]) -> None:
         self.args = args
         self._hash = None
-
-    def _key(self) -> tuple:
-        return (self.args,)
 
 
 class And(_Connective):
@@ -296,19 +249,25 @@ class Or(_Connective):
         return "(or " + " ".join(map(str, self.args)) + ")"
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Record):
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Formula") -> None:
+        self.var = var
+        self.body = body
+        self._hash = None
 
     def __str__(self) -> str:
         return f"(exists ({self.var}) {self.body})"
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Record):
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Formula") -> None:
+        self.var = var
+        self.body = body
+        self._hash = None
 
     def __str__(self) -> str:
         return f"(forall ({self.var}) {self.body})"

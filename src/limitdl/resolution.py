@@ -21,11 +21,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
 from .background import BgState, Theory, bg_extend, bg_state, exists_sat
+from .record import Record
 from .syntax import (
     App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, Sort, Term, Var,
     W, WOp, print_formula, spine,
@@ -85,11 +85,16 @@ def atom_shape(a: Atom) -> Shape:
     return print_formula(a, name), tuple(occs)
 
 
-@dataclass(frozen=True)
-class Goal:
-    atoms: tuple[Atom, ...]
-    varsorts: tuple[tuple[str, Sort], ...]
-    shapes: tuple[Shape, ...]  # one per atom, computed when it entered
+class Goal(Record):
+    __slots__ = __match_args__ = ("atoms", "varsorts", "shapes")
+
+    def __init__(self, atoms: tuple[Atom, ...],
+                 varsorts: tuple[tuple[str, Sort], ...],
+                 shapes: tuple[Shape, ...]) -> None:
+        self.atoms = atoms
+        self.varsorts = varsorts
+        self.shapes = shapes  # one per atom, computed when it entered
+        self._hash = None
 
 
 def _live(atoms: tuple[Atom, ...], shapes: tuple[Shape, ...],
@@ -194,19 +199,28 @@ def bg_unsat(g: Goal, theory: Theory, fin_elems) -> bool:
 # traces
 
 
-@dataclass
-class TraceStep:
-    goal: str  # canonical printed form (order-preserving)
-    rule: str  # "resolution" | "refutation"
-    parent: int | None
-    atom: int | None
-    definite: int | None
+class TraceStep(Record):
+    __slots__ = __match_args__ = ("goal", "rule", "parent", "atom",
+                                  "definite")
+    __hash__ = None
+
+    def __init__(self, goal: str, rule: str, parent: int | None,
+                 atom: int | None, definite: int | None) -> None:
+        self.goal = goal  # canonical printed form (order-preserving)
+        self.rule = rule  # "resolution" | "refutation"
+        self.parent = parent
+        self.atom = atom
+        self.definite = definite
 
 
-@dataclass
-class ProofTrace:
-    steps: list[TraceStep]
-    constraints: str  # printed background conjunction of the final goal
+class ProofTrace(Record):
+    __slots__ = __match_args__ = ("steps", "constraints")
+    __hash__ = None
+
+    def __init__(self, steps: list[TraceStep], constraints: str) -> None:
+        self.steps = steps
+        # printed background conjunction of the final goal
+        self.constraints = constraints
 
     def to_json(self) -> dict:
         return {
@@ -233,26 +247,38 @@ class ProofTrace:
 # saturation
 
 
-@dataclass
-class Refuted:
-    trace: ProofTrace
-    steps_used: int
+class Refuted(Record):
+    __slots__ = __match_args__ = ("trace", "steps_used")
+    __hash__ = None
+
+    def __init__(self, trace: ProofTrace, steps_used: int) -> None:
+        self.trace = trace
+        self.steps_used = steps_used
 
 
-@dataclass
-class BudgetExhausted:
-    steps_used: int
+class BudgetExhausted(Record):
+    __slots__ = __match_args__ = ("steps_used",)
+    __hash__ = None
+
+    def __init__(self, steps_used: int) -> None:
+        self.steps_used = steps_used
 
 
-@dataclass
-class _Node:
-    goal: Goal
-    root: int  # index of originating goal clause
-    parent: "_Node | None"
-    atom: int | None
-    definite: int | None
-    bg: BgState  # reduced background state
-    via_limit: bool = False  # produced by a limit-clause step
+class _Node(Record):
+    __slots__ = __match_args__ = ("goal", "root", "parent", "atom",
+                                  "definite", "bg", "via_limit")
+    __hash__ = None
+
+    def __init__(self, goal: Goal, root: int, parent: "_Node | None",
+                 atom: int | None, definite: int | None, bg: BgState,
+                 via_limit: bool = False) -> None:
+        self.goal = goal
+        self.root = root  # index of originating goal clause
+        self.parent = parent
+        self.atom = atom
+        self.definite = definite
+        self.bg = bg  # reduced background state
+        self.via_limit = via_limit  # produced by a limit-clause step
 
 
 class Saturator:

@@ -18,8 +18,9 @@ literals, (tuple k ...), (+ t t), (- t t), (* k t), (comp x i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
+
+from .record import Record
 
 
 class SyntaxProblem(Exception):
@@ -36,28 +37,34 @@ class SyntaxProblem(Exception):
 # sorts
 
 
-@dataclass(frozen=True)
-class Prop:
+class Prop(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "o"
 
 
-@dataclass(frozen=True)
-class Fin:
+class Fin(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "S"
 
 
-@dataclass(frozen=True)
-class WSort:
+class WSort(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "W"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    arg: "Sort"
-    res: "Sort"
+class Arrow(Record):
+    __slots__ = __match_args__ = ("arg", "res")
+
+    def __init__(self, arg: "Sort", res: "Sort") -> None:
+        self.arg = arg
+        self.res = res
+        self._hash = None
 
     def __str__(self) -> str:
         parts = []
@@ -100,42 +107,61 @@ def mk_arrow(args: list[Sort], res: Sort) -> Sort:
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class PredRef:
-    name: str
+class PredRef(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class SConst:
-    name: str
+class SConst(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class WLit:
-    vals: tuple[int, ...]
+class WLit(Record):
+    __slots__ = __match_args__ = ("vals",)
+
+    def __init__(self, vals: tuple[int, ...]) -> None:
+        self.vals = vals
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class WOp:
+class WOp(Record):
     """Numeric operation: op in '+', '-', 'scale', 'comp'.
 
     'scale' multiplies args[0] by k; 'comp' selects 1-based component k of
     args[0]."""
 
-    op: str
-    args: tuple["Term", ...]
-    k: int | None = None
+    __slots__ = __match_args__ = ("op", "args", "k")
+
+    def __init__(self, op: str, args: tuple["Term", ...],
+                 k: int | None = None) -> None:
+        self.op = op
+        self.args = args
+        self.k = k
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Record):
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: "Term", arg: "Term") -> None:
+        self.fn = fn
+        self.arg = arg
+        self._hash = None
 
 
 Term = Var | PredRef | SConst | WLit | WOp | App
@@ -161,16 +187,22 @@ def mk_app(head: Term, args: list[Term]) -> Term:
 BG_RELS = ("leq", "lt", "geq", "gt", "eq", "neq")
 
 
-@dataclass(frozen=True)
-class BgAtom:
-    rel: str  # one of BG_RELS or "eqs"
-    lhs: Term
-    rhs: Term
+class BgAtom(Record):
+    __slots__ = __match_args__ = ("rel", "lhs", "rhs")
+
+    def __init__(self, rel: str, lhs: Term, rhs: Term) -> None:
+        self.rel = rel  # one of BG_RELS or "eqs"
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class FgAtom:
-    term: Term  # application spine headed by PredRef or Var
+class FgAtom(Record):
+    __slots__ = __match_args__ = ("term",)
+
+    def __init__(self, term: Term) -> None:
+        self.term = term  # application spine headed by PredRef or Var
+        self._hash = None
 
     @property
     def head(self) -> Term:
@@ -184,31 +216,46 @@ class FgAtom:
 Atom = BgAtom | FgAtom
 
 
-@dataclass(frozen=True)
-class AndF:
-    args: tuple["BodyF", ...]
+class AndF(Record):
+    __slots__ = __match_args__ = ("args",)
+
+    def __init__(self, args: tuple["BodyF", ...]) -> None:
+        self.args = args
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class OrF:
-    args: tuple["BodyF", ...]
+class OrF(Record):
+    __slots__ = __match_args__ = ("args",)
+
+    def __init__(self, args: tuple["BodyF", ...]) -> None:
+        self.args = args
+        self._hash = None
 
 
 BodyF = BgAtom | FgAtom | AndF | OrF
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """Definite clause when head is set, goal clause when head is None.
 
     is_limit is set by normalize_problem; it follows from the clause's shape
     and the problem's direction, so like loc it takes no part in equality."""
 
-    vars: tuple[tuple[str, Sort], ...]
-    head: tuple[str, tuple[Term, ...]] | None
-    body: BodyF
-    is_limit: bool = field(default=False, compare=False)
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
+    __slots__ = __match_args__ = ("vars", "head", "body", "is_limit", "loc")
+
+    def __init__(self, vars: tuple[tuple[str, Sort], ...],
+                 head: tuple[str, tuple[Term, ...]] | None, body: BodyF,
+                 is_limit: bool = False,
+                 loc: tuple[int, int] = (0, 0)) -> None:
+        self.vars = vars
+        self.head = head
+        self.body = body
+        self.is_limit = is_limit
+        self.loc = loc
+        self._hash = None
+
+    def _key(self) -> tuple:
+        return self.vars, self.head, self.body
 
     def body_atoms(self) -> list[Atom]:
         """Flat conjunction view; only valid on normalized clauses."""
@@ -227,15 +274,23 @@ class Clause:
         return out
 
 
-@dataclass(frozen=True)
-class Problem:
-    theory_kind: str  # "lia" | "nat"
-    dim: int  # 1 for lia
-    direction: str  # "upward" | "downward"
-    fin_elems: tuple[str, ...]
-    decls: tuple[tuple[str, Sort], ...]
-    clauses: tuple[Clause, ...]
-    goals: tuple[Clause, ...]
+class Problem(Record):
+    __slots__ = __match_args__ = ("theory_kind", "dim", "direction",
+                                  "fin_elems", "decls", "clauses", "goals")
+
+    def __init__(self, theory_kind: str, dim: int, direction: str,
+                 fin_elems: tuple[str, ...],
+                 decls: tuple[tuple[str, Sort], ...],
+                 clauses: tuple[Clause, ...],
+                 goals: tuple[Clause, ...]) -> None:
+        self.theory_kind = theory_kind  # "lia" | "nat"
+        self.dim = dim  # 1 for lia
+        self.direction = direction  # "upward" | "downward"
+        self.fin_elems = fin_elems
+        self.decls = decls
+        self.clauses = clauses
+        self.goals = goals
+        self._hash = None
 
     def decl(self, name: str) -> Sort:
         for n, s in self.decls:
@@ -252,11 +307,15 @@ class Problem:
 # s-expression reader
 
 
-@dataclass
-class SExpr:
-    val: "str | int | list[SExpr]"
-    line: int
-    col: int
+class SExpr(Record):
+    __slots__ = __match_args__ = ("val", "line", "col")
+    __hash__ = None  # val is a list that the reader fills
+
+    def __init__(self, val: "str | int | list[SExpr]", line: int,
+                 col: int) -> None:
+        self.val = val
+        self.line = line
+        self.col = col
 
     def is_list(self) -> bool:
         return isinstance(self.val, list)
@@ -291,11 +350,20 @@ def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
             i = j
 
 
+# deepest nesting of parentheses the reader accepts: every later stage
+# (parser, normalizer, type checker, compiler, printer) recurses once or
+# twice per level, and this keeps them all well inside Python's stack limit
+MAX_DEPTH = 200
+
+
 def read_sexprs(text: str) -> list[SExpr]:
     stack: list[SExpr] = []
     top: list[SExpr] = []
     for tok, line, col in _tokenize(text):
         if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise SyntaxProblem(
+                    f"nested deeper than {MAX_DEPTH} levels", line, col)
             node = SExpr([], line, col)
             (stack[-1].val if stack else top).append(node)  # type: ignore[union-attr]
             stack.append(node)
@@ -789,7 +857,8 @@ def normalize_problem(p: Problem) -> Problem:
     for g in p.goals:
         new_goals.extend(norm_one(g))
 
-    q = replace(p, clauses=tuple(new_clauses), goals=tuple(new_goals))
+    q = Problem(p.theory_kind, p.dim, p.direction, p.fin_elems, p.decls,
+                tuple(new_clauses), tuple(new_goals))
 
     limit_additions: list[Clause] = []
     for name, s in p.decls:
@@ -804,12 +873,12 @@ def normalize_problem(p: Problem) -> Problem:
             wps = _w_positions(s)
             if wps and _is_limit_clause(cl, pname, wps[0], len(arg_sorts(s)),
                                         p.direction):
-                cl = replace(cl, is_limit=True)
+                cl = Clause(cl.vars, cl.head, cl.body, True, cl.loc)
         marked.append(cl)
 
     def live(cls) -> tuple[Clause, ...]:
         return tuple(c for c in cls
                      if p.fin_elems or all(s != FIN for _, s in c.vars))
 
-    return replace(q, clauses=live(marked + limit_additions),
-                   goals=live(q.goals))
+    return Problem(p.theory_kind, p.dim, p.direction, p.fin_elems, p.decls,
+                   live(marked + limit_additions), live(q.goals))

@@ -11,8 +11,7 @@ Initial sorts with a W argument are *active*, without one *inactive*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .record import Record
 from .syntax import (
     App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP, Problem, Prop,
     SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, mk_arrow,
@@ -145,12 +144,17 @@ def _check_numeric(t, vmap, decls, dim: int) -> str:
 # validation
 
 
-@dataclass
-class ValidationReport:
-    mode: str  # "FirstOrder" | "InitialHigherOrder" | "Rejected"
-    max_order: int = 0
-    pred_info: dict[str, dict] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = __match_args__ = ("mode", "max_order", "pred_info", "errors")
+    __hash__ = None
+
+    def __init__(self, mode: str, max_order: int = 0,
+                 pred_info: dict[str, dict] | None = None,
+                 errors: list[str] | None = None) -> None:
+        self.mode = mode  # "FirstOrder" | "InitialHigherOrder" | "Rejected"
+        self.max_order = max_order
+        self.pred_info = {} if pred_info is None else pred_info
+        self.errors = [] if errors is None else errors
 
     @property
     def ok(self) -> bool:

@@ -269,6 +269,67 @@ def test_non_utf8_input(capsys, tmp_path, argv, rc):
         assert len(err.strip().splitlines()) == 1
 
 
+DEEP = 1000
+# a problem whose goal body nests DEEP levels deep, in three ways
+DEEP_PROBLEMS = {
+    "term": "(goal ((x W)) (body (Q " + "(+ x " * DEEP + "x" + ")" * DEEP
+            + ")))",
+    "formula": "(goal ((x W)) (body " + "(and (Q x) " * DEEP + "(Q x)"
+               + ")" * DEEP + "))",
+    "parens": "(goal ((x W)) (body " + "(" * DEEP + "Q x" + ")" * DEEP
+              + "))",
+}
+WITNESS = "<witness>"
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROBLEMS))
+@pytest.mark.parametrize("cmd", ["solve", "typecheck"])
+def test_deeply_nested_problem_is_a_syntax_problem(capsys, tmp_path, kind,
+                                                   cmd):
+    prob = tmp_path / "p.lchc"
+    prob.write_text("(theory (nat 1))\n(declare Q (-> W o))\n"
+                    + DEEP_PROBLEMS[kind] + "\n")
+    assert main([cmd, str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SyntaxProblem: 3:") and "nested deeper" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["verify-model", fx("integral256.lchc"), WITNESS], 2),
+    (["eval", fx("integral256.lchc"), WITNESS, "(Exp (tuple 0 100))"], 1),
+    (["solve", fx("fo", "lia_threshold_sat.lchc"), "--hint", WITNESS], 10),
+    (["encode-lcm", WITNESS, "--target", "q,1"], 1),
+], ids=["verify-model", "eval", "solve-hint", "encode-lcm"])
+def test_deeply_nested_json_is_one_line(capsys, tmp_path, argv, rc):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    assert main([str(deep) if a == WITNESS else a for a in argv]) == rc
+    err = capsys.readouterr().err
+    if rc == 10:  # a hint too deep to read is skipped like any bad hint
+        assert err == ""
+    else:
+        assert "nested too deeply" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_deeply_nested_canonical_value_is_a_schema_error(capsys, tmp_path):
+    # shallow enough for the JSON reader, too deep for any sort
+    prob = tmp_path / "p.lchc"
+    prob.write_text(CONST_AT_W_TEXT)
+    value = {"s": "c"}
+    for _ in range(450):
+        value = {"app": ["P", value]}
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps({"predicates": dict(CONST_AT_W["predicates"], Q={
+        "kind": "inactive", "rows": [{"args": [value], "value": True}]})}))
+    assert main(["verify-model", str(prob), str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "SchemaError: canonical value nested too deeply"
+    assert main(["solve", str(prob), "--hint", str(wit)]) == 10
+    assert capsys.readouterr().err == ""
+
+
 def test_eval(capsys):
     rc = main(["eval", fx("integral256.lchc"), fx("integral256.model.json"),
                "(Exp (tuple 0 100))"])
@@ -277,6 +338,24 @@ def test_eval(capsys):
     main(["eval", fx("integral256.lchc"), fx("integral256.model.json"),
           "(Exp (tuple 0 128))"])
     assert capsys.readouterr().out.strip() == "false"
+
+
+@pytest.mark.parametrize("term,out", [
+    ("(Exp)", "ActVal(sort=Arrow(arg=WSort(), res=Prop()), descs=(Antichain("
+              "gens=((0, 127), (1, 63), (2, 31), (3, 15), (4, 7), (5, 3), "
+              "(6, 1), (7, 0))),))"),
+    ("(Integral (tuple 1 2))",
+     "FnVal(sort=Arrow(arg=Arrow(arg=WSort(), res=Prop()), res=Prop()), "
+     "vals=(True, True))"),
+    ("Integral", "ActVal(sort=Arrow(arg=WSort(), res=Arrow(arg=Arrow("
+                 "arg=WSort(), res=Prop()), res=Prop())), descs=(All(), "
+                 "Antichain(gens=((0, None), (1, 7), (3, 6), (7, 5), (15, 4), "
+                 "(31, 3), (63, 2), (127, 1), (255, 0)))))"),
+])
+def test_eval_prints_the_value_repr(capsys, term, out):
+    assert main(["eval", fx("integral256.lchc"),
+                 fx("integral256.model.json"), term]) == 0
+    assert capsys.readouterr().out == out + "\n"
 
 
 def test_encode_lcm(capsys, tmp_path):

@@ -9,6 +9,8 @@ and are exempt.
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "limitdl")
 
@@ -100,3 +102,26 @@ def test_solve_path_never_names_cooper_nnf():
                 seen.add(ref)
                 todo.append(ref)
     assert named == []
+
+
+def test_no_module_imports_dataclasses():
+    """Record classes are plain slotted classes on limitdl.record.Record,
+    so importing the library generates and runs no methods."""
+    found = []
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{mod}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] == "dataclasses"]
+    assert found == []
+    # nor does anything the library imports
+    code = "import sys, limitdl.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,8 @@
 import pytest
 
 from limitdl.syntax import (
-    AndF, Arrow, BgAtom, Clause, FIN, FgAtom, OrF, PROP, PredRef, SConst,
+    AndF, Arrow, BgAtom, Clause, FIN, FgAtom, MAX_DEPTH, OrF, PROP, PredRef,
+    SConst,
     SyntaxProblem, Var, W, WLit, WOp, mk_arrow, normalize_problem,
     parse_problem, print_problem, read_sexprs,
 )
@@ -40,6 +41,13 @@ def test_unbalanced_parens():
         read_sexprs("(theory (lia)")
     with pytest.raises(SyntaxProblem):
         read_sexprs("(theory))")
+
+
+def test_nesting_is_bounded():
+    assert len(read_sexprs("(" * MAX_DEPTH + ")" * MAX_DEPTH)) == 1
+    with pytest.raises(SyntaxProblem) as info:
+        read_sexprs("x\n " + "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1))
+    assert (info.value.line, info.value.col) == (2, MAX_DEPTH + 2)
 
 
 def test_unknown_identifier_rejected():
