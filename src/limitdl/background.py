@@ -49,20 +49,12 @@ class All(Record):
 class AtLeast(Record):
     __slots__ = __match_args__ = ("k",)
 
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._hash = None
-
     def __str__(self) -> str:
         return f"atleast({self.k})"
 
 
 class Antichain(Record):
-    __slots__ = __match_args__ = ("gens",)
-
-    def __init__(self, gens: tuple[tuple[int | None, ...], ...]) -> None:
-        self.gens = gens  # None encodes omega
-        self._hash = None
+    __slots__ = __match_args__ = ("gens",)  # None in a generator = omega
 
     def __str__(self) -> str:
         def fmt(g):

@@ -92,13 +92,10 @@ def _cmd_typecheck(args) -> int:
 def _cmd_verify_model(args) -> int:
     p = _load_problem(args.problem)
     try:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            witness = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        why = "witness is nested too deeply to read" \
-            if isinstance(e, RecursionError) else e
-        print(f"SchemaError: {why}", file=sys.stderr)
-        _emit(args, {"ok": False, "error": f"SchemaError: {why}"}, "false")
+        witness = E.read_witness(args.model)
+    except E.SchemaError as e:
+        print(f"SchemaError: {e}", file=sys.stderr)
+        _emit(args, {"ok": False, "error": f"SchemaError: {e}"}, "false")
         return EXIT_REJECTED
     ok, diag = verify(p, witness)
     if not ok:
@@ -232,8 +229,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SyntaxProblem, IllFormedMachine, E.SchemaError,
-            E.FrameInconsistency, TypeErrorLD, TheoryError, OSError,
-            UnicodeDecodeError) as e:
+            E.FrameInconsistency, E.FrameTooLarge, TypeErrorLD, TheoryError,
+            OSError, UnicodeDecodeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TraceError as e:

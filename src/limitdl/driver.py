@@ -55,7 +55,7 @@ def _hint_model(p: Problem, theory: Theory,
         return None
     try:
         return E.load_model(p, theory, hint)
-    except (E.SchemaError, E.FrameInconsistency, OSError):
+    except (E.SchemaError, E.FrameInconsistency, E.FrameTooLarge, OSError):
         return None
 
 
@@ -147,8 +147,8 @@ def verify(p: Problem, witness: dict) -> tuple[bool, str]:
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     try:
         m = E.deserialize_model(p, theory, witness)
-    except (E.SchemaError, E.FrameInconsistency) as e:
+        if not E.check_model(m, p):
+            return False, "witness does not satisfy the clauses"
+    except (E.SchemaError, E.FrameInconsistency, E.FrameTooLarge) as e:
         return False, f"{type(e).__name__}: {e}"
-    if not E.check_model(m, p):
-        return False, "witness does not satisfy the clauses"
     return True, "ok"

@@ -32,8 +32,8 @@ from .record import Record
 from .syntax import (FIN, MAX_DEPTH, PROP, W, AndF, App, Arrow, Atom,
                      BgAtom, BodyF, Clause, FgAtom, OrF, PredRef, Problem,
                      SConst, Sort, Term, Var, WLit, WOp, arg_sorts, mk_app,
-                     print_sort)
-from .typesys import classify, type_order, w_position
+                     print_sort, w_position)
+from .typesys import classify, type_order
 
 
 class FrameTooLarge(Exception):
@@ -66,26 +66,13 @@ MAX_FRAME = 1 << 16
 class Top(Record):
     __slots__ = __match_args__ = ("sort",)
 
-    def __init__(self, sort: Sort) -> None:
-        self.sort = sort
-        self._hash = None
-
 
 class SVal(Record):
     __slots__ = __match_args__ = ("const",)
 
-    def __init__(self, const: str) -> None:
-        self.const = const
-        self._hash = None
-
 
 class PredApp(Record):
     __slots__ = __match_args__ = ("pred", "args")
-
-    def __init__(self, pred: str, args: tuple["CanonicalValue", ...]) -> None:
-        self.pred = pred
-        self.args = args
-        self._hash = None
 
 
 CanonicalValue = Top | SVal | PredApp
@@ -115,19 +102,9 @@ CanonicalValue = Top | SVal | PredApp
 class FnVal(Record):
     __slots__ = __match_args__ = ("sort", "vals")
 
-    def __init__(self, sort: Sort, vals: tuple[bool, ...]) -> None:
-        self.sort = sort
-        self.vals = vals
-        self._hash = None
-
 
 class ActVal(Record):
     __slots__ = __match_args__ = ("sort", "descs")
-
-    def __init__(self, sort: Sort, descs: tuple[Upset, ...]) -> None:
-        self.sort = sort
-        self.descs = descs
-        self._hash = None
 
 
 Value = bool | str | FnVal | ActVal
@@ -1027,14 +1004,18 @@ def deserialize_model(p: Problem, theory: Theory,
     return EntwinedStructure(p, theory, interps)
 
 
-def load_model(p: Problem, theory: Theory, path: str) -> EntwinedStructure:
+def read_witness(path: str):
+    """The JSON value of a witness file; SchemaError when it does not read."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"witness is not valid JSON: {e}")
         except UnicodeDecodeError as e:
             raise SchemaError(f"witness is not UTF-8 text: {e}")
         except RecursionError:
             raise SchemaError("witness is nested too deeply to read")
-    return deserialize_model(p, theory, data)
+
+
+def load_model(p: Problem, theory: Theory, path: str) -> EntwinedStructure:
+    return deserialize_model(p, theory, read_witness(path))

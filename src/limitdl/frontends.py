@@ -15,15 +15,9 @@ class IllFormedMachine(Exception):
 
 
 class InstrA(Record):
-    """q: c_i := c_i + 1; goto q'"""
+    """q: c_i := c_i + 1; goto q' (counter is i, 1-based)"""
 
     __slots__ = __match_args__ = ("src", "counter", "dst")
-
-    def __init__(self, src: str, counter: int, dst: str) -> None:
-        self.src = src
-        self.counter = counter  # 1-based
-        self.dst = dst
-        self._hash = None
 
 
 class InstrB(Record):
@@ -31,37 +25,26 @@ class InstrB(Record):
 
     __slots__ = __match_args__ = ("src", "counter", "if_zero", "dec_to")
 
-    def __init__(self, src: str, counter: int, if_zero: str,
-                 dec_to: str) -> None:
-        self.src = src
-        self.counter = counter
-        self.if_zero = if_zero
-        self.dec_to = dec_to
-        self._hash = None
-
 
 class LCM(Record):
     __slots__ = __match_args__ = ("states", "initial", "final", "counters",
                                   "instructions")
 
-    def __init__(self, states: tuple[str, ...], initial: str, final: str,
-                 counters: int,
-                 instructions: tuple[InstrA | InstrB, ...]) -> None:
-        self.states = states
-        self.initial = initial
-        self.final = final
-        self.counters = counters
-        self.instructions = instructions
-        self._hash = None
-
 
 class LCMConfig(Record):
     __slots__ = __match_args__ = ("state", "values")
 
-    def __init__(self, state: str, values: tuple[int, ...]) -> None:
-        self.state = state
-        self.values = values
-        self._hash = None
+
+def _instr_from_json(d: dict) -> InstrA | InstrB:
+    if not isinstance(d, dict):
+        raise IllFormedMachine(f"instruction {d!r} is not an object")
+    kind = d.get("kind")
+    if kind == "A":
+        return InstrA(str(d["from"]), int(d["counter"]), str(d["to"]))
+    if kind == "B":
+        return InstrB(str(d["from"]), int(d["counter"]), str(d["ifZero"]),
+                      str(d["else"]))
+    raise IllFormedMachine(f"unknown instruction kind {kind!r}")
 
 
 def lcm_from_json(data: dict) -> LCM:
@@ -70,25 +53,14 @@ def lcm_from_json(data: dict) -> LCM:
         initial = str(data["initial"])
         final = str(data["final"])
         counters = int(data["counters"])
-        raw = data["instructions"]
+        instrs = tuple(map(_instr_from_json, data["instructions"]))
     except (KeyError, TypeError, ValueError) as e:
         raise IllFormedMachine(f"missing or malformed field: {e}")
     if counters < 1:
         raise IllFormedMachine("at least one counter required")
     if len(set(states)) != len(states):
         raise IllFormedMachine("duplicate state names")
-    instrs: list[InstrA | InstrB] = []
-    for d in raw:
-        kind = d.get("kind")
-        if kind == "A":
-            instrs.append(InstrA(str(d["from"]), int(d["counter"]),
-                                 str(d["to"])))
-        elif kind == "B":
-            instrs.append(InstrB(str(d["from"]), int(d["counter"]),
-                                 str(d["ifZero"]), str(d["else"])))
-        else:
-            raise IllFormedMachine(f"unknown instruction kind {kind!r}")
-    m = LCM(states, initial, final, counters, tuple(instrs))
+    m = LCM(states, initial, final, counters, instrs)
     check_machine(m)
     return m
 

@@ -252,22 +252,12 @@ class Or(_Connective):
 class Exists(Record):
     __slots__ = __match_args__ = ("var", "body")
 
-    def __init__(self, var: str, body: "Formula") -> None:
-        self.var = var
-        self.body = body
-        self._hash = None
-
     def __str__(self) -> str:
         return f"(exists ({self.var}) {self.body})"
 
 
 class Forall(Record):
     __slots__ = __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: "Formula") -> None:
-        self.var = var
-        self.body = body
-        self._hash = None
 
     def __str__(self) -> str:
         return f"(forall ({self.var}) {self.body})"

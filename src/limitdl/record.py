@@ -1,9 +1,9 @@
 """The one base of the library's record classes.
 
-A record is a plain class that names its fields in ``__match_args__``,
-declares them in ``__slots__`` and sets them in an explicit ``__init__``;
-`Record` gives it equality, hashing, ``repr`` and pickling from those
-names, so no class needs generated methods.
+A record is a plain class that names its fields in ``__match_args__`` and
+declares them in ``__slots__``; `Record` gives it a constructor, equality,
+hashing, ``repr`` and pickling from those names, so no class needs
+generated methods.
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ class Record:
     unless its class defines ``_key`` to leave some fields out.  The hash is
     the hash of the key, cached in the ``_hash`` slot on first use.
 
-    An immutable record sets ``_hash = None`` in its ``__init__`` (a record
-    without fields inherits the one below) and never assigns a field
-    afterwards, nor a cache slot outside its accessor (tests/test_values.py
-    checks the source; nothing checks at run time, where a guard would cost
-    more than the caches save).  A mutable record sets ``__hash__ = None``
-    instead and is unhashable."""
+    The constructor takes the fields positionally or by name and sets
+    ``_hash = None``.  A class has its own ``__init__`` only to do more than
+    copy (defaults, validation, caches, fresh containers) or because it is
+    built per search step, token or clause, where the generic one costs
+    about three times as much (tests/test_values.py lists those).  An
+    immutable record never assigns a field after ``__init__``, nor a cache
+    slot outside its accessor (tests/test_values.py checks the source;
+    nothing checks at run time, where a guard would cost more than the
+    caches save).  A mutable record sets ``__hash__ = None`` and is
+    unhashable."""
 
     __slots__ = ("_hash",)
     __match_args__: tuple[str, ...] = ()
@@ -41,7 +45,19 @@ class Record:
         if "__match_args__" in cls.__dict__ and "_key" not in cls.__dict__:
             cls._key = _fields_getter(cls.__match_args__)
 
-    def __init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            # the fields after the positional ones, each given once by name
+            rest = names[len(args):]
+            if len(args) + len(kwargs) != len(names) or \
+                    not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes the "
+                                f"fields {', '.join(names)}; got {len(args)} "
+                                f"positional and {sorted(kwargs)} by name")
+            args += tuple(kwargs[n] for n in rest)
+        for name, value in zip(names, args):
+            setattr(self, name, value)
         self._hash = None
 
     def _key(self) -> tuple:

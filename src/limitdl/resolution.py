@@ -200,27 +200,19 @@ def bg_unsat(g: Goal, theory: Theory, fin_elems) -> bool:
 
 
 class TraceStep(Record):
+    """goal is the canonical printed form (order-preserving); rule is
+    "resolution" or "refutation"."""
+
     __slots__ = __match_args__ = ("goal", "rule", "parent", "atom",
                                   "definite")
     __hash__ = None
 
-    def __init__(self, goal: str, rule: str, parent: int | None,
-                 atom: int | None, definite: int | None) -> None:
-        self.goal = goal  # canonical printed form (order-preserving)
-        self.rule = rule  # "resolution" | "refutation"
-        self.parent = parent
-        self.atom = atom
-        self.definite = definite
-
 
 class ProofTrace(Record):
+    """constraints prints the final goal's background conjunction."""
+
     __slots__ = __match_args__ = ("steps", "constraints")
     __hash__ = None
-
-    def __init__(self, steps: list[TraceStep], constraints: str) -> None:
-        self.steps = steps
-        # printed background conjunction of the final goal
-        self.constraints = constraints
 
     def to_json(self) -> dict:
         return {
@@ -251,17 +243,10 @@ class Refuted(Record):
     __slots__ = __match_args__ = ("trace", "steps_used")
     __hash__ = None
 
-    def __init__(self, trace: ProofTrace, steps_used: int) -> None:
-        self.trace = trace
-        self.steps_used = steps_used
-
 
 class BudgetExhausted(Record):
     __slots__ = __match_args__ = ("steps_used",)
     __hash__ = None
-
-    def __init__(self, steps_used: int) -> None:
-        self.steps_used = steps_used
 
 
 class _Node(Record):

@@ -61,11 +61,6 @@ class WSort(Record):
 class Arrow(Record):
     __slots__ = __match_args__ = ("arg", "res")
 
-    def __init__(self, arg: "Sort", res: "Sort") -> None:
-        self.arg = arg
-        self.res = res
-        self._hash = None
-
     def __str__(self) -> str:
         parts = []
         s: Sort = self
@@ -118,25 +113,13 @@ class Var(Record):
 class PredRef(Record):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = None
-
 
 class SConst(Record):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = None
-
 
 class WLit(Record):
     __slots__ = __match_args__ = ("vals",)
-
-    def __init__(self, vals: tuple[int, ...]) -> None:
-        self.vals = vals
-        self._hash = None
 
 
 class WOp(Record):
@@ -227,10 +210,6 @@ class AndF(Record):
 class OrF(Record):
     __slots__ = __match_args__ = ("args",)
 
-    def __init__(self, args: tuple["BodyF", ...]) -> None:
-        self.args = args
-        self._hash = None
-
 
 BodyF = BgAtom | FgAtom | AndF | OrF
 
@@ -275,22 +254,11 @@ class Clause(Record):
 
 
 class Problem(Record):
+    """theory_kind is "lia" or "nat", dim is 1 for lia, and direction is
+    "upward" or "downward"."""
+
     __slots__ = __match_args__ = ("theory_kind", "dim", "direction",
                                   "fin_elems", "decls", "clauses", "goals")
-
-    def __init__(self, theory_kind: str, dim: int, direction: str,
-                 fin_elems: tuple[str, ...],
-                 decls: tuple[tuple[str, Sort], ...],
-                 clauses: tuple[Clause, ...],
-                 goals: tuple[Clause, ...]) -> None:
-        self.theory_kind = theory_kind  # "lia" | "nat"
-        self.dim = dim  # 1 for lia
-        self.direction = direction  # "upward" | "downward"
-        self.fin_elems = fin_elems
-        self.decls = decls
-        self.clauses = clauses
-        self.goals = goals
-        self._hash = None
 
     def decl(self, name: str) -> Sort:
         for n, s in self.decls:
@@ -697,8 +665,8 @@ def _dnf(f: BodyF) -> list[list[Atom]]:
     raise TypeError(f)
 
 
-def _hoist_atom(atom: Atom, vmap: dict[str, Sort], used: set[str],
-                newvars: list[tuple[str, Sort]], extra: list[Atom]) -> Atom:
+def _hoist_atom(atom: Atom, used: set[str], newvars: list[tuple[str, Sort]],
+                extra: list[Atom]) -> Atom:
     """Replace compound numeric arguments of foreground atoms by fresh
     variables constrained with equations."""
     if isinstance(atom, BgAtom):
@@ -711,14 +679,9 @@ def _hoist_atom(atom: Atom, vmap: dict[str, Sort], used: set[str],
             name = _fresh("w", used)
             nv = Var(name)
             newvars.append((name, W))
-            vmap[name] = W
             extra.append(BgAtom("eq", nv, a))
             new_args.append(nv)
             changed = True
-        elif isinstance(a, App):
-            # nested applications stay; their own arguments were already
-            # parsed and are handled when the inner predicate is applied
-            new_args.append(a)
         else:
             new_args.append(a)
     if not changed:
@@ -726,17 +689,23 @@ def _hoist_atom(atom: Atom, vmap: dict[str, Sort], used: set[str],
     return FgAtom(mk_app(head, new_args))
 
 
-def _w_positions(s: Sort) -> list[int]:
-    return [i for i, a in enumerate(arg_sorts(s)) if a == W]
+def w_position(s: Sort) -> int | None:
+    """The index of the first numeric argument of sort s, if any."""
+    for i, a in enumerate(arg_sorts(s)):
+        if a == W:
+            return i
+    return None
 
 
-def _is_limit_clause(cl: Clause, pname: str, wpos: int, nargs: int,
+def _is_limit_clause(cl: Clause, decls: dict[str, Sort],
                      direction: str) -> bool:
     """Recognize: P z.. x z..' <= (leq between body/head W vars) and P z.. y z..'."""
-    if cl.head is None or cl.head[0] != pname:
+    if cl.head is None:
         return False
-    hargs = cl.head[1]
-    if len(hargs) != nargs or not all(isinstance(a, Var) for a in hargs):
+    pname, hargs = cl.head
+    wpos, nargs = w_position(decls[pname]), len(arg_sorts(decls[pname]))
+    if wpos is None or len(hargs) != nargs or \
+            not all(isinstance(a, Var) for a in hargs):
         return False
     if len({a.name for a in hargs}) != nargs:  # type: ignore[union-attr]
         return False
@@ -765,20 +734,10 @@ def _is_limit_clause(cl: Clause, pname: str, wpos: int, nargs: int,
     return bg == BgAtom("leq", lo, hi)
 
 
-def has_limit_clause(p: Problem, pname: str) -> bool:
-    s = dict(p.decls)[pname]
-    wps = _w_positions(s)
-    if not wps:
-        return True
-    nargs = len(arg_sorts(s))
-    return any(_is_limit_clause(cl, pname, wps[0], nargs, p.direction)
-               for cl in p.clauses)
-
-
 def make_limit_clause(p: Problem, pname: str) -> Clause:
     s = dict(p.decls)[pname]
     sorts = arg_sorts(s)
-    wpos = _w_positions(s)[0]
+    wpos = w_position(s)
     names = [f"z{i}" for i in range(len(sorts))]
     names[wpos] = "x"
     yname = "y"
@@ -808,12 +767,10 @@ def normalize_problem(p: Problem) -> Problem:
         out = []
         for conj_atoms in _dnf(cl.body):
             vars_ = list(cl.vars)
-            vmap = dict(cl.vars)
             used = used_of(cl.vars)
             extra: list[Atom] = []
             newvars: list[tuple[str, Sort]] = []
-            atoms = [_hoist_atom(a, vmap, used, newvars, extra)
-                     for a in conj_atoms]
+            atoms = [_hoist_atom(a, used, newvars, extra) for a in conj_atoms]
             head = cl.head
             if head is not None:
                 pname, hargs = head
@@ -831,7 +788,6 @@ def normalize_problem(p: Problem) -> Problem:
                         continue
                     name = _fresh("h", used)
                     newvars.append((name, srt))
-                    vmap[name] = srt
                     nv = Var(name)
                     if srt == FIN:
                         extra.append(BgAtom("eqs", nv, a))
@@ -857,28 +813,22 @@ def normalize_problem(p: Problem) -> Problem:
     for g in p.goals:
         new_goals.extend(norm_one(g))
 
-    q = Problem(p.theory_kind, p.dim, p.direction, p.fin_elems, p.decls,
-                tuple(new_clauses), tuple(new_goals))
-
-    limit_additions: list[Clause] = []
-    for name, s in p.decls:
-        if _w_positions(s) and not has_limit_clause(q, name):
-            limit_additions.append(make_limit_clause(q, name))
-    # mark detected limit clauses so downstream search can weight them
+    # mark detected limit clauses so downstream search can weight them, and
+    # add one for each numeric predicate that has none
     marked = []
-    for cl in q.clauses:
-        if cl.head is not None and not cl.is_limit:
-            pname = cl.head[0]
-            s = decls[pname]
-            wps = _w_positions(s)
-            if wps and _is_limit_clause(cl, pname, wps[0], len(arg_sorts(s)),
-                                        p.direction):
+    limited = set()
+    for cl in new_clauses:
+        if _is_limit_clause(cl, decls, p.direction):
+            limited.add(cl.head[0])
+            if not cl.is_limit:
                 cl = Clause(cl.vars, cl.head, cl.body, True, cl.loc)
         marked.append(cl)
+    limit_additions = [make_limit_clause(p, name) for name, s in p.decls
+                       if w_position(s) is not None and name not in limited]
 
     def live(cls) -> tuple[Clause, ...]:
         return tuple(c for c in cls
                      if p.fin_elems or all(s != FIN for _, s in c.vars))
 
     return Problem(p.theory_kind, p.dim, p.direction, p.fin_elems, p.decls,
-                   live(marked + limit_additions), live(q.goals))
+                   live(marked + limit_additions), live(new_goals))

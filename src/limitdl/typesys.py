@@ -14,7 +14,7 @@ from __future__ import annotations
 from .record import Record
 from .syntax import (
     App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP, Problem, Prop,
-    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, mk_arrow,
+    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, mk_arrow, w_position,
 )
 
 
@@ -71,13 +71,6 @@ def classify(s: Sort) -> str:
     if not is_initial(s):
         return "noninitial"
     return "active" if W in arg_sorts(s) else "inactive"
-
-
-def w_position(s: Sort) -> int | None:
-    for i, a in enumerate(arg_sorts(s)):
-        if a == W:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------

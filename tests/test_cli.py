@@ -313,6 +313,55 @@ def test_deeply_nested_json_is_one_line(capsys, tmp_path, argv, rc):
         assert len(err.strip().splitlines()) == 1
 
 
+# a witness for P whose one argument ranges over a frame of 2**25 relations
+BIG_FRAME_TEXT = """(theory (lia))
+(finsort S (a b c d e))
+(declare P (-> (-> S S o) o))
+(goal ((f (-> S S o))) (body (P f)))
+"""
+PROBLEM = "<problem>"
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["verify-model", PROBLEM, WITNESS], 2),
+    (["eval", PROBLEM, WITNESS, "P"], 1),
+    (["solve", PROBLEM, "--hint", WITNESS, "--json"], 30),
+], ids=["verify-model", "eval", "solve-hint"])
+def test_frame_too_large_is_one_line(capsys, tmp_path, argv, rc):
+    prob = tmp_path / "p.lchc"
+    prob.write_text(BIG_FRAME_TEXT)
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps(
+        {"predicates": {"P": {"kind": "inactive", "rows": []}}}))
+    paths = {PROBLEM: str(prob), WITNESS: str(wit)}
+    assert main([paths.get(a, a) for a in argv]) == rc
+    out, err = capsys.readouterr()
+    if rc == 30:  # a hint whose frame is too large is skipped unchecked
+        assert err == ""
+        assert json.loads(out)["stats"]["modelsChecked"] == 0
+    else:
+        assert err == "FrameTooLarge: frame of (-> S S o) has 33554432 " \
+                      "elements (limit 65536)\n"
+
+
+@pytest.mark.parametrize("content,why", [
+    (b"{", "witness is not valid JSON: "),
+    (b"[" * 5000 + b"]" * 5000, "witness is nested too deeply to read"),
+    (b"\xff{}", "witness is not UTF-8 text: "),
+], ids=["json", "deep", "utf-8"])
+def test_verify_model_and_eval_read_a_witness_alike(capsys, tmp_path,
+                                                     content, why):
+    wit = tmp_path / "m.json"
+    wit.write_bytes(content)
+    prob = fx("integral256.lchc")
+    assert main(["verify-model", prob, str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: " + why)
+    assert len(err.strip().splitlines()) == 1
+    assert main(["eval", prob, str(wit), "(Exp (tuple 0 100))"]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_deeply_nested_canonical_value_is_a_schema_error(capsys, tmp_path):
     # shallow enough for the JSON reader, too deep for any sort
     prob = tmp_path / "p.lchc"

@@ -125,3 +125,21 @@ def test_no_module_imports_dataclasses():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)))
     assert out.stdout.strip() == "False"
+
+
+def test_no_module_runs_generated_code():
+    """Nothing in the library builds code at run time: no call of exec,
+    eval or compile, bare or through builtins."""
+    found = []
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else fn.attr \
+                if isinstance(fn, ast.Attribute) and \
+                isinstance(fn.value, ast.Name) and \
+                fn.value.id == "builtins" else None
+            if name in ("exec", "eval", "compile"):
+                found.append(f"{mod}:{node.lineno} {name}")
+    assert found == []

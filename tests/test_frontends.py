@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from limitdl.cli import main
 from limitdl.driver import solve
 from limitdl.frontends import (IllFormedMachine, LCMConfig, encode_lcm,
                                lcm_from_json)
@@ -56,6 +57,24 @@ def test_schema_accepts_base():
 def test_schema_rejects_malformed(broken):
     with pytest.raises(IllFormedMachine):
         lcm_from_json(broken)
+
+
+@pytest.mark.parametrize("instructions", [
+    7, [5], [{"kind": "A", "from": "q0"}],
+    [{"kind": "B", "from": "q0", "counter": "one", "ifZero": "q1",
+      "else": "q1"}],
+], ids=["not-a-list", "not-an-object", "missing-field", "bad-counter"])
+def test_malformed_instructions_are_ill_formed(capsys, tmp_path,
+                                              instructions):
+    data = variant(instructions=instructions)
+    with pytest.raises(IllFormedMachine):
+        lcm_from_json(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["encode-lcm", str(path), "--target", "q1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IllFormedMachine: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_encoding_is_first_order():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from limitdl.cli import main
 from limitdl.syntax import (
     Arrow, FIN, PROP, W, mk_arrow, parse_problem, normalize_problem,
 )
@@ -143,3 +144,47 @@ def test_two_w_arguments_rejected():
     rep = validate(p)
     assert rep.mode == "Rejected"
     assert any("O1" in e for e in rep.errors)
+
+
+# one ill-sorted clause after a well-sorted preamble, and the error that
+# validation reports for it
+ILL_PREAMBLE = "(theory (nat 2))\n(finsort S (a b))\n(declare P (-> W o))\n"
+ILL_SORTED = [
+    ("(goal ((s S)) (body (leq s 1)))", "goal: variable 's' is not numeric"),
+    ("(goal ((x W)) (body (leq x (tuple 1 2 3))))",
+     "goal: tuple literal of length 3, expected 2"),
+    ("(goal ((x W)) (body (leq (comp (comp x 1) 2) 0)))",
+     "goal: comp applies to a tuple-valued term"),
+    ("(goal ((s S)) (body (leq (* 3 s) 0)))",
+     "goal: variable 's' is not numeric"),
+    ("(goal ((x W)) (body (leq (+ x (comp x 1)) 0)))",
+     "goal: mixed scalar/tuple arithmetic"),
+    ("(goal ((x W)) (body (leq a x)))", "goal: not a numeric term: "),
+    ("(goal () (body (eqs (a a) b)))", "goal: cannot apply term of sort S"),
+    ("(goal ((x W)) (body (eqs x a)))",
+     "goal: eqs argument is not of sort S"),
+    ("(goal ((s S)) (body (and (P 1) s)))",
+     "goal: foreground atom has sort S, not o"),
+    ("(goal ((x W)) (body (P x x)))", "goal: cannot apply term of sort o"),
+    ("(clause ((s S)) (head (P s)) (body (eqs s a)))",
+     "clause for P: head argument sort S, expected W"),
+    ("(goal ((f (-> W W o))) (body (P 1)))",
+     "variable 'f' has non-initial sort (-> W W o)"),
+    ("(goal ((f (-> (-> W o) o))) (body (P 1)))",
+     "variable 'f' has order above every predicate"),
+]
+
+
+@pytest.mark.parametrize("clause,error", ILL_SORTED,
+                         ids=[e for _, e in ILL_SORTED])
+def test_ill_sorted_clause_is_rejected(capsys, tmp_path, clause, error):
+    p = normalize_problem(parse_problem(ILL_PREAMBLE + clause))
+    rep = validate(p)
+    assert rep.mode == "Rejected"
+    assert [e for e in rep.errors if e.startswith(error)], rep.errors
+    prob = tmp_path / "p.lchc"
+    prob.write_text(ILL_PREAMBLE + clause + "\n")
+    assert main(["typecheck", str(prob)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("Rejected: ") and error in out
+    assert len(out.strip().splitlines()) == 1

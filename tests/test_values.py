@@ -2,8 +2,9 @@
 
 Every record class (syntax, sorts, Presburger terms and formulas, upset
 descriptors, canonical and extensional values, machines, goals, traces,
-reports and solver results) is a slotted subclass of `limitdl.record.Record`
-with an explicit `__init__`.  These tests pin what the frozen and plain
+reports and solver results) is a slotted subclass of `limitdl.record.Record`,
+whose constructor sets the fields unless the class defines its own
+`__init__`.  These tests pin what the frozen and plain
 dataclasses they replaced gave: equality by class and fields, the hash of
 the tuple of fields, `match` patterns, `repr`, pickling, and which records
 are unhashable because the library assigns them after construction.
@@ -510,3 +511,108 @@ class Theory:
     assert [x.split(" ", 1)[1] for x in violations(ast.parse(
         "class Clause:\n    def __init__(self, v):\n        self.vars = v\n"),
         "entwined.py")] == ["Clause.__init__ sets vars"]
+
+
+# ---------------------------------------------------------------------------
+# one constructor
+
+
+def test_the_generic_constructor_binds_by_position_and_name():
+    a = S.Arrow(S.FIN, S.W)
+    assert S.Arrow(S.FIN, res=S.W) == S.Arrow(res=S.W, arg=S.FIN) == a
+    assert a._hash is None and S.Prop()._hash is None
+    for args, kwargs in [((S.FIN,), {}), ((), {"res": S.W}),
+                         ((S.FIN, S.W, S.W), {}), ((S.FIN,), {"arg": S.W}),
+                         ((S.FIN,), {"rez": S.W})]:
+        with pytest.raises(TypeError, match=r"^Arrow\(\) "):
+            S.Arrow(*args, **kwargs)
+    with pytest.raises(TypeError, match=r"^Prop\(\) "):
+        S.Prop(S.W)
+
+
+# the records built at every search step, and those that corpus39 builds
+# most often (SExpr per token read, AndF per normalized clause), keep a
+# plain __init__: the generic one costs about three times as much per call
+HOT = {S.Var, S.App, S.BgAtom, S.FgAtom, R.Goal, B.BgState, P._Connective,
+       Not, S.SExpr, S.AndF}
+
+
+def copy_only_inits(tree: ast.AST) -> list[str]:
+    """The classes whose __init__ only assigns each of its parameters, none
+    with a default, to the field of the same name (and None to _hash)."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.args[1:]]
+            if a.defaults or a.vararg or a.kwarg or a.kwonlyargs or \
+                    a.posonlyargs:
+                continue
+            stored = []
+            for st in fn.body:
+                if isinstance(st, ast.Expr) and \
+                        isinstance(st.value, ast.Constant):
+                    continue  # a docstring
+                if not (isinstance(st, ast.Assign) and len(st.targets) == 1
+                        and isinstance(st.targets[0], ast.Attribute)
+                        and isinstance(st.targets[0].value, ast.Name)
+                        and st.targets[0].value.id == a.args[0].arg):
+                    break
+                attr, value = st.targets[0].attr, st.value
+                if attr == "_hash" and isinstance(value, ast.Constant) and \
+                        value.value is None:
+                    continue
+                if not (isinstance(value, ast.Name) and value.id == attr
+                        and attr in params):
+                    break
+                stored.append(attr)
+            else:
+                if sorted(stored) == sorted(params):
+                    out.append(cls.name)
+    return out
+
+
+def test_only_hot_records_copy_their_fields_by_hand():
+    def where(classes):
+        return {(os.path.basename(sys.modules[c.__module__].__file__),
+                 c.__name__) for c in classes}
+
+    records = where(RECORDS)
+    assert {(name, cls) for name, tree in _sources()
+            for cls in copy_only_inits(tree)
+            if (name, cls) in records} == where(HOT)
+
+
+def test_the_copy_only_check_catches_plain_inits():
+    src = '''
+class Copy:
+    def __init__(self, a, b):
+        """Fields."""
+        self.b = b
+        self.a = a
+        self._hash = None
+class Default:
+    def __init__(self, a, b=None):
+        self.a = a
+        self.b = b
+class Check:
+    def __init__(self, a):
+        if a < 0:
+            raise ValueError(a)
+        self.a = a
+class Cache:
+    def __init__(self, a):
+        self.a = a
+        self._vars = None
+class Drop:
+    def __init__(self, a, b):
+        self.a = a
+class Rename:
+    def __init__(self, a):
+        self.b = a
+'''
+    assert copy_only_inits(ast.parse(src)) == ["Copy"]
