@@ -394,15 +394,12 @@ def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
 
 
 class BgState(Record):
+    """A reduced conjunction: the pinned variables, the residual
+    quantifier-free formulas (conjoined) and a satisfying assignment,
+    witness, in which absent variables read as 0."""
+
     __slots__ = __match_args__ = ("pins", "residual", "witness")
     __hash__ = None
-
-    def __init__(self, pins: dict[str, LinTerm], residual: list,
-                 witness: dict[str, int]) -> None:
-        self.pins = pins
-        self.residual = residual  # quantifier-free formulas, conjoined
-        # satisfying assignment (absent vars read as 0)
-        self.witness = witness
 
 
 def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str], theory: Theory,

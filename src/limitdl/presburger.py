@@ -219,20 +219,12 @@ class Div(Record):
 class Not(Record):
     __slots__ = __match_args__ = ("f",)
 
-    def __init__(self, f: "Formula") -> None:
-        self.f = f
-        self._hash = None
-
     def __str__(self) -> str:
         return f"(not {self.f})"
 
 
 class _Connective(Record):
     __slots__ = __match_args__ = ("args",)
-
-    def __init__(self, args: tuple["Formula", ...]) -> None:
-        self.args = args
-        self._hash = None
 
 
 class And(_Connective):

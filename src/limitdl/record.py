@@ -28,9 +28,7 @@ class Record:
 
     The constructor takes the fields positionally or by name and sets
     ``_hash = None``.  A class has its own ``__init__`` only to do more than
-    copy (defaults, validation, caches, fresh containers) or because it is
-    built per search step, token or clause, where the generic one costs
-    about three times as much (tests/test_values.py lists those).  An
+    copy: defaults, validation, caches or fresh containers.  An
     immutable record never assigns a field after ``__init__``, nor a cache
     slot outside its accessor (tests/test_values.py checks the source;
     nothing checks at run time, where a guard would cost more than the

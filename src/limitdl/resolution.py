@@ -86,15 +86,9 @@ def atom_shape(a: Atom) -> Shape:
 
 
 class Goal(Record):
-    __slots__ = __match_args__ = ("atoms", "varsorts", "shapes")
+    """shapes has one entry per atom, computed when it entered."""
 
-    def __init__(self, atoms: tuple[Atom, ...],
-                 varsorts: tuple[tuple[str, Sort], ...],
-                 shapes: tuple[Shape, ...]) -> None:
-        self.atoms = atoms
-        self.varsorts = varsorts
-        self.shapes = shapes  # one per atom, computed when it entered
-        self._hash = None
+    __slots__ = __match_args__ = ("atoms", "varsorts", "shapes")
 
 
 def _live(atoms: tuple[Atom, ...], shapes: tuple[Shape, ...],

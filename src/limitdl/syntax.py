@@ -105,10 +105,6 @@ def mk_arrow(args: list[Sort], res: Sort) -> Sort:
 class Var(Record):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = None
-
 
 class PredRef(Record):
     __slots__ = __match_args__ = ("name",)
@@ -141,11 +137,6 @@ class WOp(Record):
 class App(Record):
     __slots__ = __match_args__ = ("fn", "arg")
 
-    def __init__(self, fn: "Term", arg: "Term") -> None:
-        self.fn = fn
-        self.arg = arg
-        self._hash = None
-
 
 Term = Var | PredRef | SConst | WLit | WOp | App
 
@@ -171,21 +162,11 @@ BG_RELS = ("leq", "lt", "geq", "gt", "eq", "neq")
 
 
 class BgAtom(Record):
-    __slots__ = __match_args__ = ("rel", "lhs", "rhs")
-
-    def __init__(self, rel: str, lhs: Term, rhs: Term) -> None:
-        self.rel = rel  # one of BG_RELS or "eqs"
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = None
+    __slots__ = __match_args__ = ("rel", "lhs", "rhs")  # rel: BG_RELS or "eqs"
 
 
 class FgAtom(Record):
-    __slots__ = __match_args__ = ("term",)
-
-    def __init__(self, term: Term) -> None:
-        self.term = term  # application spine headed by PredRef or Var
-        self._hash = None
+    __slots__ = __match_args__ = ("term",)  # a spine headed by PredRef or Var
 
     @property
     def head(self) -> Term:
@@ -201,10 +182,6 @@ Atom = BgAtom | FgAtom
 
 class AndF(Record):
     __slots__ = __match_args__ = ("args",)
-
-    def __init__(self, args: tuple["BodyF", ...]) -> None:
-        self.args = args
-        self._hash = None
 
 
 class OrF(Record):
@@ -278,12 +255,6 @@ class Problem(Record):
 class SExpr(Record):
     __slots__ = __match_args__ = ("val", "line", "col")
     __hash__ = None  # val is a list that the reader fills
-
-    def __init__(self, val: "str | int | list[SExpr]", line: int,
-                 col: int) -> None:
-        self.val = val
-        self.line = line
-        self.col = col
 
     def is_list(self) -> bool:
         return isinstance(self.val, list)

@@ -530,13 +530,6 @@ def test_the_generic_constructor_binds_by_position_and_name():
         S.Prop(S.W)
 
 
-# the records built at every search step, and those that corpus39 builds
-# most often (SExpr per token read, AndF per normalized clause), keep a
-# plain __init__: the generic one costs about three times as much per call
-HOT = {S.Var, S.App, S.BgAtom, S.FgAtom, R.Goal, B.BgState, P._Connective,
-       Not, S.SExpr, S.AndF}
-
-
 def copy_only_inits(tree: ast.AST) -> list[str]:
     """The classes whose __init__ only assigns each of its parameters, none
     with a default, to the field of the same name (and None to _hash)."""
@@ -576,15 +569,12 @@ def copy_only_inits(tree: ast.AST) -> list[str]:
     return out
 
 
-def test_only_hot_records_copy_their_fields_by_hand():
-    def where(classes):
-        return {(os.path.basename(sys.modules[c.__module__].__file__),
-                 c.__name__) for c in classes}
-
-    records = where(RECORDS)
-    assert {(name, cls) for name, tree in _sources()
-            for cls in copy_only_inits(tree)
-            if (name, cls) in records} == where(HOT)
+def test_no_record_copies_its_fields_by_hand():
+    # Record's constructor does that
+    records = {(os.path.basename(sys.modules[c.__module__].__file__),
+                c.__name__) for c in RECORDS}
+    assert [(name, cls) for name, tree in _sources()
+            for cls in copy_only_inits(tree) if (name, cls) in records] == []
 
 
 def test_the_copy_only_check_catches_plain_inits():
