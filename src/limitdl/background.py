@@ -276,7 +276,8 @@ def w_var_terms(name: str, dim: int) -> list[LinTerm]:
 
 def components(t: Term, dim: int) -> list[LinTerm]:
     """Compile a numeric term to its component LinTerms: dim of them, or one
-    for a scalar term, which stands for that value in every coordinate."""
+    for a scalar term, which stands for that value in every coordinate (so
+    each component of a scalar is the scalar)."""
     match t:
         case Var(n):
             return w_var_terms(n, dim)
@@ -284,9 +285,7 @@ def components(t: Term, dim: int) -> list[LinTerm]:
             return [LinTerm.of_const(v) for v in vals]
         case WOp("comp", (a,), k):
             cs = components(a, dim)
-            if len(cs) != dim:
-                raise TheoryError("comp applied to a scalar term")
-            return [cs[k - 1]]
+            return [cs[k - 1] if len(cs) > 1 else cs[0]]
         case WOp("scale", (a,), k):
             return [c.scale(k) for c in components(a, dim)]
         case WOp("+" | "-" as op, (a, b)):
@@ -324,18 +323,18 @@ def compile_atom(atom: BgAtom, theory: Theory,
     folds to TRUE or FALSE when both sides are constants or valued by
     sval_env; otherwise a finite-sort variable v reads as the integer
     comp_var(v, 0) and a constant as its index in fin_elems, so the atom is
-    an integer equality (FALSE against a constant outside fin_elems)."""
+    the integer equality lhs - rhs = 0, its sides kept in place (FALSE
+    against a constant outside fin_elems)."""
     if atom.rel == "eqs":
-        l, r = (_eqs_side(t, sval_env) for t in (atom.lhs, atom.rhs))
-        if isinstance(l, str) and isinstance(r, str):
-            return P.TRUE if l == r else P.FALSE
-        if isinstance(l, str):
-            l, r = r, l
-        if isinstance(r, str):
-            if r not in fin_elems:
-                return P.FALSE
-            r = LinTerm.of_const(fin_elems.index(r))
-        return P.eq(l, r)
+        sides = [_eqs_side(t, sval_env) for t in (atom.lhs, atom.rhs)]
+        if all(isinstance(x, str) for x in sides):
+            return P.TRUE if sides[0] == sides[1] else P.FALSE
+        for j, x in enumerate(sides):
+            if isinstance(x, str):
+                if x not in fin_elems:
+                    return P.FALSE
+                sides[j] = LinTerm.of_const(fin_elems.index(x))
+        return P.eq(*sides)
 
     ls = components(atom.lhs, theory.dim)
     rs = components(atom.rhs, theory.dim)
@@ -372,16 +371,23 @@ def compile_atom(atom: BgAtom, theory: Theory,
 # satisfiability of background conjunctions
 
 
+def compile_conj(atoms: Sequence[BgAtom], wvars: Sequence[str],
+                 theory: Theory, fin_elems: Sequence[str]) -> list[Formula]:
+    """The atoms compiled, then the nat bounds of the components of the W
+    variables wvars."""
+    fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in atoms]
+    return fs + theory.nat_bounds([comp_var(n, i + 1) for n in wvars
+                                   for i in range(theory.dim)])
+
+
 def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],
                theory: Theory, fin_elems: Sequence[str]) -> bool:
     """Is the existential closure of the conjunction satisfiable?  Finite-sort
     variables occur only in eqs atoms, which compile to equalities among
     integer indices: satisfiable over Z exactly when over a non-empty S."""
     wvars = [n for n, s in varsorts.items() if s == W]
-    fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in atoms]
-    fs += theory.nat_bounds([comp_var(n, i + 1) for n in wvars
-                             for i in range(theory.dim)])
-    return P.sat_exists_all(fs) is not None
+    return P.sat_exists_all(compile_conj(atoms, wvars, theory,
+                                         fin_elems)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +411,16 @@ class BgState(Record):
 def bg_state(atoms: Sequence[BgAtom], wvars: Sequence[str], theory: Theory,
              fin_elems: Sequence[str]) -> BgState | None:
     """Reduced state for a fresh conjunction; None when unsatisfiable."""
-    st = BgState({}, [], {})
-    return bg_extend(st, atoms, wvars, theory, fin_elems)
+    return bg_extend(BgState({}, [], {}),
+                     compile_conj(atoms, wvars, theory, fin_elems))
 
 
-def bg_extend(state: BgState, new_atoms: Sequence[BgAtom],
-              new_wvars: Sequence[str], theory: Theory,
-              fin_elems: Sequence[str]) -> BgState | None:
-    """Conjoin new atoms (and nonnegativity bounds for new numeric
-    variables) onto a reduced state; None when unsatisfiable.  reduce_conj
-    folds the parent's pins into the new atoms; the parent's residual is
-    already reduced under them."""
-    fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in new_atoms]
-    fs += theory.nat_bounds([comp_var(n, i + 1) for n in new_wvars
-                             for i in range(theory.dim)])
+def bg_extend(state: BgState, fs: Sequence[Formula]) -> BgState | None:
+    """Conjoin compiled formulas (background atoms, and nonnegativity bounds
+    for new numeric variables) onto a reduced state; None when
+    unsatisfiable.  reduce_conj folds the parent's pins into any formula
+    that still mentions a pinned variable; the parent's residual is already
+    reduced under them."""
     if not fs:
         return state
     pins = dict(state.pins)

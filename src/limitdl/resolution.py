@@ -14,6 +14,13 @@ frontier).  Goals whose background part is unsatisfiable are pruned — sound
 and complete, since background atoms persist along every branch.  Atom
 selection is leftmost predicate-headed, which is complete for Horn programs
 because resolution leaves the rest of the goal untouched.
+
+The search compiles each definite clause once (_Compiled), as a compiled
+logic program does (Warren, SRI TN 309, 1983): its body atoms become shape
+templates and its background atoms Presburger formulas over its own
+component variables, so a step only renames and fills these in, the parent
+state's pins folded in.  Replay stays on the syntax path (resolve,
+atom_shape, exists_sat), so it checks the search without sharing that code.
 """
 
 from __future__ import annotations
@@ -24,11 +31,16 @@ import json
 from operator import itemgetter
 from typing import Sequence
 
-from .background import BgState, Theory, bg_extend, bg_state, exists_sat
+from . import presburger as P
+from .background import (
+    BgState, Theory, bg_extend, bg_state, comp_var, compile_atom,
+    compile_conj, components, exists_sat,
+)
+from .presburger import Formula, LinTerm
 from .record import Record
 from .syntax import (
-    App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, Sort, Term, Var,
-    W, WOp, print_formula, spine,
+    FIN, App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, SConst, Term,
+    Var, W, WLit, WOp, print_formula, print_term, spine,
 )
 
 LIMIT_COST = 64
@@ -73,16 +85,22 @@ def subst_atom(a: Atom, env: dict[str, Term]) -> Atom:
 Shape = tuple[str, tuple[str, ...]]
 
 
-def atom_shape(a: Atom) -> Shape:
+def _shape(show, x, holes=()) -> Shape:
+    """The shape of x as printed by show (print_formula or print_term); a
+    variable named in holes prints as a NUL character instead of a slot."""
     occs: list[str] = []
 
     def name(t: Term) -> str:
         if isinstance(t, Var):
             occs.append(t.name)
-            return "%s"
+            return "\0" if t.name in holes else "%s"
         return t.name.replace("%", "%%")
 
-    return print_formula(a, name), tuple(occs)
+    return show(x, name), tuple(occs)
+
+
+def atom_shape(a: Atom) -> Shape:
+    return _shape(print_formula, a)
 
 
 class Goal(Record):
@@ -147,25 +165,26 @@ def resolve(goal: Goal, atom_idx: int, cl: Clause, fresh: "itertools.count") -> 
         raise ValueError("arity mismatch")
 
     suffix = f"${next(fresh)}"
-    ren = {n: Var(n + suffix) for n, _ in cl.vars}
-    env: dict[str, Term] = {}
-    for hv, arg in zip(hvars, args):
-        assert isinstance(hv, Var)
-        env[hv.name] = arg
-    for n, _ in cl.vars:
-        if n not in env:
-            env[n] = ren[n]
-
-    body = tuple(subst_atom(b, env) for b in cl.body_atoms())
-    new_atoms = goal.atoms[:atom_idx] + body + goal.atoms[atom_idx + 1:]
-    new_shapes = goal.shapes[:atom_idx] + tuple(map(atom_shape, body)) + \
-        goal.shapes[atom_idx + 1:]
-    new_vars = dict(goal.varsorts)
     hnames = {hv.name for hv in hvars}  # type: ignore[union-attr]
-    for n, s in cl.vars:
-        if n not in hnames:
-            new_vars[n + suffix] = s
-    return _live(new_atoms, new_shapes, new_vars.items())
+    others = [(n, s) for n, s in cl.vars if n not in hnames]
+    env: dict[str, Term] = {n: Var(n + suffix) for n, _ in others}
+    env.update((hv.name, arg) for hv, arg in zip(hvars, args))  # type: ignore[union-attr]
+    body = tuple(subst_atom(b, env) for b in cl.body_atoms())
+    return _splice(goal, atom_idx, body, tuple(map(atom_shape, body)),
+                   others, suffix)
+
+
+def _splice(goal: Goal, i: int, body: tuple[Atom, ...],
+            shapes: tuple[Shape, ...], others, suffix: str) -> Goal:
+    """goal with atom i replaced by a resolvent's body, whose atoms have
+    these shapes; others are the clause's non-head variables, renamed
+    apart by suffix."""
+    new_vars = dict(goal.varsorts)
+    for n, s in others:
+        new_vars[n + suffix] = s
+    return _live(goal.atoms[:i] + body + goal.atoms[i + 1:],
+                 goal.shapes[:i] + shapes + goal.shapes[i + 1:],
+                 new_vars.items())
 
 
 def resolvable_indices(g: Goal) -> list[int]:
@@ -187,6 +206,103 @@ def try_refute(g: Goal, theory: Theory, fin_elems) -> bool:
 def bg_unsat(g: Goal, theory: Theory, fin_elems) -> bool:
     bg = [a for a in g.atoms if isinstance(a, BgAtom)]
     return not exists_sat(bg, dict(g.varsorts), theory, fin_elems)
+
+
+# ---------------------------------------------------------------------------
+# compiled clauses
+
+
+class _Compiled:
+    """A definite clause compiled once per search.  A step renames it apart
+    by a suffix and binds its head variables (hpos: name -> argument
+    position), then only fills in: templates, per body atom its shape as a
+    %-format string with a slot per head-variable occurrence, their
+    argument positions and every variable occurrence (None where a
+    head variable heads an application, which printing flattens into the
+    argument's spine); formulas, compile_conj of the background atoms and
+    the body's non-head W variables, over the clause's own component
+    variables (comps); and alts, per lt/gt atom over several components its
+    one-pair form, used when the step leaves both sides scalars, as
+    compile_atom compiles a comparison of two scalars."""
+
+    def __init__(self, index: int, cl: Clause, theory: Theory,
+                 fin_elems: Sequence[str]) -> None:
+        self.index, self.limit = index, cl.is_limit
+        self.theory, self.fin = theory, fin_elems
+        self.hpos = {hv.name: j for j, hv in enumerate(cl.head[1])}  # type: ignore[index,union-attr]
+        sorts = dict(cl.vars)
+        self.need = [j for n, j in self.hpos.items() if sorts[n] in (W, FIN)]
+        self.others = [(n, s) for n, s in cl.vars if n not in self.hpos]
+        self.premises = cl.body_atoms()
+        self.templates: list = []
+        used: set[str] = set()
+        for b in self.premises:
+            text, occs = _shape(print_formula, b, self.hpos)
+            used.update(occs)
+            self.templates.append(None if "(\0" in text else (
+                text.replace("%", "%%").replace("\0", "%s"),
+                [self.hpos[o] for o in occs if o in self.hpos], occs))
+        bg = [b for b in self.premises if isinstance(b, BgAtom)]
+        self.formulas = compile_conj(
+            bg, [n for n, s in self.others if s == W and n in used], theory,
+            fin_elems)
+        self.alts = [(k, compile_atom(BgAtom(b.rel, WOp("comp", (b.lhs,), 1),
+                                             WOp("comp", (b.rhs,), 1)),
+                                      theory), b)
+                     for k, b in enumerate(bg)
+                     if b.rel in ("lt", "gt") and theory.dim > 1]
+        free = set().union(*map(P.free_vars, self.formulas))
+        self.comps = [(c, n, k) for n, _ in cl.vars
+                      for k in range(theory.dim + 1)
+                      if (c := comp_var(n, k)) in free]
+
+    def resolve(self, goal: Goal, i: int, args: list[Term],
+                arg_shapes: list[Shape], suffix: str) -> Goal:
+        """resolve's resolvent of goal's atom i, whose arguments are args
+        (printed as arg_shapes), with the clause renamed apart by suffix."""
+        env: dict[str, Term] = {n: Var(n + suffix) for n, _ in self.others}
+        occs = {n: (v.name,) for n, v in env.items()}
+        for n, j in self.hpos.items():
+            env[n], occs[n] = args[j], arg_shapes[j][1]
+        body = tuple(subst_atom(b, env) for b in self.premises)
+        shapes = tuple(atom_shape(b) if t is None else (
+            t[0] % tuple([arg_shapes[j][0] for j in t[1]]),
+            tuple(itertools.chain.from_iterable([occs[o] for o in t[2]])))
+            for b, t in zip(body, self.templates))
+        return _splice(goal, i, body, shapes, self.others, suffix)
+
+    def background(self, args: list[Term], suffix: str, pins,
+                   terms: dict) -> list[Formula]:
+        """The step's formulas, the parent's pins folded in: a head
+        variable's component variables become its argument's _arg_terms
+        (memoised in terms per parent), every other one its renamed copy."""
+        for j in self.need:
+            if j not in terms:
+                terms[j] = self._arg_terms(args[j], pins)
+        sub = {c: terms[self.hpos[n]][0][k] if n in self.hpos
+               else LinTerm.of_var(comp_var(n + suffix, k))
+               for c, n, k in self.comps}
+        fs = [P.subst(f, sub) for f in self.formulas]
+        scalars = {n: WLit((0,)) for n, j in self.hpos.items()
+                   if j in terms and terms[j][1]}
+        for k, f, b in self.alts if scalars else ():
+            if all(len(components(subst_term(t, scalars), self.theory.dim))
+                   == 1 for t in (b.lhs, b.rhs)):
+                fs[k] = P.subst(f, sub)
+        return fs
+
+    def _arg_terms(self, t: Term, pins) -> tuple[list[LinTerm], bool]:
+        """The terms under pins of comp_var(h, k), k = 0..dim, for a head
+        variable h bound to t (k = 0 reads a finite-sort value), and whether
+        t is a scalar, which stands in every coordinate."""
+        if isinstance(t, SConst):
+            return [LinTerm.of_const(self.fin.index(t.name))], False
+        dim = self.theory.dim
+        cs = components(t, dim)
+        scalar = len(cs) < dim
+        cs = [LinTerm.of_var(comp_var(t.name, 0)) if isinstance(t, Var)
+              else LinTerm(0)] + cs * (dim if scalar else 1)
+        return [c.subst(pins) for c in cs], scalar
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +380,15 @@ class Saturator:
     """Resumable uniform-cost refutation search over all goal clauses."""
 
     def __init__(self, problem: Problem, theory: Theory):
-        self.problem = problem
-        self.theory = theory
         self.fresh = itertools.count()
         self.steps_used = 0
         self._seq = itertools.count()
         self._frontier: list[tuple[int, int, _Node]] = []
         self._seen: set[str] = set()
-        self._by_pred: dict[str, list[tuple[int, Clause, int]]] = {}
+        self._by_pred: dict[str, list[_Compiled]] = {}
         for i, cl in enumerate(problem.clauses):
             self._by_pred.setdefault(cl.head[0], []).append(  # type: ignore[index]
-                (i, cl, len(cl.body_atoms())))
+                _Compiled(i, cl, theory, problem.fin_elems))
         for ri, gcl in enumerate(problem.goals):
             g = goal_of_clause(gcl)
             st = bg_state([a for a in g.atoms if isinstance(a, BgAtom)],
@@ -301,38 +415,34 @@ class Saturator:
                 # refutation outright
                 self.steps_used += 1
                 return Refuted(self._build_trace(node), self.steps_used)
-            parent_names = {n for n, _ in g.varsorts}
             i = idxs[0]
-            a = g.atoms[i]
-            pname = spine(a.term)[0].name  # type: ignore[union-attr]
-            for ci, cl, nbody in self._by_pred.get(pname, []):
-                hvars = cl.head[1]  # type: ignore[index]
-                if len(hvars) != len(spine(a.term)[1]):
+            head, args = spine(g.atoms[i].term)  # type: ignore[union-attr]
+            arg_shapes = [_shape(print_term, t) for t in args]
+            terms: dict = {}
+            for cc in self._by_pred.get(head.name, []):  # type: ignore[union-attr]
+                if len(cc.hpos) != len(args):
                     continue
-                if cl.is_limit and node.via_limit:
+                if cc.limit and node.via_limit:
                     # two consecutive limit steps on the same atom are
                     # subsumed by one (the order is transitive)
                     continue
                 spent += 1
                 self.steps_used += 1
-                child = resolve(g, i, cl, self.fresh)
+                suffix = f"${next(self.fresh)}"
+                child = cc.resolve(g, i, args, arg_shapes, suffix)
                 key = canonical_goal(child)
                 if key in self._seen:
                     continue
                 self._seen.add(key)
-                new_bg = [x for x in child.atoms[i:i + nbody]
-                          if isinstance(x, BgAtom)]
-                new_w = [n for n, s in child.varsorts
-                         if s == W and n not in parent_names]
-                st = bg_extend(node.bg, new_bg, new_w, self.theory,
-                               self.problem.fin_elems)
+                st = bg_extend(node.bg, cc.background(args, suffix,
+                                                      node.bg.pins, terms))
                 if st is None:
                     continue
-                step_cost = LIMIT_COST if cl.is_limit else 1
+                step_cost = LIMIT_COST if cc.limit else 1
                 heapq.heappush(self._frontier,
                                (cost + step_cost, next(self._seq),
-                                _Node(child, node.root, node, i, ci, st,
-                                      via_limit=cl.is_limit)))
+                                _Node(child, node.root, node, i, cc.index,
+                                      st, via_limit=cc.limit)))
         return BudgetExhausted(self.steps_used)
 
     def _build_trace(self, node: _Node) -> ProofTrace:

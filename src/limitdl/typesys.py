@@ -203,22 +203,16 @@ def _check_clause_sorts(cl: Clause, decls: dict[str, Sort], dim: int,
 
     chk_formula(cl.body)
     if cl.head is not None:
-        pname, hargs = cl.head
-        sorts = arg_sorts(decls[pname])
-        if len(hargs) != len(sorts):
-            errors.append(f"{label}: head arity mismatch")
-            return
-        for a, srt in zip(hargs, sorts):
-            try:
-                s = infer_sort(a, vmap, decls)
-            except TypeErrorLD as e:
-                errors.append(f"{label}: {e}")
-                continue
+        # normalize_problem has checked the arity and made every head
+        # argument a distinct bound variable
+        for a, srt in zip(cl.head[1], arg_sorts(decls[cl.head[0]])):
+            s = infer_sort(a, vmap, decls)
             if s != srt:
                 errors.append(f"{label}: head argument sort {s}, expected {srt}")
 
 
 def validate(p: Problem) -> ValidationReport:
+    """The validation report of a normalized problem (normalize_problem)."""
     errors: list[str] = []
     decls = dict(p.decls)
     pred_info: dict[str, dict] = {}

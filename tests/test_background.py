@@ -13,8 +13,8 @@ import pytest
 from limitdl import presburger as P
 from limitdl.background import (
     ALL, Antichain, AtLeast, EMPTY, Theory, TheoryError, bg_extend, bg_state,
-    comp_var, compile_atom, exists_sat, theory_for, upset_from_json,
-    upset_to_json,
+    comp_var, compile_atom, compile_conj, exists_sat, theory_for,
+    upset_from_json, upset_to_json,
 )
 from limitdl.syntax import BgAtom, FIN, SConst, Var, W, WLit, WOp
 from oracles import deadline, enumerated_exists_sat
@@ -174,9 +174,11 @@ def test_compile_atom_components_and_arith():
                      LIA_UP)
     assert P.evaluate(g, {comp_var("u", 1): 5})
     assert not P.evaluate(g, {comp_var("u", 1): 4})
-    with pytest.raises(TheoryError):
-        compile_atom(BgAtom("eq", WOp("comp", (WLit((5,)),), k=1),
-                            WLit((5,))), th)
+    # a scalar stands in every coordinate, so each of its components is it
+    assert compile_atom(BgAtom("eq", WOp("comp", (WLit((5,)),), k=1),
+                               WLit((5,))), th) == P.TRUE
+    assert compile_atom(BgAtom("eq", WOp("comp", (WLit((4,)),), k=2),
+                               WLit((5,))), th) == P.FALSE
 
 
 def test_compile_eqs():
@@ -341,7 +343,8 @@ def test_bg_extend_matches_exists_sat():
                 if step == 0:
                     st = bg_state(new_atoms, new_w, th, fin)
                 else:
-                    st = bg_extend(st, new_atoms, new_w, th, fin)
+                    st = bg_extend(st, compile_conj(new_atoms, new_w, th,
+                                                    fin))
                 varsorts = {**{n: FIN for n in svars}, **{n: W for n in wvars}}
                 want = exists_sat(atoms, varsorts, th, fin)
                 assert (st is not None) == want, (th.kind, th.dim, atoms)

@@ -6,8 +6,10 @@ import os
 import pytest
 
 from limitdl import driver
+from limitdl.background import theory_for
 from limitdl.cli import main
-from limitdl.resolution import TraceError
+from limitdl.resolution import ProofTrace, TraceError, replay
+from limitdl.syntax import normalize_problem, parse_problem
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -177,6 +179,30 @@ def test_nested_numeric_argument(capsys, tmp_path):
     assert main(["solve", str(prob), "--json"]) == 20
     out = json.loads(capsys.readouterr().out)
     assert out["stats"]["resolutionSteps"] == 4
+
+
+SCALAR_COMP_TEXT = """
+(theory (nat 2))
+(direction upward)
+(declare R (-> W o))
+(clause ((u W)) (head (R u)) (body (eq (comp u 1) 3)))
+(goal () (body (R 5)))
+"""
+
+
+def test_solve_comp_of_a_scalar_argument(capsys, tmp_path):
+    """(R 5) binds u to the scalar 5, which stands in every coordinate, so
+    (comp u 1) reads 5: the point (3, 0) derives R and, through the limit
+    clause, (R 5).  A component of a scalar once stopped solve with exit 1
+    (TheoryError)."""
+    prob = tmp_path / "p.lchc"
+    proof = tmp_path / "proof.json"
+    prob.write_text(SCALAR_COMP_TEXT)
+    assert main(["solve", str(prob), "--emit-proof", str(proof)]) == 20
+    assert "UNSAT" in capsys.readouterr().out
+    p = normalize_problem(parse_problem(SCALAR_COMP_TEXT))
+    th = theory_for(p.theory_kind, p.dim, p.direction)
+    assert replay(ProofTrace.from_json(json.loads(proof.read_text())), p, th)
 
 
 def test_solve_skips_hint_with_top_at_finite_sort(capsys, tmp_path):
