@@ -131,6 +131,11 @@ def _cmd_encode_lcm(args) -> int:
 
 def _cmd_eval(args) -> int:
     p = _load_problem(args.problem)
+    rep = validate(p)
+    if not rep.ok:
+        print("problem rejected by validation: " + "; ".join(rep.errors),
+              file=sys.stderr)
+        return EXIT_REJECTED
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     m = E.load_model(p, theory, args.model)
     ctx = _Ctx(list(p.fin_elems), p.decl_map, p.dim)

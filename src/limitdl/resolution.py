@@ -6,7 +6,10 @@ head variables in a freshly renamed copy of the body; the goal's own
 variables are never instantiated, so background constraints only accumulate.
 A goal refutes when no predicate-headed foreground atoms remain and its
 background part is satisfiable (variable-headed foreground atoms are
-satisfied by the top interpretation and are ignored).
+satisfied by the top interpretation and are ignored).  A goal is its atoms
+and their shapes, with no sorts: a root's W variables come from its goal
+clause's binders, a step's from its clause's, and the refutation check takes
+every variable of a numeric background atom as W.
 
 The search is uniform-cost: ordinary resolution steps cost 1, limit-clause
 steps cost more (they are always applicable and would otherwise flood the
@@ -33,8 +36,8 @@ from typing import Sequence
 
 from . import presburger as P
 from .background import (
-    BgState, Theory, bg_extend, bg_state, comp_var, compile_atom,
-    compile_conj, components, exists_sat,
+    Theory, bg_extend, bg_state, comp_var, compile_atom, compile_conj,
+    components, exists_sat,
 )
 from .presburger import Formula, LinTerm
 from .record import Record
@@ -106,21 +109,13 @@ def atom_shape(a: Atom) -> Shape:
 class Goal(Record):
     """shapes has one entry per atom, computed when it entered."""
 
-    __slots__ = __match_args__ = ("atoms", "varsorts", "shapes")
-
-
-def _live(atoms: tuple[Atom, ...], shapes: tuple[Shape, ...],
-          varsorts) -> Goal:
-    """The goal over these atoms, keeping the variables that still occur."""
-    used = set(itertools.chain.from_iterable(o for _, o in shapes))
-    return Goal(atoms, tuple((n, s) for n, s in varsorts if n in used),
-                shapes)
+    __slots__ = __match_args__ = ("atoms", "shapes")
 
 
 def goal_of_clause(cl: Clause) -> Goal:
     assert cl.head is None
     atoms = tuple(cl.body_atoms())
-    return _live(atoms, tuple(map(atom_shape, atoms)), cl.vars)
+    return Goal(atoms, tuple(map(atom_shape, atoms)))
 
 
 def _fill(shapes: Sequence[Shape], slot: str) -> str:
@@ -165,26 +160,18 @@ def resolve(goal: Goal, atom_idx: int, cl: Clause, fresh: "itertools.count") -> 
         raise ValueError("arity mismatch")
 
     suffix = f"${next(fresh)}"
-    hnames = {hv.name for hv in hvars}  # type: ignore[union-attr]
-    others = [(n, s) for n, s in cl.vars if n not in hnames]
-    env: dict[str, Term] = {n: Var(n + suffix) for n, _ in others}
+    env: dict[str, Term] = {n: Var(n + suffix) for n, _ in cl.vars}
     env.update((hv.name, arg) for hv, arg in zip(hvars, args))  # type: ignore[union-attr]
     body = tuple(subst_atom(b, env) for b in cl.body_atoms())
-    return _splice(goal, atom_idx, body, tuple(map(atom_shape, body)),
-                   others, suffix)
+    return _splice(goal, atom_idx, body, tuple(map(atom_shape, body)))
 
 
 def _splice(goal: Goal, i: int, body: tuple[Atom, ...],
-            shapes: tuple[Shape, ...], others, suffix: str) -> Goal:
+            shapes: tuple[Shape, ...]) -> Goal:
     """goal with atom i replaced by a resolvent's body, whose atoms have
-    these shapes; others are the clause's non-head variables, renamed
-    apart by suffix."""
-    new_vars = dict(goal.varsorts)
-    for n, s in others:
-        new_vars[n + suffix] = s
-    return _live(goal.atoms[:i] + body + goal.atoms[i + 1:],
-                 goal.shapes[:i] + shapes + goal.shapes[i + 1:],
-                 new_vars.items())
+    these shapes."""
+    return Goal(goal.atoms[:i] + body + goal.atoms[i + 1:],
+                goal.shapes[:i] + shapes + goal.shapes[i + 1:])
 
 
 def resolvable_indices(g: Goal) -> list[int]:
@@ -204,8 +191,14 @@ def try_refute(g: Goal, theory: Theory, fin_elems) -> bool:
 
 
 def bg_unsat(g: Goal, theory: Theory, fin_elems) -> bool:
-    bg = [a for a in g.atoms if isinstance(a, BgAtom)]
-    return not exists_sat(bg, dict(g.varsorts), theory, fin_elems)
+    """Every variable of a numeric (non-eqs) atom is W, as typesys admits no
+    other in numeric terms; a W variable in no background atom is
+    unconstrained, so it needs no nat bound."""
+    bg = [(a, occs) for a, (_, occs) in zip(g.atoms, g.shapes)
+          if isinstance(a, BgAtom)]
+    wvars = dict.fromkeys(itertools.chain.from_iterable(
+        occs for a, occs in bg if a.rel != "eqs"), W)
+    return not exists_sat([a for a, _ in bg], wvars, theory, fin_elems)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,8 @@ class _Compiled:
                                       theory), b)
                      for k, b in enumerate(bg)
                      if b.rel in ("lt", "gt") and theory.dim > 1]
-        free = set().union(*map(P.free_vars, self.formulas))
+        free = set().union(*map(P.free_vars, self.formulas),
+                           *(P.free_vars(f) for _, f, _ in self.alts))
         self.comps = [(c, n, k) for n, _ in cl.vars
                       for k in range(theory.dim + 1)
                       if (c := comp_var(n, k)) in free]
@@ -269,7 +263,7 @@ class _Compiled:
             t[0] % tuple([arg_shapes[j][0] for j in t[1]]),
             tuple(itertools.chain.from_iterable([occs[o] for o in t[2]])))
             for b, t in zip(body, self.templates))
-        return _splice(goal, i, body, shapes, self.others, suffix)
+        return _splice(goal, i, body, shapes)
 
     def background(self, args: list[Term], suffix: str, pins,
                    terms: dict) -> list[Formula]:
@@ -360,20 +354,12 @@ class BudgetExhausted(Record):
 
 
 class _Node(Record):
-    __slots__ = __match_args__ = ("goal", "root", "parent", "atom",
-                                  "definite", "bg", "via_limit")
-    __hash__ = None
+    """A search node: bg is goal's reduced background state, via_limit marks
+    a limit-clause step, and a root's definite is its goal clause's index."""
 
-    def __init__(self, goal: Goal, root: int, parent: "_Node | None",
-                 atom: int | None, definite: int | None, bg: BgState,
-                 via_limit: bool = False) -> None:
-        self.goal = goal
-        self.root = root  # index of originating goal clause
-        self.parent = parent
-        self.atom = atom
-        self.definite = definite
-        self.bg = bg  # reduced background state
-        self.via_limit = via_limit  # produced by a limit-clause step
+    __slots__ = __match_args__ = ("goal", "parent", "atom", "definite", "bg",
+                                  "via_limit")
+    __hash__ = None
 
 
 class Saturator:
@@ -391,12 +377,13 @@ class Saturator:
                 _Compiled(i, cl, theory, problem.fin_elems))
         for ri, gcl in enumerate(problem.goals):
             g = goal_of_clause(gcl)
+            used = set(itertools.chain.from_iterable(o for _, o in g.shapes))
             st = bg_state([a for a in g.atoms if isinstance(a, BgAtom)],
-                          [n for n, s in g.varsorts if s == W], theory,
-                          problem.fin_elems)
+                          [n for n, s in gcl.vars if s == W and n in used],
+                          theory, problem.fin_elems)
             if st is None:
                 continue  # goal clause can never fire
-            node = _Node(g, ri, None, None, None, st)
+            node = _Node(g, None, None, ri, st, False)
             heapq.heappush(self._frontier, (0, next(self._seq), node))
             self._seen.add(canonical_goal(g))
 
@@ -441,8 +428,8 @@ class Saturator:
                 step_cost = LIMIT_COST if cc.limit else 1
                 heapq.heappush(self._frontier,
                                (cost + step_cost, next(self._seq),
-                                _Node(child, node.root, node, i, cc.index,
-                                      st, via_limit=cc.limit)))
+                                _Node(child, node, i, cc.index, st,
+                                      cc.limit)))
         return BudgetExhausted(self.steps_used)
 
     def _build_trace(self, node: _Node) -> ProofTrace:
@@ -452,18 +439,11 @@ class Saturator:
             chain.append(n)
             n = n.parent
         chain.reverse()
-        steps = []
-        for j, nd in enumerate(chain):
-            if nd.parent is None:
-                steps.append(TraceStep(print_goal(nd.goal),
-                                       "root", None, None, None))
-            else:
-                steps.append(TraceStep(print_goal(nd.goal),
-                                       "resolution", j - 1, nd.atom, nd.definite))
+        steps = [TraceStep(print_goal(nd.goal),
+                           "resolution" if j else "root", j - 1 if j else None,
+                           nd.atom, nd.definite) for j, nd in enumerate(chain)]
         steps.append(TraceStep(steps[-1].goal, "refutation", len(steps) - 1,
                                None, None))
-        # root index is stored in the first step's definite slot
-        steps[0].definite = chain[0].root
         bg = [a for a in node.goal.atoms if isinstance(a, BgAtom)]
         constraints = " & ".join(print_formula(a) for a in bg)
         return ProofTrace(steps, constraints)

@@ -205,6 +205,42 @@ def test_solve_comp_of_a_scalar_argument(capsys, tmp_path):
     assert replay(ProofTrace.from_json(json.loads(proof.read_text())), p, th)
 
 
+def test_solve_strict_comparison_of_scalar_arguments(capsys, tmp_path):
+    """The body's lt compares a scalar with a vector, which over nat 2 is
+    false; (R 3) binds x to a scalar, and 3 < 2 is false too, so R never
+    holds.  The one-pair form of that lt once kept the clause's own
+    variables unrenamed, the dead goal lived, and solve stopped with exit 3
+    when replay rejected its refutation."""
+    prob = tmp_path / "p.lchc"
+    prob.write_text("""
+(theory (nat 2))
+(declare R (-> W o))
+(clause ((x W)) (head (R x)) (body (lt (comp x 2) (+ x -1))))
+(goal () (body (R 3)))
+""")
+    assert main(["solve", str(prob)]) == 10
+    assert "SAT" in capsys.readouterr().out
+
+
+def test_eval_rejects_a_problem_that_fails_validation(capsys, tmp_path):
+    """eval validates the problem first, as verify-model does: a predicate
+    with two W arguments is rejected with exit 2 and one line on stderr,
+    not a traceback from evaluating it."""
+    prob = tmp_path / "p.lchc"
+    prob.write_text("(theory (lia)) (declare Q (-> W W o)) "
+                    "(goal () (body (Q 1 2)))")
+    model = tmp_path / "w.json"
+    model.write_text(json.dumps({"predicates": {"Q": {
+        "kind": "inactive", "rows": [{"args": [], "value": True}]}}}))
+    want = ("problem rejected by validation: predicate 'Q': more than one W "
+            "argument (O1)\n")
+    assert main(["eval", str(prob), str(model), "(Q 1 2)"]) == 2
+    out = capsys.readouterr()
+    assert out.err == want and out.out == ""
+    assert main(["verify-model", str(prob), str(model)]) == 2
+    assert capsys.readouterr().err == want
+
+
 def test_solve_skips_hint_with_top_at_finite_sort(capsys, tmp_path):
     prob = tmp_path / "p.lchc"
     prob.write_text(ROWS_TEXT)

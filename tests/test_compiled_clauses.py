@@ -2,6 +2,7 @@
 compiled once, and must give what the syntax path (`resolve`'s renaming and
 `atom_shape`, `compile_atom`) gives for the same step."""
 
+import itertools
 import os
 
 from hypothesis import given, settings, strategies as st
@@ -21,20 +22,24 @@ from limitdl.syntax import (
 from corpus import FIX, HINTS, PINNED, problem
 
 
-def expected_step(cl, goal, i, args, suffix, child, pins, theory, fin_elems):
+def expected_step(cl, i, args, suffix, child, pins, theory, fin_elems):
     """The syntax path's body shapes and formulas for one step: the renamed
     body's atom_shape, and compile_atom of its background atoms plus the
-    nat bounds of the new W variables, with the parent's pins folded in."""
+    nat bounds of the new W variables (the clause's non-head W binders,
+    renamed by suffix, that occur in the renamed body), with the parent's
+    pins folded in."""
     hnames = [hv.name for hv in cl.head[1]]
     env = {n: Var(n + suffix) for n, _ in cl.vars if n not in hnames}
     env.update(zip(hnames, args))
     body = [subst_atom(b, env) for b in cl.body_atoms()]
     assert list(child.atoms[i:i + len(body)]) == body
-    parent = {n for n, _ in goal.varsorts}
-    new_w = [n for n, s in child.varsorts if s == W and n not in parent]
+    shapes = [atom_shape(b) for b in body]
+    used = set(itertools.chain.from_iterable(o for _, o in shapes))
+    new_w = [n + suffix for n, s in cl.vars
+             if n not in hnames and s == W and n + suffix in used]
     fs = compile_conj([b for b in body if isinstance(b, BgAtom)], new_w,
                       theory, fin_elems)
-    return [atom_shape(b) for b in body], [P.subst(f, pins) for f in fs]
+    return shapes, [P.subst(f, pins) for f in fs]
 
 
 def test_every_search_step_matches_the_syntax_path(monkeypatch):
@@ -48,8 +53,7 @@ def test_every_search_step_matches_the_syntax_path(monkeypatch):
 
     def checked_resolve(cc, goal, i, args, arg_shapes, suffix):
         child = resolve(cc, goal, i, args, arg_shapes, suffix)
-        last.update(cc=cc, goal=goal, i=i, args=args, suffix=suffix,
-                    child=child)
+        last.update(cc=cc, i=i, args=args, suffix=suffix, child=child)
         return child
 
     def checked_background(cc, args, suffix, pins, terms):
@@ -57,8 +61,8 @@ def test_every_search_step_matches_the_syntax_path(monkeypatch):
         assert last["cc"] is cc and last["suffix"] == suffix
         p, th = current
         shapes, want = expected_step(
-            p.clauses[cc.index], last["goal"], last["i"], last["args"],
-            suffix, last["child"], pins, th, p.fin_elems)
+            p.clauses[cc.index], last["i"], last["args"], suffix,
+            last["child"], pins, th, p.fin_elems)
         i = last["i"]
         assert list(last["child"].shapes[i:i + len(shapes)]) == shapes
         assert fs == want
@@ -207,13 +211,12 @@ def test_compiled_step_equals_syntax_step(case):
     theory, cl, args, pins = case
     cc = _Compiled(0, cl, theory, FIN_ELEMS)
     atom = FgAtom(mk_app(PredRef("R"), args))
-    goal = Goal((atom,), (("u", W), ("v", W), ("r", FIN)),
-                (atom_shape(atom),))
+    goal = Goal((atom,), (atom_shape(atom),))
     suffix = "$0"
     child = cc.resolve(goal, 0, args, [_shape(print_term, a) for a in args],
                        suffix)
     fs = cc.background(args, suffix, pins, {})
-    shapes, want = expected_step(cl, goal, 0, args, suffix, child, pins,
-                                 theory, FIN_ELEMS)
+    shapes, want = expected_step(cl, 0, args, suffix, child, pins, theory,
+                                 FIN_ELEMS)
     assert list(child.shapes) == shapes
     assert fs == want

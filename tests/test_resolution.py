@@ -4,14 +4,14 @@ import itertools
 
 import pytest
 
-from limitdl import resolution
+from limitdl import driver, resolution
 from limitdl.background import theory_for
 from limitdl.resolution import (
-    BudgetExhausted, ProofTrace, Refuted, Saturator, TraceError,
+    BudgetExhausted, ProofTrace, Refuted, Saturator, TraceError, TraceStep,
     canonical_goal, goal_of_clause, replay, resolve, saturate, try_refute,
 )
 from limitdl.syntax import normalize_problem, parse_problem
-from corpus import problem
+from corpus import problem, proof_sha256
 from oracles import printed_goal_key
 
 
@@ -162,6 +162,63 @@ def test_replay_range_checks_the_refutation_parent():
         else:
             with pytest.raises(TraceError):
                 replay(t, p, th)
+
+
+SECOND_GOAL_REFUTES = """
+(theory (lia))
+(declare R (-> W o))
+(clause ((x W)) (head (R x)) (body (geq x 5)))
+(goal () (body (R 3)))
+(goal () (body (R 7)))
+"""
+
+ROOT_REFUTES = """
+(theory (nat 1))
+(goal ((x W)) (body (and (geq x 2) (leq x 4))))
+"""
+
+
+@pytest.mark.parametrize("text, rules, steps, sha", [
+    (SECOND_GOAL_REFUTES, ["root", "resolution", "refutation"], 5,
+     "f3c2fec1320bc06e7e3e287b87b30342e196681d2a0f82535bd0e241cac44d25"),
+    (ROOT_REFUTES, ["root", "refutation"], 1,
+     "cf0ba6bd562429ee209cb487192dc343c48627fc3c7605bf847798892b83270d"),
+], ids=["second_goal", "at_root"])
+def test_trace_records_its_goal_clause(text, rules, steps, sha):
+    """The root step's definite is the index of the goal clause the proof
+    starts from: 1 when the first goal clause dies and the second refutes.
+    A goal of background atoms only refutes at its root with no resolution
+    step (resolutionSteps counts the refutation rule too).  Both traces
+    replay after a JSON round trip."""
+    p, th = load(text)
+    v = driver.solve(p, driver.SolveConfig())
+    assert v.kind == "UNSAT" and v.stats["resolutionSteps"] == steps
+    assert [s.rule for s in v.trace.steps] == rules
+    assert v.trace.steps[0].definite == len(p.goals) - 1
+    assert proof_sha256(v.trace) == sha
+    assert replay(ProofTrace.from_json(v.trace.to_json()), p, th)
+
+
+def test_replay_bounds_a_variable_only_a_clause_body_introduces():
+    """Over nat, the body variable y of the first clause is at least 0, so
+    (leq (+ y 1) 0) has no solution and (R 3) is not derivable.  A trace
+    that resolves through that clause and refutes must fail replay's final
+    check, which bounds y although no goal clause binds it."""
+    p, th = load("""
+(theory (nat 1))
+(declare R (-> W o))
+(clause ((x W) (y W)) (head (R x)) (body (leq (+ y 1) 0)))
+(goal () (body (R 3)))
+""")
+    assert not p.clauses[0].is_limit
+    trace = ProofTrace([
+        TraceStep("(R 3)", "root", None, None, 0),
+        TraceStep("(leq (+ v0 1) 0)", "resolution", 0, 0, 0),
+        TraceStep("(leq (+ v0 1) 0)", "refutation", 1, None, None),
+    ], "(leq (+ y$0 1) 0)")
+    with pytest.raises(TraceError, match="final refutation check failed"):
+        replay(trace, p, th)
+    assert driver.solve(p, driver.SolveConfig()).kind == "SAT"
 
 
 def test_canonical_goal_renaming_invariance():

@@ -59,7 +59,7 @@ def _samples():
     fg = S.FgAtom(app)
     cl = S.Clause((("x", S.W),), ("P", (x,)), bg, True, (3, 1))
     state = B.BgState({"x": t}, [Cmp("<=", t)], {"x": 1})
-    goal = R.Goal((fg,), (("x", S.W),), (("(P %s)", ("x",)),))
+    goal = R.Goal((fg,), (("(P %s)", ("x",)),))
     trace = R.ProofTrace([R.TraceStep("(P v0)", "refutation", 0, None,
                                       None)], "true")
     report = T.ValidationReport("FirstOrder", 1, {"P": {"order": 1}}, [])
@@ -109,15 +109,14 @@ def _samples():
         (F.LCM, "states initial final counters instructions",
          (("q0", "q1"), "q0", "q1", 1, (F.InstrA("q0", 1, "q1"),))),
         (F.LCMConfig, "state values", ("q1", (0, 2))),
-        (R.Goal, "atoms varsorts shapes",
-         ((fg,), (("x", S.W),), (("(P %s)", ("x",)),))),
+        (R.Goal, "atoms shapes", ((fg,), (("(P %s)", ("x",)),))),
         (R.TraceStep, "goal rule parent atom definite",
          ("(P v0)", "resolution", 0, 1, 2)),
         (R.ProofTrace, "steps constraints", ([], "true")),
         (R.Refuted, "trace steps_used", (trace, 3)),
         (R.BudgetExhausted, "steps_used", (5,)),
-        (R._Node, "goal root parent atom definite bg via_limit",
-         (goal, 0, None, None, None, state, True)),
+        (R._Node, "goal parent atom definite bg via_limit",
+         (goal, None, None, 0, state, True)),
         (T.ValidationReport, "mode max_order pred_info errors",
          ("FirstOrder", 1, {"P": {"order": 1}}, ["e"])),
         (D.SolveConfig, "resolution_slice model_slice total_budget hint",
@@ -274,8 +273,6 @@ def test_mutable_records_keep_their_behaviour():
     step = R.TraceStep("(P v0)", "resolution", None, 0, 1)
     step.parent = 4
     assert step == R.TraceStep("(P v0)", "resolution", 4, 0, 1)
-    node = R._Node(None, 0, None, None, None, None)
-    assert node.via_limit is False
 
 
 def test_vars_is_cached():
