@@ -56,6 +56,15 @@ class AtLeast(Record):
 class Antichain(Record):
     __slots__ = __match_args__ = ("gens",)  # None in a generator = omega
 
+    def __hash__(self) -> int:
+        """The hash of the fields with ω read as -1, which no natural takes:
+        hash(None) can differ between processes.  Equality is by gens."""
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((tuple(
+                tuple(-1 if x is None else x for x in g) for g in self.gens),))
+        return h
+
     def __str__(self) -> str:
         def fmt(g):
             return "(" + ",".join("w" if x is None else str(x) for x in g) + ")"

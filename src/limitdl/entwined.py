@@ -608,7 +608,12 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     a branch with such a direction on J (of any branch when J is empty).
     Under nat upward, x >= 0 keeps every direction d >= 0, so ω never
     arises and no cone test is asked; the others are asked once per call,
-    since the branches of later seeds repeat them.
+    since the branches of later seeds repeat them.  A branch is a node of
+    the walk (P.branches), with the bounds interval propagation found for
+    it: the ω-fibre test and every y_i >= v probe ask the node itself
+    (P.sat_branch), so nothing is re-derived per probe, and where the node
+    bounds y_i one probe at that bound, then bisection below it, replaces
+    the gallop.
 
     ``base`` is a descriptor the result must include (a row's current
     value): the result describes the upward closure of base ∪ phi.  Its
@@ -643,9 +648,9 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
             cones[cone] = P.sat_exists_all(list(cone)) is not None
         return cones[cone]
 
-    def reach(leaf: list, ci: str, v: int) -> int | None:
+    def reach(node: tuple, ci: str, v: int) -> int | None:
         # y_i of a point of the branch with y_i >= v, or None
-        w = P.sat_exists_all(leaf + [atleast(ci, v)])
+        w = P.sat_branch(node, [atleast(ci, v)])
         return None if w is None else s * w.get(ci, 0)
 
     while True:
@@ -661,32 +666,40 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         for i, ci in enumerate(comps):
             fixed = {cj: P.LinTerm.of_const(gj)
                      for cj, gj in zip(comps, g) if gj is not None}
-            leaves = list(P.branches(
+            nodes = list(P.branches(
                 [P.subst(f, fixed) for f in [phi] + bounds]
                 + [atleast(cj, sj)
                    for cj, sj in zip(comps[i + 1:], seed[i + 1:])]))
             omega = [cj for cj, gj in zip(comps, g) if gj is None]
-            if any(recedes(leaf, omega + [ci])
-                   and P.sat_exists_all(leaf) is not None
-                   for leaf in leaves):
+            if any(recedes(node[0], omega + [ci])
+                   and P.sat_branch(node, []) is not None
+                   for node in nodes):
                 g.append(None)
                 continue
             # bounded on every branch that reaches the ω-fibre: maximise
             # y_i per branch, jumping to each witness's value; the seed's
             # own value is reached, so no smaller one needs a query
             best = seed[i] - 1
-            for leaf in leaves:
-                lo = reach(leaf, ci, best + 1)
-                if lo is None or (omega and not recedes(leaf, omega)):
+            for node in nodes:
+                lo = reach(node, ci, best + 1)
+                if lo is None or (omega and not recedes(node[0], omega)):
                     continue
-                step = 1
-                while (up := reach(leaf, ci, lo + step)) is not None:
-                    lo = up
-                    step *= 2
-                hi = lo + step  # no point of the branch gets here
+                # the node's bound on y_i, when it has one, caps the search:
+                # one probe there, then bisection below it
+                cap = (node[2] if s > 0 else node[1]).get(ci)
+                if cap is None:
+                    step = 1
+                    while (up := reach(node, ci, lo + step)) is not None:
+                        lo = up
+                        step *= 2
+                    hi = lo + step  # no point of the branch gets here
+                elif lo < s * cap and reach(node, ci, s * cap) is None:
+                    hi = s * cap
+                else:
+                    lo = hi = s * cap
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    up = reach(leaf, ci, mid)
+                    up = reach(node, ci, mid)
                     if up is None:
                         hi = mid
                     else:

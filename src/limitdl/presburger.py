@@ -701,7 +701,8 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # decide each branch by unit-equality substitution and Cooper-style
 # elimination one variable at a time with early exit.  One node step,
 # _child, builds every node of this search: the walk's root, each branch
-# alternative, each elimination candidate and residue.  It takes the
+# alternative, each elimination candidate and residue, and each probe of a
+# branch (sat_branch).  It takes the
 # admitted literals the node adds, refutes the node outright when one of
 # them has no solution in its parent's box (most dead alternatives end
 # there, before any copy), and otherwise narrows a copy of the parent's
@@ -837,27 +838,32 @@ def _complement(boxes: list[dict[str, list]]) -> Formula:
     i-th variable, so it is empty iff some u[2i] + u[2i+1] < 0, and lies
     inside another iff it is componentwise smaller.  The pieces never nest:
     parts of one parent do not, nor do pieces kept whole, and no two parts
-    are equal, so only parts of different parents need comparing."""
+    are equal, so only parts of different parents need comparing.  Nor do
+    two pieces, or two bounds of one, repeat, so no conj or disj is needed."""
     names = sorted({v for b in boxes for v in b})
     n = 2 * len(names)
     pieces = [(_INF,) * n]
     for b in boxes:
         box = [x for v in names for x in b.get(v, (_INF, _INF))]
         fin = [k for k in range(n) if box[k] != _INF]
+        pairs = sorted({k & ~1 for k in fin})  # where a piece can miss box
         kept: list[tuple] = []
         parts: list[list[tuple]] = []
         for p in pieces:
-            if any(min(p[k], box[k]) + min(p[k + 1], box[k + 1]) < 0
-                   for k in range(0, n, 2)):  # misses the box
-                kept.append(p)
-                continue
-            mine = []
-            for k in fin:
-                j = k ^ 1
-                cut = -box[k] - 1  # beyond bound k
-                if p[k] + cut >= 0:
-                    mine.append(p[:j] + (cut,) + p[j + 1:])
-            parts.append(mine)
+            for k in pairs:  # misses the box
+                a, c = box[k], box[k + 1]
+                if (p[k] if p[k] < a else a) + \
+                        (p[k + 1] if p[k + 1] < c else c) < 0:
+                    kept.append(p)
+                    break
+            else:
+                mine = []
+                for k in fin:
+                    j = k ^ 1
+                    cut = -box[k] - 1  # beyond bound k
+                    if p[k] + cut >= 0:
+                        mine.append(p[:j] + (cut,) + p[j + 1:])
+                parts.append(mine)
         pieces = list(kept)
         for i, mine in enumerate(parts):
             for q in mine:
@@ -868,7 +874,9 @@ def _complement(boxes: list[dict[str, list]]) -> Formula:
                     pieces.append(q)
         if not pieces:
             return FALSE
-    return disj(conj(_bounds_of(names, p)) for p in pieces)
+    ands = [b[0] if len(b) == 1 else And(b) if b else TRUE
+            for b in (tuple(_bounds_of(names, p)) for p in pieces)]
+    return ands[0] if len(ands) == 1 else Or(tuple(ands))
 
 
 def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
@@ -901,6 +909,9 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
     _NARROW_VISITS times.  Returns False when an interval empties, so rows
     have no integer solution; True when inconclusive.
 
+    A row over one variable is a bound whatever the other bounds are: its
+    visit from todo applies it for good, and no moved bound re-queues it.
+
     From scratch, todo is every row and the bounds start empty.  A branch
     that adds rows to a parent starts from a copy of the parent's bounds
     and is seeded with the added rows only: the parent's bounds hold on
@@ -910,15 +921,17 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
     queue = deque(todo)
     queued = set(queue)
     visits = [0] * len(rows)
-    occ: dict[str, list[int]] = {}  # var -> rows; built at the first move
+    occ: dict[str, list[int]] | None = None  # var -> rows of 2+ variables
 
     def moved(v: str) -> None:
-        if not occ:
+        nonlocal occ
+        if occ is None:
+            occ = {}
             for j, g in enumerate(rows):
-                if type(g) is Cmp:
+                if type(g) is Cmp and len(g.t.coeffs) > 1:
                     for u, _ in g.t.coeffs:
                         occ.setdefault(u, []).append(j)
-        for j in occ[v]:
+        for j in occ.get(v, ()):
             if j not in queued:
                 queued.add(j)
                 queue.append(j)
@@ -1001,14 +1014,14 @@ def _to_le(f: Formula) -> Formula:
 def _child(lits: list, rows: list | None, lo: dict[str, int],
            hi: dict[str, int]) -> tuple[list, dict, dict] | None:
     """The one step that builds a search node (the walk's root, a DNF
-    alternative, an elimination candidate or residue): rows, admitted
-    (_admit), appended to the parent's lits, and a copy of the parent's
-    bounds lo/hi narrowed (_narrow) with only the added rows.  None when
-    rows is None (they folded to false), when one of them has no solution
-    in the parent's box (_box_refutes, before anything is copied) or when
-    an interval empties; the parent's own lits and bounds when rows is
-    empty (nothing writes to a node's lits or bounds but _narrow, here on
-    copies)."""
+    alternative, an elimination candidate or residue, a branch probe):
+    rows, admitted (_admit), appended to the parent's lits, and a copy of
+    the parent's bounds lo/hi narrowed (_narrow) with only the added rows.
+    None when rows is None (they folded to false), when one of them has no
+    solution in the parent's box (_box_refutes, before anything is copied)
+    or when an interval empties; the parent's own lits and bounds when
+    rows is empty (nothing writes to a node's lits or bounds but _narrow,
+    here on copies)."""
     if not rows:
         return None if rows is None else (lits, lo, hi)
     if _box_refutes(rows, lo, hi):
@@ -1325,12 +1338,25 @@ def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
         yield from _leaves(*root, pend, {})
 
 
-def branches(matrices: list[Formula]) -> Iterator[list]:
+def branches(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
     """The conjunctive branches of a conjunction of quantifier-free
-    formulas: lists of '<=', '=' and Div literals in cmp_atom's form whose
-    disjunction is equivalent to it, less branches that interval
-    propagation refutes (_walk)."""
-    return (lits for lits, _, _ in _walk(matrices))
+    formulas, as the walk's leaf nodes (_walk): lists of '<=', '=' and Div
+    literals in cmp_atom's form whose disjunction is equivalent to it, less
+    branches that interval propagation refutes, each with the bounds lo/hi
+    that _narrow found for it."""
+    return _walk(matrices)
+
+
+def sat_branch(node: tuple[list, dict, dict],
+               rows: list[Formula]) -> dict[str, int] | None:
+    """Satisfying assignment for a branch node (branches) conjoined with
+    rows, literals without '!=' (absent variables read as 0), or None: one
+    child (_child) of the node, then _sat_lits.  A fresh sat_exists_all of
+    the same literals gives the same assignment, but re-admits and
+    re-narrows the node's literals."""
+    lits, lo, hi = node
+    child = _child(lits, _admit(rows), lo, hi)
+    return None if child is None else _sat_lits(*child)
 
 
 def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
@@ -1345,8 +1371,8 @@ def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
 
 
 def recession_cone(leaf: list) -> list:
-    """The homogeneous system of a branch (branches): every comparison
-    with its constant dropped, Div literals dropped.  Its integer
+    """The homogeneous system of a branch's literals (branches): every
+    comparison with its constant dropped, Div literals dropped.  Its integer
     solutions d are the directions of the branch: from any integer point x
     of the branch, x + t*k*d stays in it for all t >= 0 (k the lcm of the
     Div moduli); and a branch whose integer points grow without bound in

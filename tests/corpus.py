@@ -12,7 +12,8 @@ import hashlib
 import json
 import os
 
-from limitdl.background import theory_for
+from limitdl import entwined as E
+from limitdl.background import EMPTY, theory_for
 from limitdl.entwined import serialize_model
 from limitdl.frontends import LCMConfig, encode_lcm, lcm_from_json
 from limitdl.syntax import normalize_problem, parse_problem
@@ -238,6 +239,11 @@ LEAST_MODEL_SHA256 = {
         "acd91a13ea3e3a51eb7f02fdb12fdde15910ed92a69b893527353d7932cdafef",
 }
 
+# SHA-256 of the extract_upset calls of the least models of FIRST_ORDER's
+# problems, in that order (see extraction_digest)
+EXTRACTION_SHA256 = \
+    "cbcf8b5b656b011f7b82c59e7396221e8543e6fef50bac1529309e6fe4f5c80a"
+
 
 def model_sha256(m):
     """SHA-256 of a model's serialization, keys sorted."""
@@ -253,6 +259,27 @@ def proof_sha256(trace):
 # the first-order problems: every pinned one but the higher-order integral256
 FIRST_ORDER = [(pid, verdict) for pid, verdict, _, _ in PINNED
                if pid != "integral256"]
+
+
+def extraction_digest(pids):
+    """SHA-256 of every `extract_upset` call that the least models of pids
+    make, in call order: one line per call with the formula's text, the
+    components, the base descriptor and the result."""
+    lines = []
+    extract = E.extract_upset
+
+    def traced(theory, phi, comps, base=EMPTY):
+        out = extract(theory, phi, comps, base)
+        lines.append(f"{phi} | {comps} | {base} | {out}")
+        return out
+
+    E.extract_upset = traced
+    try:
+        for pid in pids:
+            E.fo_least_model(*problem(pid))
+    finally:
+        E.extract_upset = extract
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def problem(pid):

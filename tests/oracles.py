@@ -10,6 +10,8 @@ search code with the solver.
 - `enumerated_exists_sat`: background satisfiability by trying every
   valuation of the finite-sort variables, the reference for
   `background.exists_sat`.
+- `swept_bounds`: interval propagation that revisits every row until a
+  whole sweep moves no bound, the reference for `presburger._narrow`.
 - `close`: substitute an assignment for a formula's free variables.
 - `deadline`: fail the running test when a block overruns, so a solver
   that never ends fails one test instead of hanging the suite.
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import signal
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import pytest
@@ -319,6 +323,59 @@ def enumerated_exists_sat(atoms: Sequence[BgAtom], varsorts: dict,
         if P.sat_exists_all(fs) is not None:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# interval propagation by sweeps
+
+
+def swept_bounds(rows: Sequence[P.Formula]) -> tuple[bool, dict, dict]:
+    """Interval propagation over the '<=' and '=' comparisons among rows,
+    from no bounds: each sweep visits every row in order and, for each
+    variable v of a row c*v + rest op 0, bounds c*v by the range of rest
+    over the current bounds; sweeps repeat until one moves no bound.
+    Returns (False, lo, hi) as soon as an interval empties, else (True, lo,
+    hi) with the bounds of the fixpoint, which is the same for every fair
+    order of these steps.  Ends when the rows bound every variable on both
+    sides."""
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+
+    def extreme(terms, least):
+        total = 0
+        for u, k in terms:
+            b = (lo if (k > 0) == least else hi).get(u)
+            if b is None:
+                return None
+            total += k * b
+        return total
+
+    moved = True
+    while moved:
+        moved = False
+        for f in rows:
+            if type(f) is not P.Cmp:
+                continue
+            for v, c in f.t.coeffs:
+                rest = [(u, k) for u, k in f.t.coeffs if u != v]
+                least, most = extreme(rest, True), extreme(rest, False)
+                new = []  # (side, bound) on v
+                if least is not None:  # c*v <= -(const + least)
+                    q = Fraction(-(f.t.const + least), c)
+                    new.append(("hi", math.floor(q)) if c > 0
+                               else ("lo", math.ceil(q)))
+                if f.op == "=" and most is not None:  # c*v >= -(const + most)
+                    q = Fraction(-(f.t.const + most), c)
+                    new.append(("lo", math.ceil(q)) if c > 0
+                               else ("hi", math.floor(q)))
+                for side, b in new:
+                    if side == "hi" and (v not in hi or b < hi[v]):
+                        hi[v], moved = b, True
+                    elif side == "lo" and (v not in lo or b > lo[v]):
+                        lo[v], moved = b, True
+                    if v in lo and v in hi and lo[v] > hi[v]:
+                        return False, lo, hi
+    return True, lo, hi
 
 
 def close(f: P.Formula, env: Mapping[str, int]) -> P.Formula:

@@ -79,7 +79,8 @@ def test_only_presburger_names_cooper():
 SOLVE_PATH = {"_lits_of", "_wnnf", "_walk", "_leaves", "_child", "_admit",
               "_box_refutes", "_term_min", "_merge",
               "_to_le", "_pin_units", "_sat_lits", "_sat_reduced",
-              "reduce_conj", "sat_exists_all", "branches", "recession_cone"}
+              "reduce_conj", "sat_exists_all", "branches", "sat_branch",
+              "recession_cone"}
 COOPER_NNF = {"_nnf", "nnf", "_lt", "_cooper", "eliminate", "decide"}
 
 

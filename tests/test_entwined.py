@@ -12,7 +12,8 @@ from limitdl import presburger as P
 from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
-from corpus import FIRST_ORDER, LEAST_MODEL_SHA256, model_sha256, problem
+from corpus import (EXTRACTION_SHA256, FIRST_ORDER, LEAST_MODEL_SHA256,
+                    extraction_digest, model_sha256, problem)
 from oracles import bounded_canonical_model, deadline
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -329,6 +330,38 @@ def test_least_model_decides_first_order_corpus(pid, verdict):
     assert m is not None
     assert model_sha256(m) == LEAST_MODEL_SHA256[pid]
     assert E.check_model(m, p) == (verdict == "SAT")
+
+
+def test_extraction_trace_is_pinned():
+    """Every extract_upset call that the least models of the first-order
+    corpus make, with its formula, components, base and result, in call
+    order: a change to extraction that keeps the verdicts and models but
+    changes one descriptor, or the inputs of later calls, fails here."""
+    with deadline(60):
+        digest = extraction_digest([pid for pid, _ in FIRST_ORDER])
+    assert digest == EXTRACTION_SHA256
+
+
+def test_least_model_extraction_effort_is_pinned(monkeypatch):
+    """The least models of the first-order SAT rows ask sat_exists_all at
+    most 451 times: extract_upset's seed queries and cone tests, and the
+    propositional heads.  Its reach probes and ω-fibre checks ask the
+    branch nodes of branches (sat_branch), which neither re-admit nor
+    re-narrow the branch; a fresh sat_exists_all for each makes 1,136
+    calls here."""
+    calls = [0]
+    sat = P.sat_exists_all
+
+    def counted(*args):
+        calls[0] += 1
+        return sat(*args)
+
+    monkeypatch.setattr(P, "sat_exists_all", counted)
+    with deadline(30):
+        for pid, verdict in FIRST_ORDER:
+            if verdict == "SAT":
+                E.fo_least_model(*problem(pid))
+    assert calls[0] <= 451, calls
 
 
 # chained predicates, each clause before the one its body waits for: C's

@@ -18,7 +18,7 @@ from limitdl.presburger import (
     conj, decide, disj, div_atom, eliminate, eq, evaluate, free_vars,
     ge, gt, le, lt, ne, neg_f, nnf,
 )
-from oracles import close, deadline
+from oracles import close, deadline, swept_bounds
 
 
 def v(name):
@@ -473,7 +473,7 @@ def test_negated_implication_keeps_a_body_equality():
     body = conj([eq(x, y.add(c(2))), le(c(0), y)])
     f = Not(P.implies(body, le(x, c(5))))
     same = {("x", 1), ("y", -1)}
-    leaves = list(P.branches([f]))
+    leaves = [lits for lits, _, _ in P.branches([f])]
     assert leaves
     for lits in leaves:
         assert Cmp("=", LinTerm(-2, (("x", 1), ("y", -1)))) in lits, lits
@@ -650,11 +650,45 @@ def test_narrow_from_parent_bounds_is_sound():
                              if r)
                         for _ in range(rng.randint(2, 3)))
                    for _ in range(rng.randint(1, 3))]
-            leaves = list(P.branches(box + ors))
+            leaves = [lits for lits, _, _ in P.branches(box + ors)]
             for p in grid:  # the box holds on the grid
                 if all(evaluate(f, p) for f in ors):
                     assert any(all(evaluate(f, p) for f in leaf)
                                for leaf in leaves), (ors, p)
+
+
+def test_narrow_reaches_the_swept_fixpoint():
+    """_narrow from scratch against swept_bounds, which revisits every row
+    until no bound moves: the same verdict, and the same bounds when it is
+    True.  The rows are '<=' and '=' comparisons over one to three of x, y,
+    z, built as they stand: coefficients that share a factor and constants
+    of either sign that they do not divide, so every bound rounds.  A box
+    -B <= v <= B (B <= 2) comes first and bounds every variable, so after
+    its visits each bound moves at most 4B times before its interval
+    empties, and no row is visited 1 + 3*4B <= 25 < _NARROW_VISITS times:
+    the cap never cuts the propagation short."""
+    rng = random.Random(20261024)
+    assert P._NARROW_VISITS > 25
+    names = ["x", "y", "z"]
+    for case in range(3000):
+        rows = []
+        for n in names:
+            b = rng.randint(0, 2)
+            rows += [Cmp("<=", LinTerm(-b, ((n, 1),))),
+                     Cmp("<=", LinTerm(-b, ((n, -1),)))]
+        for _ in range(rng.randint(1, 6)):
+            vs = rng.sample(names, rng.choice([1, 1, 2, 3]))
+            t = LinTerm.make(rng.randint(-9, 9),
+                             {n: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+                              for n in vs})
+            rows.append(Div(2, t) if rng.random() < 0.1
+                        else Cmp(rng.choice(["<=", "<=", "="]), t))
+        lo, hi = {}, {}
+        ok = P._narrow(rows, lo, hi, range(len(rows)))
+        want, wlo, whi = swept_bounds(rows)
+        assert ok == want, (case, rows)
+        if ok:
+            assert (lo, hi) == (wlo, whi), (case, rows)
 
 
 def _unbounded_by_cones(matrices, names):
@@ -663,7 +697,7 @@ def _unbounded_by_cones(matrices, names):
         P.sat_exists_all(P.recession_cone(leaf)
                          + [ge(v(n), c(1)) for n in names]) is not None
         and P.sat_exists_all(leaf) is not None
-        for leaf in P.branches(matrices))
+        for leaf, _, _ in P.branches(matrices))
 
 
 def test_recession_cone_decides_unboundedness():
