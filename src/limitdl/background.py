@@ -2,15 +2,20 @@
 
 A theory fixes the numeric domain (Z for lia, N^d for nat) and a *working*
 preorder: the natural componentwise order, or its converse for downward
-problems.  Descriptors denote sets that are upward closed in the working
-order:
+problems.  A descriptor denotes a set that is upward closed in the working
+order by its finite basis of minimal points: Empty, All, or an
+Antichain(gens), the union of the principal upsets of its generators.  Over
+lia (a total order) the basis has one point, so a threshold k is
+Antichain(((k,),)), written to JSON as {"kind": "atleast", "k": k}.
 
-  lia:  Empty | All | AtLeast(k)         ({w : k <=_work w})
-  nat:  Antichain(gens)                  (union of principal upsets)
+A generator coordinate may be None ("omega"), the working order's bottom
+where it has none in the domain (Theory.bottom): under downward nat a
+generator needs it to describe sets such as the whole domain.  Under lia
+the one coordinate is then the bottom itself, so canonicalize turns any
+such generator into All and omega never survives in a lia descriptor.
 
-For downward nat problems generators may carry None ("omega") coordinates,
-since the converse order needs unbounded generators to describe sets such
-as the whole domain.
+Descriptors are checked and made canonical where they are made
+(canonicalize, upset_from_json); the other consumers trust them.
 """
 
 from __future__ import annotations
@@ -46,19 +51,14 @@ class All(Record):
         return "all"
 
 
-class AtLeast(Record):
-    __slots__ = __match_args__ = ("k",)
-
-    def __str__(self) -> str:
-        return f"atleast({self.k})"
-
-
 class Antichain(Record):
     __slots__ = __match_args__ = ("gens",)  # None in a generator = omega
 
     def __hash__(self) -> int:
-        """The hash of the fields with ω read as -1, which no natural takes:
-        hash(None) can differ between processes.  Equality is by gens."""
+        """The hash of the fields with ω read as -1, which no natural takes
+        and no canonical lia descriptor holds (ω never survives canonicalize
+        there): hash(None) can differ between processes.  Equality is by
+        gens."""
         h = self._hash
         if h is None:
             h = self._hash = hash((tuple(
@@ -71,37 +71,10 @@ class Antichain(Record):
         return "{" + ",".join(fmt(g) for g in self.gens) + "}"
 
 
-Upset = Empty | All | AtLeast | Antichain
+Upset = Empty | All | Antichain
 
 EMPTY = Empty()
 ALL = All()
-
-
-def upset_to_json(u: Upset) -> dict:
-    match u:
-        case Empty():
-            return {"kind": "empty"}
-        case All():
-            return {"kind": "all"}
-        case AtLeast(k):
-            return {"kind": "atleast", "k": k}
-        case Antichain(gens):
-            return {"kind": "antichain", "min": [list(g) for g in gens]}
-    raise TypeError(u)
-
-
-def upset_from_json(d: dict) -> Upset:
-    match d.get("kind"):
-        case "empty":
-            return EMPTY
-        case "all":
-            return ALL
-        case "atleast":
-            return AtLeast(int(d["k"]))
-        case "antichain":
-            return Antichain(tuple(
-                tuple(None if x is None else int(x) for x in g) for g in d["min"]))
-    raise TheoryError(f"bad upset descriptor {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +122,12 @@ class Theory:
         a, b = tuple(a), tuple(b)
         return self._leq_nat(b, a) if self.flipped else self._leq_nat(a, b)
 
+    @property
+    def bottom(self) -> int | None:
+        """The working order's bottom in one coordinate: 0 under nat upward,
+        ω (None) where the domain has none in that order."""
+        return 0 if self.nat and not self.flipped else None
+
     # -- descriptors -----------------------------------------------------
 
     def member(self, w: Sequence[int], u: Upset) -> bool:
@@ -160,13 +139,7 @@ class Theory:
                 return False
             case All():
                 return True
-            case AtLeast(k):
-                if self.kind != "lia":
-                    raise TheoryError("atleast descriptor outside lia")
-                return w[0] <= k if self.flipped else w[0] >= k
             case Antichain(gens):
-                if self.kind != "nat":
-                    raise TheoryError("antichain descriptor outside nat")
                 return any(self.w_leq(g, w) for g in gens)
         raise TypeError(u)
 
@@ -174,27 +147,31 @@ class Theory:
         """One descriptor per denoted set, so that structural equality is
         extensional: an antichain without generators is EMPTY, one holding
         the working order's bottom is ALL, and any other keeps its minimal
-        generators, once each, in a fixed order."""
-        match u:
-            case Empty() | All() | AtLeast():
-                return u
-            case Antichain(gens):
-                if self.kind != "nat":
-                    raise TheoryError("antichain descriptor outside nat")
-                if not self.flipped and any(x is None for g in gens for x in g):
-                    raise TheoryError("omega coordinates only in the flipped order")
-                if not gens:
-                    return EMPTY
-                if (None if self.flipped else 0,) * self.dim in gens:
-                    return ALL
-                keep = []
-                for g in gens:
-                    if any(h != g and self.w_leq(h, g) for h in gens):
-                        continue
-                    if g not in keep:
-                        keep.append(g)
-                return Antichain(tuple(sorted(keep, key=_gen_key)))
-        raise TypeError(u)
+        generators, once each, in a fixed order.  A TheoryError for a
+        generator that is not a point of the domain, with ω only where the
+        bottom is ω."""
+        if not isinstance(u, Antichain):
+            return u
+        gens = u.gens
+        for g in gens:
+            if len(g) != self.dim:
+                raise TheoryError(f"generator {g} does not have {self.dim} "
+                                  "coordinates")
+            if None in g and self.bottom is not None:
+                raise TheoryError("omega coordinates only in the flipped order")
+            if self.nat and any(x is not None and x < 0 for x in g):
+                raise TheoryError(f"generator {g} outside the domain")
+        if not gens:
+            return EMPTY
+        if (self.bottom,) * self.dim in gens:
+            return ALL
+        keep = []
+        for g in gens:
+            if any(h != g and self.w_leq(h, g) for h in gens):
+                continue
+            if g not in keep:
+                keep.append(g)
+        return Antichain(tuple(sorted(keep, key=_gen_key)))
 
     def upset_formula(self, u: Upset, vs: Sequence[LinTerm]) -> Formula:
         """Membership of the point whose components are the terms vs."""
@@ -205,9 +182,6 @@ class Theory:
                 return P.FALSE
             case All():
                 return P.TRUE
-            case AtLeast(k):
-                kk = LinTerm.of_const(k)
-                return P.le(vs[0], kk) if self.flipped else P.ge(vs[0], kk)
             case Antichain(gens):
                 disjuncts = []
                 for g in gens:
@@ -228,12 +202,10 @@ class Theory:
         if self.kind == "lia":
             yield EMPTY
             yield ALL
-            yield AtLeast(0)
-            k = 1
-            while True:
-                yield AtLeast(k)
-                yield AtLeast(-k)
-                k += 1
+            yield Antichain(((0,),))
+            for k in itertools.count(1):
+                yield Antichain(((k,),))
+                yield Antichain(((-k,),))
         else:
             seen: set[Upset] = set()
             budget = 1
@@ -268,6 +240,38 @@ class Theory:
 
 def theory_for(kind: str, dim: int, direction: str) -> Theory:
     return Theory(kind, dim, flipped=(direction == "downward"))
+
+
+def upset_to_json(u: Upset, theory: Theory) -> dict:
+    match u:
+        case Empty():
+            return {"kind": "empty"}
+        case All():
+            return {"kind": "all"}
+        case Antichain(((k,),)) if not theory.nat:
+            return {"kind": "atleast", "k": k}
+        case Antichain(gens):
+            return {"kind": "antichain", "min": [list(g) for g in gens]}
+    raise TypeError(u)
+
+
+def upset_from_json(d: dict, theory: Theory) -> Upset:
+    """The canonical descriptor a witness row gives (canonicalize): a
+    threshold under lia, an antichain under nat; a TheoryError for any
+    other."""
+    match d.get("kind"), theory.nat:
+        case "empty", _:
+            return EMPTY
+        case "all", _:
+            return ALL
+        case "atleast", False:
+            u = Antichain(((int(d["k"]),),))
+        case "antichain", True:
+            u = Antichain(tuple(tuple(None if x is None else int(x) for x in g)
+                                for g in d["min"]))
+        case _:
+            raise TheoryError(f"bad upset descriptor {d!r}")
+    return theory.canonicalize(u)
 
 
 # ---------------------------------------------------------------------------

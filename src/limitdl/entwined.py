@@ -25,14 +25,13 @@ import json
 from typing import Iterator, Mapping
 
 from . import presburger as P
-from .background import (ALL, EMPTY, Antichain, AtLeast, Theory, Upset,
-                         compile_atom, comp_var, components,
-                         upset_from_json, upset_to_json)
+from .background import (ALL, EMPTY, Antichain, Theory, Upset, compile_atom,
+                         comp_var, components, upset_from_json, upset_to_json)
 from .record import Record
 from .syntax import (FIN, MAX_DEPTH, PROP, W, AndF, App, Arrow, Atom,
                      BgAtom, BodyF, Clause, FgAtom, OrF, PredRef, Problem,
-                     SConst, Sort, Term, Var, WLit, WOp, arg_sorts, mk_app,
-                     print_sort, w_position)
+                     SConst, Sort, Term, Var, WLit, WOp, _parse_sort,
+                     arg_sorts, mk_app, print_sort, read_sexprs, w_position)
 from .typesys import classify, type_order
 
 
@@ -94,9 +93,10 @@ CanonicalValue = Top | SVal | PredApp
 # are flat tables: applying a value to its first non-numeric argument takes
 # the slice of rows that start with it.
 #
-# Values are compared structurally; because descriptors are kept canonical
-# and tables are fully materialized, structural equality is extensional
-# equality.
+# Values are compared structurally; because every descriptor is canonical
+# where it is made (Theory.canonicalize: enumerate_upsets, upset_from_json,
+# extract_upset, _widen) and tables are fully materialized, structural
+# equality is extensional equality.
 
 
 class FnVal(Record):
@@ -134,11 +134,7 @@ class EntwinedStructure:
                  interps: Mapping[str, Value]):
         self.problem = problem
         self.theory = theory
-        # canonical descriptors make structural equality extensional
-        self.interps = {
-            n: ActVal(v.sort, tuple(theory.canonicalize(d) for d in v.descs))
-            if isinstance(v, ActVal) else v
-            for n, v in interps.items()}
+        self.interps = dict(interps)
         self._frames: dict[Sort, list[Value]] = {}
         self._canon: dict[Sort, list[CanonicalValue]] = {}
 
@@ -621,17 +617,15 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     order does not matter: each grown generator is a minimal point of its
     set and the loop ends once everything is covered, so the minimal
     points of base ∪ found are those of ↑(base ∪ phi) whichever generators
-    came first.  lia is the one-coordinate case: no generator is EMPTY, an
-    (ω) makes ALL, and otherwise the working-minimal threshold k gives
-    AtLeast(k)."""
+    came first.  lia is the one-coordinate case: the result is EMPTY, ALL
+    (an (ω) generator) or the working-minimal threshold."""
     if base == ALL:
         return ALL
     s = 1 if theory.flipped else -1
     bounds = theory.nat_bounds(comps)
     cterms = [P.LinTerm.of_var(c) for c in comps]
     gens: list[tuple[int | None, ...]] = (
-        list(base.gens) if isinstance(base, Antichain)
-        else [(base.k,)] if isinstance(base, AtLeast) else [])
+        list(base.gens) if isinstance(base, Antichain) else [])
 
     def atleast(c: str, v: int) -> P.Formula:
         return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
@@ -640,8 +634,8 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
 
     def recedes(leaf: list, cs: list[str]) -> bool:
         # some integer direction of the branch has s·d >= 1 on every cs;
-        # never under nat upward, where x >= 0 keeps every d >= 0
-        if theory.nat and not theory.flipped:
+        # never where the bottom is 0 (nat upward): x >= 0 keeps every d >= 0
+        if theory.bottom is not None:
             return False
         cone = tuple(P.recession_cone(leaf) + [atleast(c, 1) for c in cs])
         if cone not in cones:
@@ -709,13 +703,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         gens.append(tuple(g))
         if len(gens) > 256:
             raise FrameTooLarge("descriptor extraction did not converge")
-    if theory.nat:
-        return theory.canonicalize(Antichain(tuple(gens)))
-    if not gens:
-        return EMPTY
-    if (None,) in gens:
-        return ALL
-    return AtLeast(s * max(s * g[0] for g in gens))
+    return theory.canonicalize(Antichain(tuple(gens)))
 
 
 # After this many fixpoint rounds without convergence, accelerate growing
@@ -728,20 +716,11 @@ _WIDEN_AFTER = 6
 _MAX_ROUNDS = 50
 
 
-def _widen_coord(theory: Theory, gi: int | None, oi: int | None):
-    if theory.flipped:
-        # working order reversed: strictly larger natural value -> omega
-        if oi is not None and (gi is None or gi > oi):
-            return None
-        return gi
-    return 0 if gi < oi else gi
-
-
 def _widen(theory: Theory, old: Upset, new: Upset) -> Upset:
-    """Extrapolate a strictly growing descriptor towards its limit."""
-    if isinstance(old, AtLeast) and isinstance(new, AtLeast):
-        grew = new.k > old.k if theory.flipped else new.k < old.k
-        return ALL if grew else new
+    """Extrapolate a strictly growing descriptor towards its limit: where a
+    new generator lies below an old one, each coordinate in which they
+    differ goes to the working order's bottom (under lia ω, so the result
+    is ALL)."""
     if isinstance(old, Antichain) and isinstance(new, Antichain):
         oldset = set(old.gens)
         out = []
@@ -749,7 +728,7 @@ def _widen(theory: Theory, old: Upset, new: Upset) -> Upset:
             if g not in oldset:
                 for o in old.gens:
                     if theory.w_leq(g, o):  # g strictly enlarges o
-                        g = tuple(_widen_coord(theory, gi, oi)
+                        g = tuple(gi if gi == oi else theory.bottom
                                   for gi, oi in zip(g, o))
             out.append(g)
         return theory.canonicalize(Antichain(tuple(out)))
@@ -894,7 +873,6 @@ def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
 
 
 def _sort_from_str(s: str) -> Sort:
-    from .syntax import _parse_sort, read_sexprs
     try:
         return _parse_sort(read_sexprs(s)[0])
     except Exception as e:
@@ -922,7 +900,7 @@ def serialize_model(m: EntwinedStructure) -> dict:
                             for s_, x in zip(nw[:wpos], pre)],
                     "post": [_canon_to_json(m.canon_of(s_, x))
                              for s_, x in zip(nw[wpos:], post)],
-                    "upset": upset_to_json(desc),
+                    "upset": upset_to_json(desc, m.theory),
                 })
         else:
             table = (v,) if psort == PROP else v.vals
@@ -995,7 +973,7 @@ def deserialize_model(p: Problem, theory: Theory,
                         for s_, x in zip(nw, args))
             if kind == "active":
                 try:
-                    cell = theory.canonicalize(upset_from_json(r["upset"]))
+                    cell = upset_from_json(r["upset"], theory)
                 except Exception as e:
                     raise SchemaError(f"bad upset in {pname!r}: {e}")
             else:

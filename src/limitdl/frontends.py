@@ -7,7 +7,7 @@ import json
 
 from .record import Record
 from .syntax import (PROP, W, AndF, Arrow, BgAtom, Clause, FgAtom, Problem,
-                     PredRef, Var, WOp, mk_app, normalize_problem)
+                     PredRef, Var, WLit, WOp, mk_app, normalize_problem)
 
 
 class IllFormedMachine(Exception):
@@ -91,7 +91,6 @@ def _comp(v: str, i: int, n: int = 2):
 
 
 def _const(k: int):
-    from .syntax import WLit
     return WLit((k,))
 
 

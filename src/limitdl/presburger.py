@@ -1301,7 +1301,7 @@ def _leaves(lits: list, lo: dict[str, int], hi: dict[str, int],
     in branch order, as nodes.  Each alternative of the pending
     disjunction with the fewest is a child node; a child whose bounds
     empty is neither expanded nor yielded.  splits is the walk's memo
-    (_walk): each disjunction maps to its alternatives, split by _lits_of
+    (branches): each disjunction maps to its alternatives, split by _lits_of
     into admitted rows and pending disjunctions, less those that split to
     false; so a disjunction is split once per walk, not once per node."""
     if not pends:
@@ -1323,11 +1323,14 @@ def _leaves(lits: list, lo: dict[str, int], hi: dict[str, int],
             yield from _leaves(*node, rest + sub, splits)
 
 
-def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
-    """The leaves (_leaves) of a conjunction of quantifier-free formulas,
-    below the root node: its atomic literals, a child of [] and empty
-    bounds.  The memo of split disjunctions that _leaves shares lives for
-    this walk only."""
+def branches(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
+    """The conjunctive branches of a conjunction of quantifier-free
+    formulas, as the walk's leaf nodes (_leaves) below the root node, a
+    child of [] and empty bounds: lists of '<=', '=' and Div literals in
+    cmp_atom's form whose disjunction is equivalent to it, less branches
+    that interval propagation refutes, each with the bounds lo/hi that
+    _narrow found for it.  The memo of split disjunctions that _leaves
+    shares lives for this walk only."""
     acc: list = []
     pend: list = []
     for f in matrices:
@@ -1336,15 +1339,6 @@ def _walk(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
     root = _child([], _admit(acc), {}, {})
     if root is not None:
         yield from _leaves(*root, pend, {})
-
-
-def branches(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
-    """The conjunctive branches of a conjunction of quantifier-free
-    formulas, as the walk's leaf nodes (_walk): lists of '<=', '=' and Div
-    literals in cmp_atom's form whose disjunction is equivalent to it, less
-    branches that interval propagation refutes, each with the bounds lo/hi
-    that _narrow found for it."""
-    return _walk(matrices)
 
 
 def sat_branch(node: tuple[list, dict, dict],
@@ -1363,7 +1357,7 @@ def sat_exists_all(matrices: list[Formula]) -> dict[str, int] | None:
     """Satisfying assignment for a conjunction of quantifier-free formulas
     (variables absent from the result are free; read them as 0), or None:
     the assignment _sat_lits gives the first satisfiable branch."""
-    for node in _walk(matrices):
+    for node in branches(matrices):
         w = _sat_lits(*node)
         if w is not None:
             return w

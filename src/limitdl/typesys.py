@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from .record import Record
 from .syntax import (
-    App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP, Problem, Prop,
-    SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts, mk_arrow, w_position,
+    AndF, App, Arrow, Atom, BgAtom, Clause, FIN, Fin, OrF, PredRef, PROP,
+    Problem, Prop, SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts,
+    mk_arrow, w_position,
 )
 
 
@@ -168,7 +169,6 @@ def _check_clause_sorts(cl: Clause, decls: dict[str, Sort], dim: int,
     label = "goal" if cl.head is None else f"clause for {cl.head[0]}"
 
     def chk_formula(f) -> None:
-        from .syntax import AndF, OrF
         if isinstance(f, (AndF, OrF)):
             for a in f.args:
                 chk_formula(a)

@@ -13,7 +13,7 @@ import json
 import os
 
 from limitdl import entwined as E
-from limitdl.background import EMPTY, theory_for
+from limitdl.background import EMPTY, theory_for, upset_to_json
 from limitdl.entwined import serialize_model
 from limitdl.frontends import LCMConfig, encode_lcm, lcm_from_json
 from limitdl.syntax import normalize_problem, parse_problem
@@ -242,13 +242,20 @@ LEAST_MODEL_SHA256 = {
 # SHA-256 of the extract_upset calls of the least models of FIRST_ORDER's
 # problems, in that order (see extraction_digest)
 EXTRACTION_SHA256 = \
-    "cbcf8b5b656b011f7b82c59e7396221e8543e6fef50bac1529309e6fe4f5c80a"
+    "a13b5070155118d876cf560ae5926ac7bc5e6b7f546048e5762c6bed19efc0f2"
 
 
 def model_sha256(m):
     """SHA-256 of a model's serialization, keys sorted."""
     text = json.dumps(serialize_model(m), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def noncanonical_descriptors(m):
+    """The descriptors of a model that differ from their canonical form, by
+    predicate: none, since every producer of one makes it canonical."""
+    return [(n, d) for n, v in m.interps.items() if isinstance(v, E.ActVal)
+            for d in v.descs if m.theory.canonicalize(d) != d]
 
 
 def proof_sha256(trace):
@@ -264,13 +271,19 @@ FIRST_ORDER = [(pid, verdict) for pid, verdict, _, _ in PINNED
 def extraction_digest(pids):
     """SHA-256 of every `extract_upset` call that the least models of pids
     make, in call order: one line per call with the formula's text, the
-    components, the base descriptor and the result."""
+    components, the base descriptor and the result, the descriptors in
+    their witness form (`upset_to_json`, keys sorted), so the digest does
+    not depend on how descriptors are held in memory."""
     lines = []
     extract = E.extract_upset
 
+    def text(u, theory):
+        return json.dumps(upset_to_json(u, theory), sort_keys=True)
+
     def traced(theory, phi, comps, base=EMPTY):
         out = extract(theory, phi, comps, base)
-        lines.append(f"{phi} | {comps} | {base} | {out}")
+        lines.append(f"{phi} | {comps} | {text(base, theory)} | "
+                     f"{text(out, theory)}")
         return out
 
     E.extract_upset = traced

@@ -117,13 +117,13 @@ def test_criterion_2_initiality_gate():
 def test_criterion_3_frame_fixture():
     with gate(3, "stage-3 frame has exactly the three expected elements", 1):
         import test_entwined
-        from limitdl.background import ALL, EMPTY, AtLeast
+        from limitdl.background import ALL, EMPTY, Antichain
         m, p, th = test_entwined.xyz_structure()
         fr = m.frame(test_entwined.XI)
         assert len(fr) == 3
-        assert {v.descs[0] for v in fr} == {ALL, EMPTY, AtLeast(6)}
+        assert {v.descs[0] for v in fr} == {ALL, EMPTY, Antichain(((6,),))}
         from limitdl.syntax import Arrow
-        mid = next(v for v in fr if v.descs == (AtLeast(6),))
+        mid = next(v for v in fr if v.descs == (Antichain(((6,),)),))
         top_wo = m.frame(Arrow(W, PROP))[0]
         assert m.apply(m.apply(mid, (5,)), top_wo) is False
         assert m.apply(m.apply(mid, (6,)), top_wo) is True

@@ -12,7 +12,7 @@ import pytest
 
 from limitdl import presburger as P
 from limitdl.background import (
-    ALL, Antichain, AtLeast, EMPTY, Theory, TheoryError, bg_extend, bg_state,
+    ALL, Antichain, EMPTY, Theory, TheoryError, bg_extend, bg_state,
     comp_var, compile_atom, compile_conj, exists_sat, theory_for,
     upset_from_json, upset_to_json,
 )
@@ -27,10 +27,10 @@ NAT2_DOWN = Theory("nat", 2, flipped=True)
 
 
 def test_member_lia():
-    assert LIA_UP.member((5,), AtLeast(3))
-    assert not LIA_UP.member((2,), AtLeast(3))
-    assert LIA_DOWN.member((2,), AtLeast(3))
-    assert not LIA_DOWN.member((5,), AtLeast(3))
+    assert LIA_UP.member((5,), Antichain(((3,),)))
+    assert not LIA_UP.member((2,), Antichain(((3,),)))
+    assert LIA_DOWN.member((2,), Antichain(((3,),)))
+    assert not LIA_DOWN.member((5,), Antichain(((3,),)))
     assert LIA_UP.member((-10,), ALL)
     assert not LIA_UP.member((-10,), EMPTY)
 
@@ -134,7 +134,7 @@ def test_enumeration_reaches_targets():
                 return i
             if i > cap:
                 raise AssertionError(f"{target} not reached in {cap}")
-    assert index_of(LIA_UP, AtLeast(5)) < 20
+    assert index_of(LIA_UP, Antichain(((5,),))) < 20
     assert index_of(NAT2_UP, ALL) < 10  # the whole domain
     assert index_of(NAT2_DOWN, ALL) < 10
     assert index_of(NAT2_DOWN, Antichain(((1, 2),))) < 200
@@ -143,8 +143,41 @@ def test_enumeration_reaches_targets():
 
 
 def test_upset_json_roundtrip():
-    for u in (EMPTY, ALL, AtLeast(-7), Antichain(((1, 2), (None, 0)))):
-        assert upset_from_json(upset_to_json(u)) == u
+    """The first descriptors of each theory read back as themselves, lia
+    thresholds written as "atleast" rows."""
+    nat1 = (Theory("nat", 1, flipped=False), Theory("nat", 1, flipped=True))
+    for th in (LIA_UP, LIA_DOWN, NAT2_UP, NAT2_DOWN) + nat1:
+        for u in itertools.islice(th.enumerate_upsets(), 60):
+            d = upset_to_json(u, th)
+            assert upset_from_json(d, th) == u
+            if not th.nat and isinstance(u, Antichain):
+                assert d == {"kind": "atleast", "k": u.gens[0][0]}
+    assert upset_to_json(Antichain(((-7,),)), LIA_UP) == \
+        {"kind": "atleast", "k": -7}
+
+
+@pytest.mark.parametrize("th,d", [
+    (NAT2_UP, {"kind": "atleast", "k": 3}),
+    (LIA_UP, {"kind": "antichain", "min": [[3]]}),
+    (NAT2_UP, {"kind": "antichain", "min": [[1]]}),
+    (NAT2_UP, {"kind": "antichain", "min": [[1, 2, 3]]}),
+    (NAT2_UP, {"kind": "antichain", "min": [[-1, 2]]}),
+    (NAT2_DOWN, {"kind": "antichain", "min": [[None, -2]]}),
+    (NAT2_UP, {"kind": "antichain", "min": [[None, 2]]}),
+    (NAT2_UP, {"kind": "threshold"}),
+], ids=["atleast-nat", "antichain-lia", "short", "long", "negative",
+        "negative-omega", "omega-upward", "unknown"])
+def test_upset_from_json_rejects_what_the_theory_lacks(th, d):
+    with pytest.raises(TheoryError):
+        upset_from_json(d, th)
+
+
+def test_upset_from_json_is_canonical():
+    d = {"kind": "antichain", "min": [[2, 2], [1, 2], [1, 2]]}
+    assert upset_from_json(d, NAT2_UP) == Antichain(((1, 2),))
+    assert upset_from_json({"kind": "antichain", "min": [[None, None]]},
+                           NAT2_DOWN) == ALL
+    assert upset_from_json({"kind": "antichain", "min": []}, NAT2_UP) == EMPTY
 
 
 def test_compile_atom_tuples():

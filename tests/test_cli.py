@@ -137,6 +137,9 @@ ROWS = {"G": {"args": [], "value": False},
     # an active row splits at the numeric slot
     ("R", {"pre": [], "post": [{"s": "a"}], "upset": ATLEAST3},
      "FrameInconsistency"),
+    # an antichain row is a nat descriptor
+    ("R", {"pre": [{"s": "a"}], "post": [],
+           "upset": {"kind": "antichain", "min": [[3]]}}, "SchemaError"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"
@@ -154,6 +157,44 @@ def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     assert verify_rows(dict(ROWS, **{pred: row})) == 2
     err = capsys.readouterr().err
     assert error in err and len(err.strip().splitlines()) == 1
+
+
+NAT_UP = fx("fo", "nat_up_sat.lchc")  # R over nat 2, R (2,1) must be false
+
+
+def nat_up_witness(upset):
+    return {"predicates": {"R": {"kind": "active", "rows": [
+        {"pre": [], "post": [], "upset": upset}]}}}
+
+
+@pytest.mark.parametrize("upset", [
+    {"kind": "atleast", "k": 1},
+    {"kind": "antichain", "min": [[1]]},
+    {"kind": "antichain", "min": [[1, 2, 3]]},
+    {"kind": "antichain", "min": [[-1, 2]]},
+], ids=["atleast", "short", "long", "negative"])
+def test_verify_model_malformed_nat_upset(capsys, tmp_path, upset):
+    """A descriptor that is not a nat 2 upset is a SchemaError where the
+    witness is read: verify-model exits 2 and eval 1, each with one line
+    on stderr, and as a hint it only costs the seed."""
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps(nat_up_witness(
+        {"kind": "antichain", "min": [[1, 2]]})))
+    assert main(["verify-model", NAT_UP, str(wit)]) == 0
+    want = main(["solve", NAT_UP])
+    assert want == 10
+    capsys.readouterr()
+    wit.write_text(json.dumps(nat_up_witness(upset)))
+    assert main(["verify-model", NAT_UP, str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: ")
+    assert len(err.strip().splitlines()) == 1
+    assert main(["eval", NAT_UP, str(wit), "(R (tuple 2 1))"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: ")
+    assert len(err.strip().splitlines()) == 1
+    assert main(["solve", NAT_UP, "--hint", str(wit)]) == want
+    assert capsys.readouterr().err == ""
 
 
 # F reads the truth of Q at x + 1, a numeric argument nested under a

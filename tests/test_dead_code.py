@@ -76,7 +76,7 @@ def test_only_presburger_names_cooper():
 # the solve path: the branch walk and the conjunction solver behind it.
 # It keeps cmp_atom's literal form and negates by flipping an op, so no
 # function it runs may name Cooper's strict-'<' NNF or Cooper itself
-SOLVE_PATH = {"_lits_of", "_wnnf", "_walk", "_leaves", "_child", "_admit",
+SOLVE_PATH = {"_lits_of", "_wnnf", "_leaves", "_child", "_admit",
               "_box_refutes", "_term_min", "_merge",
               "_to_le", "_pin_units", "_sat_lits", "_sat_reduced",
               "reduce_conj", "sat_exists_all", "branches", "sat_branch",
@@ -143,4 +143,18 @@ def test_no_module_runs_generated_code():
                 fn.value.id == "builtins" else None
             if name in ("exec", "eval", "compile"):
                 found.append(f"{mod}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_function_level_imports():
+    """Every import of the library is at module level: an import run at
+    call time resolves its module through sys.modules then, so a process
+    that has imported another copy of the library mixes the two."""
+    found = []
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{mod}:{n.lineno} in {node.name}"
+                          for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert found == []

@@ -7,7 +7,7 @@ import signal
 import pytest
 
 from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, model_sha256,
-                    problem, proof_sha256)
+                    noncanonical_descriptors, problem, proof_sha256)
 from limitdl import presburger as P
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
@@ -192,6 +192,7 @@ def test_corpus_outcomes_are_pinned(pid, verdict, steps, models):
                                            "modelsChecked": models})
     if verdict == "SAT":
         assert model_sha256(v.model) == MODEL_SHA256[pid]
+        assert noncanonical_descriptors(v.model) == []
     else:
         assert proof_sha256(v.trace) == PROOF_SHA256[pid]
 

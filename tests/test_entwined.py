@@ -9,11 +9,12 @@ import pytest
 
 from limitdl import entwined as E
 from limitdl import presburger as P
-from limitdl.background import ALL, EMPTY, Antichain, AtLeast, theory_for
+from limitdl.background import ALL, EMPTY, Antichain, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
 from corpus import (EXTRACTION_SHA256, FIRST_ORDER, LEAST_MODEL_SHA256,
-                    extraction_digest, model_sha256, problem)
+                    extraction_digest, model_sha256, noncanonical_descriptors,
+                    problem)
 from oracles import bounded_canonical_model, deadline
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -60,7 +61,7 @@ def xyz_structure():
     descs = []
     for s, f, b, _g in m0.rows(rho):
         hit = bool(b) and m0.apply(f, s) is True
-        descs.append(AtLeast(6) if hit else EMPTY)
+        descs.append(Antichain(((6,),)) if hit else EMPTY)
     x_val = E.ActVal(rho, tuple(descs))
     return E.EntwinedStructure(p, th, {"Y": y_val, "X": x_val}), p, th
 
@@ -69,7 +70,7 @@ def test_xi_frame_has_exactly_three_elements():
     m, p, th = xyz_structure()
     fr = m.frame(XI)
     assert len(fr) == 3
-    assert {str(v.descs[0]) for v in fr} == {"all", "empty", "atleast(6)"}
+    assert {str(v.descs[0]) for v in fr} == {"all", "empty", "{(6)}"}
 
 
 def test_stage_two_w_arrow_frame_is_top_only():
@@ -82,7 +83,7 @@ def test_stage_two_w_arrow_frame_is_top_only():
 def test_xi_nontrivial_element_is_threshold_at_six():
     m, p, th = xyz_structure()
     fr = m.frame(XI)
-    mid = [v for v in fr if v.descs == (AtLeast(6),)]
+    mid = [v for v in fr if v.descs == (Antichain(((6,),)),)]
     assert len(mid) == 1
     top_wo = m.frame(Arrow(W, PROP))[0]
     for w, want in ((5, False), (6, True), (100, True)):
@@ -164,23 +165,23 @@ def thresh_model(desc):
 
 
 def test_check_clause_threshold():
-    m, p = thresh_model(AtLeast(5))
+    m, p = thresh_model(Antichain(((5,),)))
     clause = [c for c in p.clauses if not c.is_limit][0]
     assert E.check_clause(m, clause)
-    m2, _ = thresh_model(AtLeast(6))
+    m2, _ = thresh_model(Antichain(((6,),)))
     assert not E.check_clause(m2, clause)  # 5 satisfies the body, not R
 
 
 def test_check_model_includes_goal():
-    m, p = thresh_model(AtLeast(5))
+    m, p = thresh_model(Antichain(((5,),)))
     assert E.check_model(m, p)  # R 3 is false, so the goal clause holds
-    m2, _ = thresh_model(AtLeast(3))
+    m2, _ = thresh_model(Antichain(((3,),)))
     assert not E.check_model(m2, p)
 
 
 def test_monotone_in_w_by_construction():
     # every active interpretation denotes an upward-closed relation
-    m, p = thresh_model(AtLeast(5))
+    m, p = thresh_model(Antichain(((5,),)))
     r = m.interps["R"]
     prev = False
     for w in range(-10, 11):
@@ -329,6 +330,7 @@ def test_least_model_decides_first_order_corpus(pid, verdict):
         m = E.fo_least_model(p, th)
     assert m is not None
     assert model_sha256(m) == LEAST_MODEL_SHA256[pid]
+    assert noncanonical_descriptors(m) == []
     assert E.check_model(m, p) == (verdict == "SAT")
 
 
@@ -539,10 +541,10 @@ def test_extract_lia_thresholds_below_zero():
     cases = [
         # x <= y ∧ 2y <= -9 with y free, that is x <= -5
         ("downward", P.conj([P.le(x, y), P.le(y.scale(2), k(-9))]),
-         lambda v: v <= -5, AtLeast(-5)),
+         lambda v: v <= -5, Antichain(((-5,),))),
         # y <= x ∧ 3y >= -20 with y free, that is x >= -6
         ("upward", P.conj([P.le(y, x), P.ge(y.scale(3), k(-20))]),
-         lambda v: v >= -6, AtLeast(-6)),
+         lambda v: v >= -6, Antichain(((-6,),))),
     ] + [(d, f, lambda v, b=b: b, u) for d in ("upward", "downward")
          for f, b, u in ((P.TRUE, True, ALL), (P.FALSE, False, EMPTY))]
     rng = random.Random(20261018)

@@ -97,7 +97,6 @@ def _samples():
         (S.SExpr, "val line col", ([S.SExpr("x", 1, 2)], 1, 1)),
         (B.Empty, "", ()),
         (B.All, "", ()),
-        (B.AtLeast, "k", (3,)),
         (B.Antichain, "gens", (((0, None), (2, 1)),)),
         (B.BgState, "pins residual witness",
          ({"x": t}, [Cmp("<=", t)], {"x": 1})),
@@ -105,7 +104,7 @@ def _samples():
         (E.SVal, "const", ("a",)),
         (E.PredApp, "pred args", ("P", (E.SVal("a"),))),
         (E.FnVal, "sort vals", (S.Arrow(S.FIN, S.PROP), (True, False))),
-        (E.ActVal, "sort descs", (arrow, (B.AtLeast(3), B.ALL))),
+        (E.ActVal, "sort descs", (arrow, (B.Antichain(((3,),)), B.ALL))),
         (F.InstrA, "src counter dst", ("q0", 1, "q1")),
         (F.InstrB, "src counter if_zero dec_to", ("q1", 2, "q0", "q2")),
         (F.LCM, "states initial final counters instructions",
@@ -340,10 +339,10 @@ def test_match_patterns_bind():
             raise AssertionError("AndF matched OrF")
         case S.Clause(vs, None, S.AndF(()), is_limit=lim):
             assert vs == () and lim
-    match B.AtLeast(4):
+    match B.Antichain(((4,),)):
         case B.Empty() | B.All():
-            raise AssertionError("AtLeast matched a constant descriptor")
-        case B.AtLeast(k):
+            raise AssertionError("Antichain matched a constant descriptor")
+        case B.Antichain(((k,),)):
             assert k == 4
 
 
@@ -360,8 +359,9 @@ def test_repr_and_str_are_pinned():
     assert repr(Or((Not(P.FALSE),))) == "Or(args=(Not(f=FalseF()),))"
     assert repr(S.WOp("+", (S.Var("x"), S.WLit((1,))))) == \
         "WOp(op='+', args=(Var(name='x'), WLit(vals=(1,))), k=None)"
-    assert repr(E.ActVal(S.Arrow(S.W, S.PROP), (B.AtLeast(2),))) == \
-        "ActVal(sort=Arrow(arg=WSort(), res=Prop()), descs=(AtLeast(k=2),))"
+    assert repr(E.ActVal(S.Arrow(S.W, S.PROP), (B.Antichain(((2,),)),))) == \
+        ("ActVal(sort=Arrow(arg=WSort(), res=Prop()), "
+         "descs=(Antichain(gens=((2,),)),))")
     assert repr(D.Verdict("UNKNOWN")) == ("Verdict(kind='UNKNOWN', "
                                           "model=None, trace=None, "
                                           "report=None, stats={})")
