@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 from . import presburger as P
 from .presburger import Formula, LinTerm
 from .record import Record
-from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp
+from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp, _json_int
 
 
 class TheoryError(Exception):
@@ -265,10 +265,10 @@ def upset_from_json(d: dict, theory: Theory) -> Upset:
         case "all", _:
             return ALL
         case "atleast", False:
-            u = Antichain(((int(d["k"]),),))
+            u = Antichain(((_json_int(d["k"]),),))
         case "antichain", True:
-            u = Antichain(tuple(tuple(None if x is None else int(x) for x in g)
-                                for g in d["min"]))
+            u = Antichain(tuple(tuple(None if x is None else _json_int(x)
+                                      for x in g) for g in d["min"]))
         case _:
             raise TheoryError(f"bad upset descriptor {d!r}")
     return theory.canonicalize(u)

@@ -50,7 +50,6 @@ def _emit(args, payload: dict, human: str) -> None:
 def _cmd_solve(args) -> int:
     p = _load_problem(args.problem)
     cfg = SolveConfig(resolution_slice=args.budget_resolution,
-                      model_slice=args.budget_models,
                       total_budget=args.total_budget,
                       hint=args.hint)
     v = solve(p, cfg)
@@ -162,7 +161,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a bad option value raises ArgumentError, which main reports in one line
+    # a bad option value raises ArgumentError, as main does for an unknown
+    # one, and main reports either in one line
     ap = argparse.ArgumentParser(prog="limitdl",
                                  description="clause solver over ordered "
                                              "numeric background theories",
@@ -179,11 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem")
     sp.add_argument("--budget-resolution", type=_positive_int,
                     default=2000, metavar="N",
-                    help="refutation steps per round")
-    sp.add_argument("--budget-models", type=_positive_int, default=50,
-                    metavar="N", help="model candidates per round")
+                    help="resolution steps per slice")
     sp.add_argument("--total-budget", type=_positive_int, default=None,
-                    metavar="N")
+                    metavar="N", help="resolution steps plus model checks")
     sp.add_argument("--hint", metavar="FILE",
                     help="model witness to try first")
     sp.add_argument("--emit-proof", metavar="FILE")
@@ -225,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        if extra:
+            raise argparse.ArgumentError(
+                None, "unrecognized arguments: " + " ".join(extra))
     except argparse.ArgumentError as e:
         print(f"limitdl: error: {e}", file=sys.stderr)
         return EXIT_USAGE

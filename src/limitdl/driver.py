@@ -1,33 +1,35 @@
-"""Top-level decision procedure: interleave the refutation search with model
-enumeration and checking, re-verifying whichever side succeeds first."""
+"""Top-level decision procedure: resolution (for UNSAT) and the model
+candidate stream (for SAT) in turns of equal effort, counted in the
+Presburger search nodes that their queries build (`presburger.nodes`).
+`total_budget` counts resolution steps (the refutation rule is one) plus
+models checked: the stats' `resolutionSteps` and `modelsChecked`."""
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from . import entwined as E
+from . import presburger as P
 from .background import Theory, theory_for
 from .record import Record
-from .resolution import (BudgetExhausted, ProofTrace, Refuted, Saturator,
-                         replay)
+from .resolution import ProofTrace, Refuted, Saturator, replay
 from .syntax import Problem, normalize_problem
 from .typesys import ValidationReport, validate
 
 
 class SolveConfig(Record):
-    __slots__ = __match_args__ = ("resolution_slice", "model_slice",
-                                  "total_budget", "hint")
+    __slots__ = __match_args__ = ("resolution_slice", "total_budget", "hint")
     __hash__ = None
 
-    def __init__(self, resolution_slice: int = 2000, model_slice: int = 50,
+    def __init__(self, resolution_slice: int = 2000,
                  total_budget: int | None = None,
                  hint: str | None = None) -> None:
-        if resolution_slice < 1 or model_slice < 1:
-            raise ValueError("slices must be at least 1")
+        if resolution_slice < 1:
+            raise ValueError("the resolution slice must be at least 1")
         if total_budget is not None and total_budget < 1:
             raise ValueError("the total budget must be at least 1")
         self.resolution_slice = resolution_slice
-        self.model_slice = model_slice
         self.total_budget = total_budget
         self.hint = hint
 
@@ -92,49 +94,46 @@ def solve(p: Problem, cfg: SolveConfig | None = None) -> Verdict:
 
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     models_seen = 0
-    spent = 0
     # the hint costs one check, so it goes before the first resolution slice
     hint = _hint_model(p, theory, cfg.hint)
     if hint is not None:
-        models_seen = spent = 1
+        models_seen = 1
         if _holds(hint, p):
             return Verdict("SAT", model=hint, report=report,
                            stats={"resolutionSteps": 0, "modelsChecked": 1})
     sat = Saturator(p, theory)
     stream = _candidates(p, theory, report.mode == "FirstOrder")
-    stream_done = False
+    budget = cfg.total_budget or math.inf
+
+    def verdict(kind: str, **kw) -> Verdict:
+        return Verdict(kind, report=report, **kw, stats=dict(
+            resolutionSteps=sat.steps_used, modelsChecked=models_seen))
 
     while True:
-        if cfg.total_budget is not None and spent >= cfg.total_budget:
-            return Verdict("UNKNOWN", report=report,
-                           stats={"resolutionSteps": sat.steps_used,
-                                  "modelsChecked": models_seen})
-        # resolution slice
-        r = sat.run(cfg.resolution_slice)
-        spent += cfg.resolution_slice
-        if isinstance(r, Refuted):
-            replay(r.trace, p, theory)  # raises TraceError on a bad trace
-            return Verdict("UNSAT", trace=r.trace, report=report,
-                           stats={"resolutionSteps": r.steps_used,
-                                  "modelsChecked": models_seen})
-        # model slice
-        for _ in range(cfg.model_slice):
+        share = math.inf  # with an empty frontier, models run alone
+        if not sat.exhausted():
+            # cut to the budget's rest; with none left, the turn below stops
+            before = P.nodes
+            r = sat.run(min(cfg.resolution_slice,
+                            budget - sat.steps_used - models_seen))
+            if isinstance(r, Refuted):
+                replay(r.trace, p, theory)  # raises TraceError on a bad trace
+                return verdict("UNSAT", trace=r.trace)
+            share = P.nodes - before
+        spent = 0  # nodes charged to the model turn, at least 1 a candidate
+        while not spent or spent < share:
+            if sat.steps_used + models_seen >= budget:
+                return verdict("UNKNOWN")
+            before = P.nodes
             m = next(stream, None)
             if m is None:
-                stream_done = True
+                if sat.exhausted():  # both searches ended without an answer
+                    return verdict("UNKNOWN")
                 break
             models_seen += 1
-            spent += 1
             if _holds(m, p):
-                return Verdict("SAT", model=m, report=report,
-                               stats={"resolutionSteps": sat.steps_used,
-                                      "modelsChecked": models_seen})
-        if stream_done and isinstance(r, BudgetExhausted) and \
-                sat.exhausted():
-            # both searches exhausted without an answer
-            return Verdict("UNKNOWN", report=report,
-                           stats={"resolutionSteps": sat.steps_used,
-                                  "modelsChecked": models_seen})
+                return verdict("SAT", model=m)
+            spent += max(1, P.nodes - before)
 
 
 def verify(p: Problem, witness: dict) -> tuple[bool, str]:

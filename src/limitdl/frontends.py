@@ -7,7 +7,8 @@ import json
 
 from .record import Record
 from .syntax import (PROP, W, AndF, Arrow, BgAtom, Clause, FgAtom, Problem,
-                     PredRef, Var, WLit, WOp, mk_app, normalize_problem)
+                     PredRef, Var, WLit, WOp, _json_int, mk_app,
+                     normalize_problem)
 
 
 class IllFormedMachine(Exception):
@@ -40,10 +41,10 @@ def _instr_from_json(d: dict) -> InstrA | InstrB:
         raise IllFormedMachine(f"instruction {d!r} is not an object")
     kind = d.get("kind")
     if kind == "A":
-        return InstrA(str(d["from"]), int(d["counter"]), str(d["to"]))
+        return InstrA(str(d["from"]), _json_int(d["counter"]), str(d["to"]))
     if kind == "B":
-        return InstrB(str(d["from"]), int(d["counter"]), str(d["ifZero"]),
-                      str(d["else"]))
+        return InstrB(str(d["from"]), _json_int(d["counter"]),
+                      str(d["ifZero"]), str(d["else"]))
     raise IllFormedMachine(f"unknown instruction kind {kind!r}")
 
 
@@ -52,7 +53,7 @@ def lcm_from_json(data: dict) -> LCM:
         states = tuple(str(s) for s in data["states"])
         initial = str(data["initial"])
         final = str(data["final"])
-        counters = int(data["counters"])
+        counters = _json_int(data["counters"])
         instrs = tuple(map(_instr_from_json, data["instructions"]))
     except (KeyError, TypeError, ValueError) as e:
         raise IllFormedMachine(f"missing or malformed field: {e}")

@@ -895,6 +895,8 @@ def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
 # visits per row in one _narrow call: a row whose bounds keep moving
 # (x <= y - 1 and y <= x - 1 over a wide box) is visited no more often
 _NARROW_VISITS = 40
+# the search nodes _child has built: driver.solve's unit of effort
+nodes = 0
 
 
 def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
@@ -1022,6 +1024,8 @@ def _child(lits: list, rows: list | None, lo: dict[str, int],
     or when an interval empties; the parent's own lits and bounds when
     rows is empty (nothing writes to a node's lits or bounds but _narrow,
     here on copies)."""
+    global nodes
+    nodes += 1
     if not rows:
         return None if rows is None else (lits, lo, hi)
     if _box_refutes(rows, lo, hi):

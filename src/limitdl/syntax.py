@@ -33,6 +33,14 @@ class SyntaxProblem(Exception):
         self.col = col
 
 
+def _json_int(x: object) -> int:
+    """x when it is a JSON integer, else a ValueError: also for a boolean,
+    a float or a numeric string, which int() would accept."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # sorts
 

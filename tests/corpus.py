@@ -295,6 +295,21 @@ def extraction_digest(pids):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def integral(b, goal):
+    """integral255.lchc with Exp's bound 2^b in place of 2^7 and the goal
+    area in place of 255, normalized, and its theory.  The greatest area
+    from band 0 is 2^(b+1) - 1: that goal is derivable (UNSAT), and
+    2^(b+1) is not (SAT)."""
+    with open(os.path.join(FIX, "integral255.lchc"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("(lt (comp u 2) 128)", f"(lt (comp u 2) {2 ** b})"),
+                     ("(tuple 255 0)", f"(tuple {goal} 0)")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    p = normalize_problem(parse_problem(text))
+    return p, theory_for(p.theory_kind, p.dim, p.direction)
+
+
 def problem(pid):
     """The normalized problem of an id, and its theory."""
     if pid.startswith("lcm/"):

@@ -64,7 +64,7 @@ def test_solve_sat_exit_code(capsys, tmp_path):
 
 def test_solve_unknown_exit_code(capsys):
     rc = main(["solve", fx("integral256.lchc"), "--total-budget", "10",
-               "--budget-resolution", "5", "--budget-models", "1"])
+               "--budget-resolution", "5"])
     assert rc == 30
 
 
@@ -195,6 +195,30 @@ def test_verify_model_malformed_nat_upset(capsys, tmp_path, upset):
     assert len(err.strip().splitlines()) == 1
     assert main(["solve", NAT_UP, "--hint", str(wit)]) == want
     assert capsys.readouterr().err == ""
+
+
+LIA_THRESHOLD = fx("fo", "lia_threshold_sat.lchc")  # R (lia) must hold at 5
+
+
+@pytest.mark.parametrize("problem,upset", [
+    (NAT_UP, {"kind": "antichain", "min": [[True, 2.9]]}),
+    (NAT_UP, {"kind": "antichain", "min": [[1, "2"]]}),
+    (NAT_UP, {"kind": "antichain", "min": [[1, 2.0]]}),
+    (LIA_THRESHOLD, {"kind": "atleast", "k": "6"}),
+    (LIA_THRESHOLD, {"kind": "atleast", "k": "5"}),
+    (LIA_THRESHOLD, {"kind": "atleast", "k": False}),
+], ids=["bool-float", "string", "integral-float", "k-string-6", "k-string-5",
+        "k-bool"])
+def test_verify_model_reads_only_json_integers(capsys, tmp_path, problem,
+                                               upset):
+    """A coordinate or threshold that is not a JSON integer is a
+    SchemaError, even where int() would read it as a model's value."""
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps(nat_up_witness(upset)))
+    assert main(["verify-model", problem, str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: ") and "not an integer" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # F reads the truth of Q at x + 1, a numeric argument nested under a
@@ -516,6 +540,26 @@ def test_encode_lcm(capsys, tmp_path):
                "-o", str(out)])
     assert rc == 0
     assert main(["solve", str(out)]) == 10  # unreachable -> satisfiable
+
+
+@pytest.mark.parametrize("field,value", [
+    ("counters", 1.7), ("counters", "1"), ("counters", True),
+    ("counter", True), ("counter", 1.0),
+], ids=["counters-float", "counters-string", "counters-bool", "counter-bool",
+        "counter-float"])
+def test_encode_lcm_reads_only_json_integers(capsys, tmp_path, field, value):
+    with open(fx("lcm", "m1.json"), encoding="utf-8") as fh:
+        machine = json.load(fh)
+    if field == "counters":
+        machine["counters"] = value
+    else:
+        machine["instructions"][0]["counter"] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(machine))
+    assert main(["encode-lcm", str(path), "--target", "q2,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IllFormedMachine: ") and "not an integer" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_encode_lcm_bad_target(capsys):

@@ -1,17 +1,21 @@
 """End-to-end solve/verify behaviour and verdict stability."""
 
+import itertools
 import json
 import os
 import signal
 
 import pytest
 
-from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, model_sha256,
-                    noncanonical_descriptors, problem, proof_sha256)
+from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, integral,
+                    model_sha256, noncanonical_descriptors, problem,
+                    proof_sha256)
+from oracles import deadline
+from limitdl import driver as D
 from limitdl import presburger as P
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
-from limitdl.resolution import replay
+from limitdl.resolution import Saturator, replay
 from limitdl.background import theory_for
 from limitdl.syntax import BgAtom, normalize_problem, parse_problem
 
@@ -49,9 +53,9 @@ def test_fo_unsat_trace_replays():
     assert replay(v.trace, p, th)
 
 
-@pytest.mark.parametrize("res,mod", [(1, 1), (10, 3), (5000, 200)])
-def test_verdict_stable_across_slice_sizes(res, mod):
-    cfg = SolveConfig(resolution_slice=res, model_slice=mod)
+@pytest.mark.parametrize("res", [1, 10, 5000])
+def test_verdict_stable_across_slice_sizes(res):
+    cfg = SolveConfig(resolution_slice=res)
     assert solve(normalize_problem(parse_problem(SAT_TEXT)), cfg).kind == "SAT"
     assert solve(normalize_problem(parse_problem(UNSAT_TEXT)),
                  cfg).kind == "UNSAT"
@@ -73,8 +77,7 @@ def test_invalid_problem_reported():
 def test_total_budget_gives_unknown():
     # far too little budget for the flagship instance: must stop, not loop
     p = load("integral256.lchc")
-    v = solve(p, SolveConfig(resolution_slice=5, model_slice=1,
-                             total_budget=20))
+    v = solve(p, SolveConfig(resolution_slice=5, total_budget=20))
     assert v.kind == "UNKNOWN"
 
 
@@ -174,7 +177,7 @@ def test_config_rejects_nonpositive_slices():
     with pytest.raises(ValueError):
         SolveConfig(resolution_slice=0)
     with pytest.raises(ValueError):
-        SolveConfig(model_slice=-1)
+        SolveConfig(resolution_slice=-1)
 
 
 def test_config_rejects_nonpositive_total_budget():
@@ -286,3 +289,105 @@ def test_constant_head_argument_is_an_eqs_constraint(alarm, binders, body,
         assert v.stats["resolutionSteps"] == 3
         th = theory_for(p.theory_kind, p.dim, p.direction)
         assert replay(v.trace, p, th)
+
+
+def test_hintless_integral_twin_is_sat_by_fair_turns():
+    """The b = 0 twin of integral255 (Exp below 2^0, goal area 2) is SAT
+    only through fair enumeration, as its 438th candidate.  The model turn
+    after the first 2,000-step slice may spend the Presburger nodes that
+    slice built (about 21k), and the 438 candidates need about 2.6k.  With
+    50 candidates per slice instead, the same model comes after 18,009
+    steps and more than a minute."""
+    p, _ = integral(0, 2)
+    with deadline(20):
+        v = solve(p, SolveConfig())
+    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 2001,
+                                         "modelsChecked": 438})
+    ok, diag = verify(p, json.loads(json.dumps(serialize_model(v.model))))
+    assert ok, diag
+
+
+@pytest.mark.parametrize("b,steps", [(3, 223), (4, 424), (5, 736)])
+def test_integral_family_unsat_steps_are_pinned(b, steps):
+    p, _ = integral(b, 2 ** (b + 1) - 1)
+    with deadline(20):
+        v = solve(p, SolveConfig())
+    assert (v.kind, v.stats) == ("UNSAT", {"resolutionSteps": steps,
+                                           "modelsChecked": 0})
+
+
+def record_turns(monkeypatch):
+    """Record a solve's turns: per resolution slice, the Presburger nodes
+    it built and the charge of each candidate checked after it (the nodes
+    built since the previous slice or check ended, at least 1)."""
+    turns, mark = [], [0]
+    run, holds = Saturator.run, D._holds
+
+    def recorded_run(self, budget):
+        before = P.nodes
+        r = run(self, budget)
+        turns.append((P.nodes - before, []))
+        mark[0] = P.nodes
+        return r
+
+    def recorded_holds(m, p):
+        ok = holds(m, p)
+        turns[-1][1].append(max(1, P.nodes - mark[0]))
+        mark[0] = P.nodes
+        return ok
+
+    monkeypatch.setattr(Saturator, "run", recorded_run)
+    monkeypatch.setattr(D, "_holds", recorded_holds)
+    return turns
+
+
+def test_model_turn_spends_the_nodes_of_its_slice(monkeypatch):
+    """With one-step slices on the b = 0 twin, every model turn checks at
+    least one candidate (also after a slice that built no node), starts no
+    candidate once its charges reach the slice's nodes, and ends only
+    then, or with the answer."""
+    turns = record_turns(monkeypatch)
+    p, _ = integral(0, 2)
+    with deadline(20):
+        v = solve(p, SolveConfig(resolution_slice=1))
+    assert v.kind == "SAT"
+    assert sum(len(charges) for _, charges in turns) == 438
+    assert any(share == 0 for share, _ in turns)
+    assert any(len(charges) > 1 for _, charges in turns)
+    for i, (share, charges) in enumerate(turns):
+        assert charges, i
+        assert len(charges) == 1 or sum(charges[:-1]) < share, i
+        if i < len(turns) - 1:
+            assert sum(charges) >= share, i
+
+
+def test_model_side_alone_stops_at_the_total_budget(monkeypatch):
+    """With no goal the frontier is empty from the start, so the model side
+    runs alone; on an endless stream of candidates that all fail, the total
+    budget still ends the solve, counting checks, not slice allotments."""
+    p = normalize_problem(parse_problem(EMPTY_S_TEXT))
+    monkeypatch.setattr(D, "_candidates",
+                        lambda *args: itertools.repeat(object()))
+    monkeypatch.setattr(D, "_holds", lambda m, p: False)
+    with deadline(10):
+        v = solve(p, SolveConfig(total_budget=3))
+    assert v.kind == "UNKNOWN"
+    assert v.stats["resolutionSteps"] + v.stats["modelsChecked"] <= 3
+    assert v.stats["modelsChecked"] == 3
+
+
+def test_node_free_candidates_cannot_starve_resolution(monkeypatch):
+    """A candidate that builds no node (a check that fails on a frame too
+    large, say) is charged 1, so an endless stream of them still yields to
+    the next one-step slice: the refutation comes after as many checks as
+    the slices before it built nodes, and at least one per slice."""
+    turns = record_turns(monkeypatch)
+    p, _ = integral(3, 15)
+    monkeypatch.setattr(D, "_candidates",
+                        lambda *args: itertools.repeat(object()))
+    monkeypatch.setattr(D, "_holds", lambda m, p: False)
+    with deadline(10):
+        v = solve(p, SolveConfig(resolution_slice=1))
+    assert v.kind == "UNSAT" and v.stats["resolutionSteps"] == 223
+    assert v.stats["modelsChecked"] == sum(max(share, 1)
+                                           for share, _ in turns[:-1])

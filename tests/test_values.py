@@ -120,8 +120,8 @@ def _samples():
          (goal, None, None, 0, state, True)),
         (T.ValidationReport, "mode max_order pred_info errors",
          ("FirstOrder", 1, {"P": {"order": 1}}, ["e"])),
-        (D.SolveConfig, "resolution_slice model_slice total_budget hint",
-         (10, 5, 100, "h.json")),
+        (D.SolveConfig, "resolution_slice total_budget hint",
+         (10, 100, "h.json")),
         (D.Verdict, "kind model trace report stats",
          ("UNSAT", None, trace, report, {"resolutionSteps": 3})),
     ]
@@ -284,10 +284,9 @@ def test_mutable_records_keep_their_behaviour():
     assert r.pred_info is not s.pred_info and r.errors is not s.errors
     assert r.max_order == 0 and r.ok
     cfg = D.SolveConfig()
-    assert (cfg.resolution_slice, cfg.model_slice, cfg.total_budget,
-            cfg.hint) == (2000, 50, None, None)
-    for bad in ({"resolution_slice": 0}, {"model_slice": 0},
-                {"total_budget": 0}):
+    assert (cfg.resolution_slice, cfg.total_budget,
+            cfg.hint) == (2000, None, None)
+    for bad in ({"resolution_slice": 0}, {"total_budget": 0}):
         with pytest.raises(ValueError):
             D.SolveConfig(**bad)
     step = R.TraceStep("(P v0)", "resolution", None, 0, 1)
