@@ -9,7 +9,6 @@ replay (an internal fault: no verdict is given).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -160,16 +159,24 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _usage_error(message: str):
+    raise argparse.ArgumentError(None, message)
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """A parser that raises ArgumentError for every usage error (a bad
+    option value, a missing argument), as main does for an unknown option,
+    and main reports each in one line, without argparse's usage block."""
+    ap = argparse.ArgumentParser(**kwargs)
+    ap.error = _usage_error  # type: ignore[method-assign]
+    return ap
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # a bad option value raises ArgumentError, as main does for an unknown
-    # one, and main reports either in one line
-    ap = argparse.ArgumentParser(prog="limitdl",
-                                 description="clause solver over ordered "
-                                             "numeric background theories",
-                                 exit_on_error=False)
-    sub = ap.add_subparsers(dest="cmd", required=True,
-                            parser_class=functools.partial(
-                                argparse.ArgumentParser, exit_on_error=False))
+    ap = _parser(prog="limitdl",
+                 description="clause solver over ordered numeric background "
+                             "theories")
+    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_parser)
 
     def common(sp):
         sp.add_argument("--json", action="store_true",

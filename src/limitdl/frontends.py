@@ -36,23 +36,31 @@ class LCMConfig(Record):
     __slots__ = __match_args__ = ("state", "values")
 
 
+def _state(x) -> str:
+    """A state name, which JSON writes as a string."""
+    if not isinstance(x, str):
+        raise IllFormedMachine(f"state name {json.dumps(x)} is not a string")
+    return x
+
+
 def _instr_from_json(d: dict) -> InstrA | InstrB:
     if not isinstance(d, dict):
         raise IllFormedMachine(f"instruction {d!r} is not an object")
     kind = d.get("kind")
     if kind == "A":
-        return InstrA(str(d["from"]), _json_int(d["counter"]), str(d["to"]))
+        return InstrA(_state(d["from"]), _json_int(d["counter"]),
+                      _state(d["to"]))
     if kind == "B":
-        return InstrB(str(d["from"]), _json_int(d["counter"]),
-                      str(d["ifZero"]), str(d["else"]))
+        return InstrB(_state(d["from"]), _json_int(d["counter"]),
+                      _state(d["ifZero"]), _state(d["else"]))
     raise IllFormedMachine(f"unknown instruction kind {kind!r}")
 
 
 def lcm_from_json(data: dict) -> LCM:
     try:
-        states = tuple(str(s) for s in data["states"])
-        initial = str(data["initial"])
-        final = str(data["final"])
+        states = tuple(map(_state, data["states"]))
+        initial = _state(data["initial"])
+        final = _state(data["final"])
         counters = _json_int(data["counters"])
         instrs = tuple(map(_instr_from_json, data["instructions"]))
     except (KeyError, TypeError, ValueError) as e:

@@ -14,9 +14,13 @@ every variable of a numeric background atom as W.
 The search is uniform-cost: ordinary resolution steps cost 1, limit-clause
 steps cost more (they are always applicable and would otherwise flood the
 frontier).  Goals whose background part is unsatisfiable are pruned — sound
-and complete, since background atoms persist along every branch.  Atom
-selection is leftmost predicate-headed, which is complete for Horn programs
-because resolution leaves the rest of the goal untouched.
+and complete, since background atoms persist along every branch.  A child
+is keyed into the seen set by its shapes when it is generated, and pruned
+when it is popped: only then are its background state and atoms built, so
+a child the search never pops costs no background check (lazy successor
+evaluation, as in Lazy Weighted A*: Cohen, Phillips & Likhachev, RSS
+2014).  Atom selection is leftmost predicate-headed, which is complete for
+Horn programs because resolution leaves the rest of the goal untouched.
 
 The search compiles each definite clause once (_Compiled), as a compiled
 logic program does (Warren, SRI TN 309, 1983): its body atoms become shape
@@ -107,7 +111,8 @@ def atom_shape(a: Atom) -> Shape:
 
 
 class Goal(Record):
-    """shapes has one entry per atom, computed when it entered."""
+    """shapes has one entry per atom, computed when it entered.  A pending
+    search child's goal has its shapes only, and atoms None (_Node)."""
 
     __slots__ = __match_args__ = ("atoms", "shapes")
 
@@ -163,15 +168,14 @@ def resolve(goal: Goal, atom_idx: int, cl: Clause, fresh: "itertools.count") -> 
     env: dict[str, Term] = {n: Var(n + suffix) for n, _ in cl.vars}
     env.update((hv.name, arg) for hv, arg in zip(hvars, args))  # type: ignore[union-attr]
     body = tuple(subst_atom(b, env) for b in cl.body_atoms())
-    return _splice(goal, atom_idx, body, tuple(map(atom_shape, body)))
+    return Goal(_splice(goal.atoms, atom_idx, body),
+                _splice(goal.shapes, atom_idx, tuple(map(atom_shape, body))))
 
 
-def _splice(goal: Goal, i: int, body: tuple[Atom, ...],
-            shapes: tuple[Shape, ...]) -> Goal:
-    """goal with atom i replaced by a resolvent's body, whose atoms have
-    these shapes."""
-    return Goal(goal.atoms[:i] + body + goal.atoms[i + 1:],
-                goal.shapes[:i] + shapes + goal.shapes[i + 1:])
+def _splice(xs: tuple, i: int, body: tuple) -> tuple:
+    """A goal's atoms or shapes with entry i replaced by a resolvent's
+    body's."""
+    return xs[:i] + body + xs[i + 1:]
 
 
 def resolvable_indices(g: Goal) -> list[int]:
@@ -250,20 +254,35 @@ class _Compiled:
                       for k in range(theory.dim + 1)
                       if (c := comp_var(n, k)) in free]
 
-    def resolve(self, goal: Goal, i: int, args: list[Term],
-                arg_shapes: list[Shape], suffix: str) -> Goal:
-        """resolve's resolvent of goal's atom i, whose arguments are args
-        (printed as arg_shapes), with the clause renamed apart by suffix."""
-        env: dict[str, Term] = {n: Var(n + suffix) for n, _ in self.others}
-        occs = {n: (v.name,) for n, v in env.items()}
+    def fill(self, goal: Goal, i: int, args: list[Term],
+             arg_shapes: list[Shape], suffix: str) -> tuple[Shape, ...]:
+        """The shapes of resolve's resolvent of goal's atom i, whose
+        arguments are args (printed as arg_shapes), with the clause renamed
+        apart by suffix."""
+        occs = {n: (n + suffix,) for n, _ in self.others}
         for n, j in self.hpos.items():
-            env[n], occs[n] = args[j], arg_shapes[j][1]
-        body = tuple(subst_atom(b, env) for b in self.premises)
-        shapes = tuple(atom_shape(b) if t is None else (
-            t[0] % tuple([arg_shapes[j][0] for j in t[1]]),
-            tuple(itertools.chain.from_iterable([occs[o] for o in t[2]])))
-            for b, t in zip(body, self.templates))
-        return _splice(goal, i, body, shapes)
+            occs[n] = arg_shapes[j][1]
+        body = tuple(
+            atom_shape(subst_atom(b, self._env(args, suffix))) if t is None
+            else (t[0] % tuple([arg_shapes[j][0] for j in t[1]]),
+                  tuple(itertools.chain.from_iterable([occs[o]
+                                                       for o in t[2]])))
+            for b, t in zip(self.premises, self.templates))
+        return _splice(goal.shapes, i, body)
+
+    def rename(self, goal: Goal, i: int, args: list[Term],
+               suffix: str) -> tuple[Atom, ...]:
+        """The atoms of fill's resolvent."""
+        env = self._env(args, suffix)
+        return _splice(goal.atoms, i,
+                       tuple(subst_atom(b, env) for b in self.premises))
+
+    def _env(self, args: list[Term], suffix: str) -> dict[str, Term]:
+        """The step's renaming: each head variable to its argument, every
+        other variable to its copy renamed apart by suffix."""
+        env: dict[str, Term] = {n: Var(n + suffix) for n, _ in self.others}
+        env.update((n, args[j]) for n, j in self.hpos.items())
+        return env
 
     def background(self, args: list[Term], suffix: str, pins,
                    terms: dict) -> list[Formula]:
@@ -355,10 +374,17 @@ class BudgetExhausted(Record):
 
 class _Node(Record):
     """A search node: bg is goal's reduced background state, via_limit marks
-    a limit-clause step, and a root's definite is its goal clause's index."""
+    a limit-clause step, and a root's definite is its goal clause's index.
+
+    A root is built whole, with step None.  A child is pending until it is
+    popped: its goal holds only its shapes (atoms None), which are all its
+    seen-set key needs, bg is None, and step holds what builds the rest,
+    the compiled clause, the parent atom's arguments, the suffix and the
+    parent expansion's terms memo.  Popping builds bg from the parent's and,
+    when that is satisfiable, the atoms, and clears step."""
 
     __slots__ = __match_args__ = ("goal", "parent", "atom", "definite", "bg",
-                                  "via_limit")
+                                  "via_limit", "step")
     __hash__ = None
 
 
@@ -383,7 +409,7 @@ class Saturator:
                           theory, problem.fin_elems)
             if st is None:
                 continue  # goal clause can never fire
-            node = _Node(g, None, None, ri, st, False)
+            node = _Node(g, None, None, ri, st, False, None)
             heapq.heappush(self._frontier, (0, next(self._seq), node))
             self._seen.add(canonical_goal(g))
 
@@ -391,10 +417,14 @@ class Saturator:
         return not self._frontier
 
     def run(self, budget: int) -> Refuted | BudgetExhausted:
-        """Spend up to budget rule applications; resumable."""
+        """Spend up to budget rule applications; resumable.  A step is
+        counted when it generates its child, which is pruned, spending
+        nothing more, when it is popped with an unsatisfiable background."""
         spent = 0
         while self._frontier and spent < budget:
             cost, _, node = heapq.heappop(self._frontier)
+            if node.step is not None and not self._build(node):
+                continue
             g = node.goal
             idxs = resolvable_indices(g)
             if not idxs:
@@ -416,21 +446,32 @@ class Saturator:
                 spent += 1
                 self.steps_used += 1
                 suffix = f"${next(self.fresh)}"
-                child = cc.resolve(g, i, args, arg_shapes, suffix)
+                child = Goal(None, cc.fill(g, i, args, arg_shapes, suffix))
                 key = canonical_goal(child)
                 if key in self._seen:
                     continue
                 self._seen.add(key)
-                st = bg_extend(node.bg, cc.background(args, suffix,
-                                                      node.bg.pins, terms))
-                if st is None:
-                    continue
                 step_cost = LIMIT_COST if cc.limit else 1
                 heapq.heappush(self._frontier,
                                (cost + step_cost, next(self._seq),
-                                _Node(child, node, i, cc.index, st,
-                                      cc.limit)))
+                                _Node(child, node, i, cc.index, None,
+                                      cc.limit, (cc, args, suffix, terms))))
         return BudgetExhausted(self.steps_used)
+
+    @staticmethod
+    def _build(node: _Node) -> bool:
+        """Build a pending node's background state and, when that is
+        satisfiable, its atoms; False when it is not."""
+        cc, args, suffix, terms = node.step
+        parent = node.parent
+        st = bg_extend(parent.bg, cc.background(args, suffix, parent.bg.pins,
+                                                terms))
+        if st is None:
+            return False
+        node.goal = Goal(cc.rename(parent.goal, node.atom, args, suffix),
+                         node.goal.shapes)
+        node.bg, node.step = st, None
+        return True
 
     def _build_trace(self, node: _Node) -> ProofTrace:
         chain: list[_Node] = []

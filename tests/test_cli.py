@@ -361,8 +361,11 @@ MODEL = "<model>"
     ["eval", NAT_UP, MODEL, "(R (tuple -1 0))"],  # outside the domain
     ["solve", NAT_UP, "--total-budget", "0"],
     ["solve", NAT_UP, "--total-budget", "-5"],
+    ["solve"],
+    [],
 ], ids=["budget-resolution", "budget-models", "eval-ill-typed",
-        "eval-outside-domain", "total-budget-zero", "total-budget-negative"])
+        "eval-outside-domain", "total-budget-zero", "total-budget-negative",
+        "solve-no-problem", "no-command"])
 def test_bad_argument_is_one_line(capsys, tmp_path, argv):
     model = tmp_path / "m.json"
     assert main(["solve", NAT_UP, "--emit-model", str(model)]) == 10
@@ -559,6 +562,20 @@ def test_encode_lcm_reads_only_json_integers(capsys, tmp_path, field, value):
     assert main(["encode-lcm", str(path), "--target", "q2,1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("IllFormedMachine: ") and "not an integer" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", [["q0"], 7, None],
+                         ids=["list", "number", "null"])
+def test_encode_lcm_reads_only_json_state_names(capsys, tmp_path, name):
+    with open(fx("lcm", "m1.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    # q0 is a state, the initial state and in every instruction's fields
+    path = tmp_path / "m.json"
+    path.write_text(text.replace('"q0"', json.dumps(name)))
+    assert main(["encode-lcm", str(path), "--target", "q2,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IllFormedMachine: ") and "not a string" in err
     assert len(err.strip().splitlines()) == 1
 
 

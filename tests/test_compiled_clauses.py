@@ -13,7 +13,7 @@ from limitdl.background import Theory, compile_conj
 from limitdl.driver import SolveConfig
 from limitdl.presburger import LinTerm
 from limitdl.resolution import (
-    Goal, Saturator, _Compiled, _shape, atom_shape, subst_atom,
+    Goal, Saturator, _Compiled, _shape, _splice, atom_shape, subst_atom,
 )
 from limitdl.syntax import (
     FIN, PROP, W, AndF, App, Arrow, BgAtom, Clause, FgAtom, PredRef, SConst,
@@ -22,55 +22,70 @@ from limitdl.syntax import (
 from corpus import FIX, HINTS, PINNED, problem
 
 
-def expected_step(cl, i, args, suffix, child, pins, theory, fin_elems):
-    """The syntax path's body shapes and formulas for one step: the renamed
-    body's atom_shape, and compile_atom of its background atoms plus the
-    nat bounds of the new W variables (the clause's non-head W binders,
-    renamed by suffix, that occur in the renamed body), with the parent's
-    pins folded in."""
+def syntax_body(cl, args, suffix):
+    """The syntax path's renamed body for one step: the clause's head
+    variables bound to args, every other variable renamed by suffix."""
     hnames = [hv.name for hv in cl.head[1]]
     env = {n: Var(n + suffix) for n, _ in cl.vars if n not in hnames}
     env.update(zip(hnames, args))
-    body = [subst_atom(b, env) for b in cl.body_atoms()]
-    assert list(child.atoms[i:i + len(body)]) == body
-    shapes = [atom_shape(b) for b in body]
-    used = set(itertools.chain.from_iterable(o for _, o in shapes))
+    return [subst_atom(b, env) for b in cl.body_atoms()]
+
+
+def expected_formulas(cl, body, suffix, pins, theory, fin_elems):
+    """The syntax path's formulas for one step: compile_atom of the renamed
+    body's background atoms plus the nat bounds of the new W variables (the
+    clause's non-head W binders, renamed by suffix, that occur in the
+    renamed body), with the parent's pins folded in."""
+    hnames = [hv.name for hv in cl.head[1]]
+    used = set(itertools.chain.from_iterable(
+        o for _, o in map(atom_shape, body)))
     new_w = [n + suffix for n, s in cl.vars
              if n not in hnames and s == W and n + suffix in used]
     fs = compile_conj([b for b in body if isinstance(b, BgAtom)], new_w,
                       theory, fin_elems)
-    return shapes, [P.subst(f, pins) for f in fs]
+    return [P.subst(f, pins) for f in fs]
 
 
 def test_every_search_step_matches_the_syntax_path(monkeypatch):
     """On every step of every corpus row and of integral255, the filled
-    templates equal atom_shape of the renamed body atoms, and the compiled
-    formulas equal compile_atom of the new background atoms plus nat_bounds
-    of the new W variables, under the parent state's pins."""
-    resolve, background_ = _Compiled.resolve, _Compiled.background
-    last = {}
-    checked = {"shapes": 0, "formulas": 0}
+    templates of each generated child equal atom_shape of the renamed body
+    atoms; and for each child popped, its atoms are the renamed body atoms
+    and its compiled formulas equal compile_atom of the new background
+    atoms plus nat_bounds of the new W variables, under the parent state's
+    pins."""
+    fill, rename, background_ = (_Compiled.fill, _Compiled.rename,
+                                 _Compiled.background)
+    checked = {"shapes": 0, "atoms": 0, "formulas": 0}
 
-    def checked_resolve(cc, goal, i, args, arg_shapes, suffix):
-        child = resolve(cc, goal, i, args, arg_shapes, suffix)
-        last.update(cc=cc, i=i, args=args, suffix=suffix, child=child)
-        return child
+    def body_of(cc, args, suffix):
+        return syntax_body(current[0].clauses[cc.index], args, suffix)
+
+    def checked_fill(cc, goal, i, args, arg_shapes, suffix):
+        shapes = fill(cc, goal, i, args, arg_shapes, suffix)
+        body = body_of(cc, args, suffix)
+        assert shapes == _splice(goal.shapes, i,
+                                 tuple(map(atom_shape, body)))
+        checked["shapes"] += len(body)
+        return shapes
+
+    def checked_rename(cc, goal, i, args, suffix):
+        atoms = rename(cc, goal, i, args, suffix)
+        body = body_of(cc, args, suffix)
+        assert atoms == _splice(goal.atoms, i, tuple(body))
+        checked["atoms"] += len(body)
+        return atoms
 
     def checked_background(cc, args, suffix, pins, terms):
         fs = background_(cc, args, suffix, pins, terms)
-        assert last["cc"] is cc and last["suffix"] == suffix
         p, th = current
-        shapes, want = expected_step(
-            p.clauses[cc.index], last["i"], last["args"], suffix,
-            last["child"], pins, th, p.fin_elems)
-        i = last["i"]
-        assert list(last["child"].shapes[i:i + len(shapes)]) == shapes
-        assert fs == want
-        checked["shapes"] += len(shapes)
+        cl = p.clauses[cc.index]
+        assert fs == expected_formulas(cl, body_of(cc, args, suffix), suffix,
+                                       pins, th, p.fin_elems)
         checked["formulas"] += len(fs)
         return fs
 
-    monkeypatch.setattr(_Compiled, "resolve", checked_resolve)
+    monkeypatch.setattr(_Compiled, "fill", checked_fill)
+    monkeypatch.setattr(_Compiled, "rename", checked_rename)
     monkeypatch.setattr(_Compiled, "background", checked_background)
     rows = [pid for pid, *_ in PINNED] + ["integral255"]
     for pid in rows:
@@ -83,22 +98,16 @@ def test_every_search_step_matches_the_syntax_path(monkeypatch):
         current = (p, th)
         v = driver.solve(p, SolveConfig(hint=HINTS.get(pid)))
         assert v.kind in ("SAT", "UNSAT"), pid
-    assert checked["shapes"] > 10_000 and checked["formulas"] > 5_000, \
-        checked
+    assert checked["shapes"] > 10_000 and checked["formulas"] > 5_000 \
+        and checked["atoms"] > 4_000, checked
 
 
-def test_search_compiles_no_atom_and_prints_no_atom(monkeypatch):
-    """One pass over the 39 corpus rows the search runs on (every row but
-    integral256, whose hint answers first) makes no compile_atom call and
-    no atom_shape call inside Saturator.run: clauses are compiled when the
-    Saturator is built, and the root goals' shapes too.  Compiling and
-    printing at every step made 4,055 compile_atom and 5,910 atom_shape
-    calls inside Saturator.run on this pass."""
+def count_inside_run(monkeypatch, targets):
+    """Count the calls of each (module, name) in targets made inside
+    Saturator.run, keyed by name."""
     inside = [False]
-    calls = {"compile_atom": 0, "atom_shape": 0}
-    for mod, name in ((background, "compile_atom"),
-                      (resolution, "compile_atom"),
-                      (resolution, "atom_shape")):
+    calls = {name: 0 for _, name in targets}
+    for mod, name in targets:
         def counted(*args, _f=getattr(mod, name), _name=name, **kwargs):
             calls[_name] += inside[0]
             return _f(*args, **kwargs)
@@ -113,6 +122,12 @@ def test_search_compiles_no_atom_and_prints_no_atom(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(Saturator, "run", flagged)
+    return calls
+
+
+def corpus_pass() -> int:
+    """Solve the 39 corpus rows the search runs on (every row but
+    integral256, whose hint answers first) and return the steps spent."""
     steps = 0
     for pid, verdict, _, _ in PINNED:
         if pid == "integral256":
@@ -120,8 +135,33 @@ def test_search_compiles_no_atom_and_prints_no_atom(monkeypatch):
         v = driver.solve(problem(pid)[0], SolveConfig())
         assert v.kind == verdict, pid
         steps += v.stats["resolutionSteps"]
-    assert steps > 2_000
+    return steps
+
+
+def test_search_compiles_no_atom_and_prints_no_atom(monkeypatch):
+    """One pass over the 39 corpus rows the search runs on makes no
+    compile_atom call and no atom_shape call inside Saturator.run: clauses
+    are compiled when the Saturator is built, and the root goals' shapes
+    too.  Compiling and printing at every step made 4,055 compile_atom and
+    5,910 atom_shape calls inside Saturator.run on this pass."""
+    calls = count_inside_run(monkeypatch, [(background, "compile_atom"),
+                                           (resolution, "compile_atom"),
+                                           (resolution, "atom_shape")])
+    assert corpus_pass() > 2_000
     assert calls == {"compile_atom": 0, "atom_shape": 0}, calls
+
+
+def test_search_builds_only_popped_children(monkeypatch):
+    """On one pass over the 39 corpus rows the search runs on, the search
+    checks a child's background (bg_extend) and renames its atoms
+    (subst_atom) only when it pops the child: 1,487 bg_extend and 2,311
+    subst_atom calls inside Saturator.run, in the same 2,453 steps.
+    Building every child when it is generated made 2,429 and 5,910."""
+    calls = count_inside_run(monkeypatch, [(resolution, "bg_extend"),
+                                           (resolution, "subst_atom")])
+    assert corpus_pass() == 2_453
+    assert calls["bg_extend"] <= 1_487 and calls["subst_atom"] <= 2_311, \
+        calls
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +241,8 @@ def steps(draw):
 @given(steps())
 def test_compiled_step_equals_syntax_step(case):
     """For generated clause bodies and head arguments, the compiled step's
-    shapes equal atom_shape of the renamed atoms and its formulas equal
+    atoms equal the renamed atoms, its shapes atom_shape of them, and its
+    formulas equal
     compile_atom of them (subst(compile_atom(b), pins) ==
     compile_atom(subst_atom(b, env))), the parent's pins folded into both:
     eq/neq/leq/geq/lt/gt over several components, scale, comp, scalar
@@ -213,10 +254,11 @@ def test_compiled_step_equals_syntax_step(case):
     atom = FgAtom(mk_app(PredRef("R"), args))
     goal = Goal((atom,), (atom_shape(atom),))
     suffix = "$0"
-    child = cc.resolve(goal, 0, args, [_shape(print_term, a) for a in args],
+    shapes = cc.fill(goal, 0, args, [_shape(print_term, a) for a in args],
                        suffix)
+    atoms = cc.rename(goal, 0, args, suffix)
     fs = cc.background(args, suffix, pins, {})
-    shapes, want = expected_step(cl, 0, args, suffix, child, pins, theory,
-                                 FIN_ELEMS)
-    assert list(child.shapes) == shapes
-    assert fs == want
+    body = syntax_body(cl, args, suffix)
+    assert list(atoms) == body
+    assert list(shapes) == [atom_shape(b) for b in body]
+    assert fs == expected_formulas(cl, body, suffix, pins, theory, FIN_ELEMS)

@@ -13,9 +13,10 @@ from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, integral,
 from oracles import deadline
 from limitdl import driver as D
 from limitdl import presburger as P
+from limitdl import resolution
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
-from limitdl.resolution import Saturator, replay
+from limitdl.resolution import BudgetExhausted, Saturator, replay
 from limitdl.background import theory_for
 from limitdl.syntax import BgAtom, normalize_problem, parse_problem
 
@@ -295,7 +296,7 @@ def test_hintless_integral_twin_is_sat_by_fair_turns():
     """The b = 0 twin of integral255 (Exp below 2^0, goal area 2) is SAT
     only through fair enumeration, as its 438th candidate.  The model turn
     after the first 2,000-step slice may spend the Presburger nodes that
-    slice built (about 21k), and the 438 candidates need about 2.6k.  With
+    slice built (about 9.7k), and the 438 candidates need about 2.6k.  With
     50 candidates per slice instead, the same model comes after 18,009
     steps and more than a minute."""
     p, _ = integral(0, 2)
@@ -307,7 +308,42 @@ def test_hintless_integral_twin_is_sat_by_fair_turns():
     assert ok, diag
 
 
-@pytest.mark.parametrize("b,steps", [(3, 223), (4, 424), (5, 736)])
+DEAD_CHILDREN_TEXT = """
+(theory (lia))
+(finsort S (a b c))
+(declare R (-> S o))
+(clause ((x S)) (head (R x)) (body (and (eqs x b) (R x))))
+(clause ((x S)) (head (R x)) (body (and (eqs x c) (R a))))
+(goal () (body (R a)))
+"""
+
+
+def test_children_with_dead_backgrounds_end_the_search(monkeypatch, alarm):
+    """Both children of the root have an unsatisfiable background.  They
+    are generated (two steps) and pruned when popped, spending no step and
+    getting no child, so the search ends with an empty frontier; a solve
+    with one-step slices still ends, with the least model."""
+    p = normalize_problem(parse_problem(DEAD_CHILDREN_TEXT))
+    th = theory_for(p.theory_kind, p.dim, p.direction)
+    extended = []
+
+    def recorded(state, fs, _f=resolution.bg_extend):
+        extended.append(_f(state, fs))
+        return extended[-1]
+
+    monkeypatch.setattr(resolution, "bg_extend", recorded)
+    sat = Saturator(p, th)
+    r = sat.run(100)
+    assert isinstance(r, BudgetExhausted) and r.steps_used == 2
+    assert sat.exhausted()
+    assert extended == [None, None]
+    v = solve(p, SolveConfig(resolution_slice=1))
+    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 2,
+                                         "modelsChecked": 1})
+
+
+@pytest.mark.parametrize("b,steps", [(3, 223), (4, 424), (5, 736),
+                                     (6, 1195)])
 def test_integral_family_unsat_steps_are_pinned(b, steps):
     p, _ = integral(b, 2 ** (b + 1) - 1)
     with deadline(20):

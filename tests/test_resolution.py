@@ -301,15 +301,26 @@ def test_canonical_goal_variable_is_not_a_constant_named_like_a_slot():
                                   "lcm/m3/b:2,0"])
 def test_canonical_goal_matches_printed_key(monkeypatch, name):
     """Along a whole search, the key and the printed-string oracle put the
-    same goals together."""
+    same goals together.  A child is keyed by its shapes before it has
+    atoms, so the oracle reads the child that resolve builds on the syntax
+    path for the same step, whose shapes must be the keyed ones."""
     p, th = problem(name)
-    goals = []
-    orig = resolution.canonical_goal
+    goals, step = [], []
+    orig, shapes = resolution.canonical_goal, resolution._Compiled.fill
+
+    def kept_step(cc, goal, i, args, arg_shapes, suffix):
+        step[:] = [resolve(goal, i, p.clauses[cc.index],
+                           itertools.count(int(suffix[1:])))]
+        return shapes(cc, goal, i, args, arg_shapes, suffix)
 
     def keep(g):
+        if g.atoms is None:
+            assert step[0].shapes == g.shapes
+            g = step.pop()
         goals.append(g)
         return orig(g)
 
+    monkeypatch.setattr(resolution._Compiled, "fill", kept_step)
     monkeypatch.setattr(resolution, "canonical_goal", keep)
     assert isinstance(saturate(p, th, budget=5000), Refuted)
     assert len(goals) > 10

@@ -116,8 +116,8 @@ def _samples():
         (R.ProofTrace, "steps constraints", ([], "true")),
         (R.Refuted, "trace steps_used", (trace, 3)),
         (R.BudgetExhausted, "steps_used", (5,)),
-        (R._Node, "goal parent atom definite bg via_limit",
-         (goal, None, None, 0, state, True)),
+        (R._Node, "goal parent atom definite bg via_limit step",
+         (goal, None, None, 0, state, True, None)),
         (T.ValidationReport, "mode max_order pred_info errors",
          ("FirstOrder", 1, {"P": {"order": 1}}, ["e"])),
         (D.SolveConfig, "resolution_slice total_budget hint",
