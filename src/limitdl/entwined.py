@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator, Mapping
+import math
+from typing import Iterable, Iterator, Mapping
 
 from . import presburger as P
 from .background import (ALL, EMPTY, Antichain, Theory, Upset, compile_atom,
@@ -136,34 +137,18 @@ class EntwinedStructure:
         self.theory = theory
         self.interps = dict(interps)
         self._frames: dict[Sort, list[Value]] = {}
-        self._canon: dict[Sort, list[CanonicalValue]] = {}
+        # per frame: each value's first position in it and its canonical name
+        self._index: dict[Sort, dict[Value, tuple]] = {}
 
     # -- frames --------------------------------------------------------
-
-    def frame_size(self, s: Sort) -> int:
-        """Cardinality of the frame, computed without materializing inactive
-        function spaces."""
-        if s == PROP:
-            return 2
-        if s == FIN:
-            return len(self.problem.fin_elems)
-        if s == W:
-            raise StageOrderViolation("the numeric sort has no finite frame")
-        if isinstance(s, Arrow):
-            if classify(s) == "active":
-                return len(self.frame(s))
-            return self.frame_size(s.res) ** self.frame_size(s.arg)
-        raise TypeError(s)
 
     def frame(self, s: Sort) -> list[Value]:
         if s in self._frames:
             return self._frames[s]
         if s == PROP:
-            vals: list[Value] = [False, True]
-            canon: list[CanonicalValue] = [SVal("false"), SVal("true")]
+            named: Iterable = [(False, SVal("false")), (True, SVal("true"))]
         elif s == FIN:
-            vals = list(self.problem.fin_elems)
-            canon = [SVal(c) for c in vals]
+            named = [(c, SVal(c)) for c in self.problem.fin_elems]
         elif s == W:
             raise StageOrderViolation("the numeric sort has no finite frame")
         elif isinstance(s, Arrow):
@@ -171,36 +156,36 @@ class EntwinedStructure:
                 raise StageOrderViolation(
                     f"sort {print_sort(s)} has no materializable frame")
             if classify(s) == "active":
-                vals, canon = self._active_frame(s)
+                named = self._active_frame(s).items()
             else:
-                vals, canon = self._function_space(s)
+                named = self._function_space(s)
         else:
             raise TypeError(s)
-        self._frames[s] = vals
-        self._canon[s] = canon
+        vals = self._frames[s] = []
+        index = self._index[s] = {}
+        for v, c in named:
+            index.setdefault(v, (len(vals), c))
+            vals.append(v)
         return vals
 
-    def _function_space(self, s: Arrow) -> tuple[list[Value], list]:
-        size = self.frame_size(s)
-        if size > MAX_FRAME:
+    def _function_space(self, s: Arrow) -> Iterable:
+        """The tables of s with their canonical names, in binary order; one
+        row per combination of the argument frames."""
+        nrows = math.prod(len(self.frame(a)) for a in nonw_sorts(s))
+        if nrows > MAX_FRAME.bit_length() - 1:  # 2^nrows > MAX_FRAME
             raise FrameTooLarge(
-                f"frame of {print_sort(s)} has {size} elements "
+                f"frame of {print_sort(s)} has 2^{nrows} elements "
                 f"(limit {MAX_FRAME})")
-        nrows = len(self.rows(s))
-        vals: list[Value] = [
-            FnVal(s, bits)
-            for bits in itertools.product((False, True), repeat=nrows)]
         # the constant-true table is the only one with a canonical name
-        top = self.top(s)
-        canon = [Top(s) if v == top else None for v in vals]
-        return vals, canon
+        return ((FnVal(s, bits), Top(s) if all(bits) else None)
+                for bits in itertools.product((False, True), repeat=nrows))
 
-    def _active_frame(self, s: Arrow) -> tuple[list[Value], list]:
+    def _active_frame(self, s: Arrow) -> dict[Value, CanonicalValue | None]:
         """{top} ∪ extensionally distinct partial applications of predicates
-        of order ≤ order(s) whose sort ends in s."""
+        of order ≤ order(s) whose sort ends in s, with their canonical
+        names."""
         order = type_order(s)
-        vals: list[Value] = [self.top(s)]
-        canon: list[CanonicalValue] = [Top(s)]
+        named: dict[Value, CanonicalValue | None] = {self.top(s): Top(s)}
         for pname, psort in self.problem.decls:
             if type_order(psort) > order or pname not in self.interps:
                 continue
@@ -215,21 +200,20 @@ class EntwinedStructure:
                     v = self.interps[pname]
                     for a in combo:
                         v = self.apply(v, a)
-                    if v not in vals:
-                        vals.append(v)
+                    if v not in named:
                         arg_canons = [self._try_canon(a_s, a)
                                       for a_s, a in zip(prefix, combo)]
-                        canon.append(
+                        named[v] = (
                             PredApp(pname, tuple(arg_canons))
                             if all(c is not None for c in arg_canons)
                             else None)
-        if len(vals) > MAX_FRAME:
+        if len(named) > MAX_FRAME:
             raise FrameTooLarge(f"frame of {print_sort(s)} too large")
-        return vals, canon
+        return named
 
     def _try_canon(self, s: Sort, v: Value) -> CanonicalValue | None:
-        fr = self.frame(s)
-        return self._canon[s][fr.index(v)]
+        self.frame(s)
+        return self._index[s][v][1]
 
     def canon_of(self, s: Sort, v: Value) -> CanonicalValue:
         c = self._try_canon(s, v)
@@ -306,7 +290,7 @@ class EntwinedStructure:
             bits = tuple(self.theory.member(arg, d) for d in v.descs)
             return bits[0] if s.res == PROP else FnVal(s.res, bits)
         dom = self.frame(s.arg)
-        i = dom.index(arg)
+        i = self._index[s.arg][arg][0]
         if isinstance(v, FnVal):
             if s.res == PROP:
                 return v.vals[i]
@@ -527,7 +511,7 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
         return
     # inactive: finite table space, index = weight
     rows = m.rows(psort)
-    if weight >= (1 << len(rows)):
+    if weight.bit_length() > len(rows):  # weight >= 2^rows: no such table
         return
     yield FnVal(psort, tuple(bool((weight >> i) & 1)
                              for i in range(len(rows))))

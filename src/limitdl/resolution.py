@@ -47,7 +47,7 @@ from .presburger import Formula, LinTerm
 from .record import Record
 from .syntax import (
     FIN, App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, SConst, Term,
-    Var, W, WLit, WOp, print_formula, print_term, spine,
+    Var, W, WLit, WOp, _json_int, print_formula, print_term, spine,
 )
 
 LIMIT_COST = 64
@@ -348,14 +348,41 @@ class ProofTrace(Record):
         }
 
     @staticmethod
-    def from_json(d: dict) -> "ProofTrace":
-        return ProofTrace(
-            [TraceStep(s["goal"], s["rule"], s.get("parent"), s.get("atom"),
-                       s.get("definite")) for s in d["steps"]],
-            d["constraints"])
+    def from_json(d: object) -> "ProofTrace":
+        """The trace a JSON value describes, else a TraceError: an object
+        with a list "steps" and a string "constraints" and no other key."""
+        if not isinstance(d, dict) or d.keys() != {"steps", "constraints"} \
+                or not isinstance(d["steps"], list) \
+                or not isinstance(d["constraints"], str):
+            raise TraceError("a trace is an object with a list 'steps' and "
+                             "a string 'constraints'")
+        return ProofTrace([_step_from_json(s) for s in d["steps"]],
+                          d["constraints"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
+
+
+_STEP_REFS = ("parent", "atom", "definite")
+
+
+def _step_from_json(s: object) -> TraceStep:
+    """A trace step: an object with a string "goal" and "rule", and with
+    "parent", "atom" and "definite" each absent, null or a JSON integer."""
+    if not isinstance(s, dict) \
+            or not s.keys() <= {"goal", "rule", *_STEP_REFS} \
+            or not isinstance(s.get("goal"), str) \
+            or not isinstance(s.get("rule"), str):
+        raise TraceError("a trace step is an object with a string 'goal' "
+                         "and 'rule' and optional integer references")
+    refs = []
+    for k in _STEP_REFS:
+        x = s.get(k)
+        try:
+            refs.append(None if x is None else _json_int(x))
+        except ValueError:
+            raise TraceError(f"trace step {k} {x!r} is not an integer")
+    return TraceStep(s["goal"], s["rule"], *refs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -10,8 +13,10 @@ from limitdl.background import theory_for
 from limitdl.cli import main
 from limitdl.resolution import ProofTrace, TraceError, replay
 from limitdl.syntax import normalize_problem, parse_problem
+from oracles import deadline
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def fx(*parts):
@@ -470,8 +475,53 @@ def test_frame_too_large_is_one_line(capsys, tmp_path, argv, rc):
         assert err == ""
         assert json.loads(out)["stats"]["modelsChecked"] == 0
     else:
-        assert err == "FrameTooLarge: frame of (-> S S o) has 33554432 " \
+        assert err == "FrameTooLarge: frame of (-> S S o) has 2^25 " \
                       "elements (limit 65536)\n"
+
+
+def frame_tower_text(n):
+    """Q takes sets of binary relations on n constants: the frame of
+    (-> S S o) has 2^(n*n) tables, and the frame of the goal variable f
+    has 2^(2^(n*n)) sets of them."""
+    consts = " ".join(f"c{i}" for i in range(n))
+    return (f"(theory (lia)) (finsort S ({consts})) "
+            "(declare Q (-> (-> (-> S S o) o) o)) "
+            "(goal ((f (-> (-> S S o) o))) (body (Q f)))\n")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_frame_past_the_limit_is_unknown(capsys, tmp_path, n):
+    """f's frame (n = 4) or that of (-> S S o) (n = 5) is refused from its
+    row count, without computing its size, and the solve is UNKNOWN."""
+    path = tmp_path / "q.lchc"
+    path.write_text(frame_tower_text(n))
+    assert main(["solve", str(path)]) == 30
+    assert capsys.readouterr().err == ""
+
+
+def test_frame_at_the_limit_is_decided():
+    """With two constants f ranges over all 65,536 sets of relations, and
+    applying Q to each looks its position up once."""
+    p = normalize_problem(parse_problem(frame_tower_text(2)))
+    with deadline(20):
+        v = driver.solve(p, driver.SolveConfig(total_budget=5))
+    assert v.kind == "SAT"
+
+
+def test_frame_of_2_to_the_64_is_refused_in_bounded_memory(tmp_path):
+    """With eight constants (-> S S o) has 2^64 tables.  The solve runs in
+    a child process under 1 GiB of address space and is UNKNOWN."""
+    path = tmp_path / "q.lchc"
+    path.write_text(frame_tower_text(8))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "limitdl.cli", "solve", str(path)],
+        preexec_fn=limit_memory, timeout=60, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert (r.returncode, r.stderr) == (30, "")
 
 
 @pytest.mark.parametrize("content,why", [

@@ -1,6 +1,7 @@
 """Resolution, saturation, and trace replay tests."""
 
 import itertools
+import json
 
 import pytest
 
@@ -11,7 +12,7 @@ from limitdl.resolution import (
     canonical_goal, goal_of_clause, replay, resolve, saturate, try_refute,
 )
 from limitdl.syntax import normalize_problem, parse_problem
-from corpus import problem, proof_sha256
+from corpus import PINNED, problem, proof_sha256
 from oracles import printed_goal_key
 
 
@@ -19,6 +20,8 @@ def load(text):
     p = normalize_problem(parse_problem(text))
     return p, theory_for(p.theory_kind, p.dim, p.direction)
 
+
+UNSAT_ROWS = [pid for pid, verdict, _, _ in PINNED if verdict == "UNSAT"]
 
 UNSAT_SIMPLE = """
 (theory (lia))
@@ -117,11 +120,59 @@ def test_variable_headed_atoms_are_ignored_by_refutation():
 
 
 def test_trace_json_roundtrip():
+    """A trace read back from its JSON replays, and the strict reader takes
+    every trace the solver writes: each UNSAT proof of the corpus reads
+    back to the same trace, which writes the same text."""
     p, th = load(UNSAT_SIMPLE)
     r = saturate(p, th, budget=100)
     assert isinstance(r, Refuted)
     t2 = ProofTrace.from_json(r.trace.to_json())
     assert replay(t2, p, th)
+    for pid in UNSAT_ROWS:
+        t = driver.solve(problem(pid)[0]).trace
+        text = t.dumps()
+        t2 = ProofTrace.from_json(json.loads(text))
+        assert t2 == t, pid
+        assert t2.dumps() == text, pid
+
+
+def _edit_step(i, drop=None, **fields):
+    def edit(d):
+        d["steps"][i].update(fields)
+        d["steps"][i].pop(drop, None)
+        return d
+    return edit
+
+
+# on the fo/lia_rec_unsat trace; step 2's parent is goal 1, and true would
+# stand for it, as step 1's atom 0 and definite 1 would for 1.0 and "1"
+MALFORMED_TRACES = {
+    "parent-true": _edit_step(2, parent=True),
+    "definite-false": _edit_step(0, definite=False),
+    "atom-float": _edit_step(1, atom=1.0),
+    "definite-string": _edit_step(1, definite="1"),
+    "no-goal": _edit_step(1, drop="goal"),
+    "rule-null": _edit_step(1, rule=None),
+    "step-extra-key": _edit_step(1, note="x"),
+    "step-list": lambda d: {**d, "steps": [list(d["steps"][0].values())]},
+    "steps-object": lambda d: {**d, "steps": dict(enumerate(d["steps"]))},
+    "constraints-null": lambda d: {**d, "constraints": None},
+    "trace-extra-key": lambda d: {**d, "note": "x"},
+    "trace-list": lambda d: [d],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_TRACES.values(),
+                         ids=MALFORMED_TRACES.keys())
+def test_trace_reader_is_strict(edit):
+    """The reader takes only the JSON that to_json writes; anything else
+    is a TraceError before replay reads a field."""
+    p, th = problem("fo/lia_rec_unsat")
+    r = saturate(p, th, budget=100)
+    assert isinstance(r, Refuted)
+    assert replay(ProofTrace.from_json(r.trace.to_json()), p, th)
+    with pytest.raises(TraceError):
+        ProofTrace.from_json(edit(r.trace.to_json()))
 
 
 def test_replay_rejects_corrupted_trace():
