@@ -21,6 +21,7 @@ Descriptors are checked and made canonical where they are made
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Iterator, Sequence
 
 from . import presburger as P
@@ -193,6 +194,62 @@ class Theory:
                         lits.append(P.le(x, c) if self.flipped else P.ge(x, c))
                     disjuncts.append(P.conj(lits))
                 return P.disj(disjuncts)
+        raise TypeError(u)
+
+    # -- complements -----------------------------------------------------
+    #
+    # The complement of an upset is downward closed, a finite union of
+    # ideals (Finkel & Goubault-Larrecq, STACS 2009): over the integers,
+    # boxes y <= cap with y the point in the working order (x, or -x when
+    # flipped) and None for an unbounded coordinate.  A negated membership
+    # is read as these pieces, not as the product of negated generators.
+
+    def cut(self, pieces: list[tuple], g: Sequence[int | None]) -> list[tuple]:
+        """The pieces of the complement of ↑(G ∪ {g}) from those of ↑G's: a
+        piece that misses ↑g stays whole; one that meets it gives way to its
+        parts beyond each bound of g, less those inside a kept piece or
+        inside another piece's part.  No two pieces nest or repeat; kept
+        pieces come first, then parts by parent and coordinate."""
+        s = -1 if self.flipped else 1
+        caps = [(i, s * x - 1) for i, x in enumerate(g) if x is not None]
+        kept: list[tuple] = []
+        parts: list[list[tuple]] = []
+        for p in pieces:
+            if any(p[i] is not None and p[i] <= c for i, c in caps):
+                kept.append(p)
+            else:
+                parts.append([p[:i] + (c,) + p[i + 1:] for i, c in caps])
+        out = kept[:]
+        for i, mine in enumerate(parts):
+            others = kept + [r for j, theirs in enumerate(parts) if j != i
+                             for r in theirs]
+            out += [q for q in mine
+                    if not any(self._leq_nat(q, r) for r in others)]
+        return out
+
+    def complement_pieces(self, gens: Sequence[tuple]) -> list[tuple]:
+        """The pieces of the complement of ↑gens, cut from the whole space."""
+        return reduce(self.cut, gens, [(None,) * self.dim])
+
+    def pieces_formula(self, pieces: list[tuple],
+                       vs: Sequence[LinTerm]) -> Formula:
+        """The union of the pieces at the point whose components are vs."""
+        s = -1 if self.flipped else 1
+        return P.disj(P.conj(P.le(x.scale(s), LinTerm.of_const(c))
+                             for x, c in zip(vs, p) if c is not None)
+                      for p in pieces)
+
+    def complement_formula(self, u: Upset, vs: Sequence[LinTerm]) -> Formula:
+        """Non-membership of the point whose components are the terms vs."""
+        if len(vs) != self.dim:
+            raise TheoryError("component count mismatch")
+        match u:
+            case Empty():
+                return P.TRUE
+            case All():
+                return P.FALSE
+            case Antichain(gens):
+                return self.pieces_formula(self.complement_pieces(gens), vs)
         raise TypeError(u)
 
     # -- enumeration -----------------------------------------------------

@@ -319,18 +319,27 @@ def eval_term(m: EntwinedStructure, t: Term) -> object:
 #
 # Non-numeric variables are enumerated over their frames; numeric variables
 # stay symbolic as component variables.  Evaluating a term symbolically
-# yields a list of guarded outcomes: each case is (guard formula, value) with
-# mutually exclusive guards; an outcome of sort o is a formula instead of a
-# value.  A numeric argument compiles to one term per component
-# (``components``); when one of them holds a variable, passing it into an
-# active value whose residual sort is not o splits into one case per
-# candidate frame element (region splitting).
+# yields a list of guarded outcomes: each case is (guard formula, value),
+# the guards exclusive and exhaustive; an outcome of sort o that depends on
+# numeric variables is a Membership instead of a value.  A numeric argument
+# compiles to one term per component (``components``); when one of them
+# holds a variable, passing it into an active value whose residual sort is
+# not o splits into one case per candidate frame element (region
+# splitting).
+
+
+class Membership(Record):
+    """The outcome 'the point whose components are terms lies in desc',
+    written by the theory only when it is read, as is or negated."""
+
+    __slots__ = __match_args__ = ("desc", "terms")
+
+    def formula(self, th: Theory, positive: bool = True) -> P.Formula:
+        write = th.upset_formula if positive else th.complement_formula
+        return write(self.desc, self.terms)
 
 
 _Cases = list[tuple[P.Formula, object]]
-
-_FORMULA_TYPES = (P.TrueF, P.FalseF, P.Cmp, P.Div, P.Not, P.And, P.Or,
-                  P.Exists, P.Forall)
 
 
 def _w_comps(name: str, dim: int) -> list[str]:
@@ -363,15 +372,15 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
             if point is not None:
                 out.append((g, m.apply(v, point)))
                 continue
-            row_fs = [th.upset_formula(d, ts) for d in v.descs]
             res = v.sort.res
             if res == PROP:
-                out.append((g, row_fs[0]))
+                out.append((g, Membership(v.descs[0], tuple(ts))))
                 continue
             # region split: one case per candidate residual value
+            rows = [(th.upset_formula(d, ts), th.complement_formula(d, ts))
+                    for d in v.descs]
             for u in m.frame(res):
-                parts = [f if b else P.neg_f(f)
-                         for f, b in zip(row_fs, u.vals)]
+                parts = [f if b else nf for (f, nf), b in zip(rows, u.vals)]
                 out.append((P.conj([g] + parts), u))
         return out
     # ordinary argument: evaluate it (itself possibly case-split)
@@ -379,11 +388,12 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
     out = []
     for g1, v1 in cases:
         for g2, a in sub:
-            if isinstance(a, _FORMULA_TYPES):
+            if isinstance(a, Membership):
                 # boolean argument whose truth depends on numeric variables:
                 # split on it
-                out.append((P.conj([g1, g2, a]), m.apply(v1, True)))
-                out.append((P.conj([g1, g2, P.neg_f(a)]),
+                out.append((P.conj([g1, g2, a.formula(m.theory)]),
+                            m.apply(v1, True)))
+                out.append((P.conj([g1, g2, a.formula(m.theory, False)]),
                             m.apply(v1, False)))
             else:
                 out.append((P.conj([g1, g2]), m.apply(v1, a)))
@@ -416,17 +426,21 @@ def _sym_eval(m: EntwinedStructure, t: Term, wvars: set[str],
 
 
 def _atom_formula(m: EntwinedStructure, a: Atom, wvars: set[str],
-                  val: dict) -> P.Formula:
+                  val: dict, positive: bool = True) -> P.Formula:
+    """An atom as a formula over the numeric component variables: guard ∧
+    outcome over the cases of its term.  Negated (positive False; a head,
+    never a background atom), only the outcomes are: the guards are
+    exclusive and exhaustive, a region split running over a full
+    function-space frame and a boolean split over True and False."""
     if isinstance(a, BgAtom):
         sval_env = {n: v for n, v in val.items() if isinstance(v, str)}
         return compile_atom(a, m.theory, sval_env)
-    cases = _sym_eval(m, a.term, wvars, val)
     parts = []
-    for g, v in cases:
-        if isinstance(v, bool):
-            f = P.TRUE if v else P.FALSE
+    for g, v in _sym_eval(m, a.term, wvars, val):
+        if isinstance(v, Membership):
+            f = v.formula(m.theory, positive)
         else:
-            f = v  # a formula of sort o
+            f = P.TRUE if v == positive else P.FALSE
         parts.append(P.conj([g, f]))
     return P.disj(parts)
 
@@ -440,30 +454,23 @@ def _body_formula(m: EntwinedStructure, b: BodyF, wvars: set[str],
     return _atom_formula(m, b, wvars, val)
 
 
-def clause_sentence(m: EntwinedStructure, c: Clause, wvars: list[str],
-                    val: dict) -> P.Formula:
-    """body → head as a formula over the numeric component variables."""
-    wset = set(wvars)
-    body = _body_formula(m, c.body, wset, val)
-    if c.head is None:
-        head: P.Formula = P.FALSE
-    else:
-        hname, hargs = c.head
-        head = _atom_formula(
-            m, FgAtom(mk_app(PredRef(hname), list(hargs))), wset, val)
-    return P.implies(body, head)
-
-
 def check_clause(m: EntwinedStructure, c: Clause) -> bool:
+    """Does body → head hold at each valuation of the clause's non-numeric
+    variables over their frames, for all numeric values?  It does iff body
+    ∧ ¬head (_atom_formula, TRUE for a goal) has no numeric witness."""
     th = m.theory
     wvars = [n for n, s in c.vars if s == W]
+    wset = set(wvars)
     others = [(n, s) for n, s in c.vars if s != W]
     bounds = th.nat_bounds([c_ for n in wvars for c_ in _w_comps(n, th.dim)])
+    head = None if c.head is None else \
+        FgAtom(mk_app(PredRef(c.head[0]), list(c.head[1])))
     for combo in itertools.product(*(m.frame(s) for _, s in others)):
         val = {n: v for (n, _), v in zip(others, combo)}
-        f = clause_sentence(m, c, wvars, val)
-        # the universal closure holds iff its negation has no numeric witness
-        if P.sat_exists_all([P.Not(f)] + bounds) is not None:
+        body = _body_formula(m, c.body, wset, val)
+        not_head = P.TRUE if head is None else \
+            _atom_formula(m, head, wset, val, False)
+        if P.sat_exists_all([body, not_head] + bounds) is not None:
             return False
     return True
 
@@ -579,9 +586,11 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     None (ω) marking unbounded coordinates.  Over y = s·x, with s = +1 in
     the flipped order and s = -1 otherwise, they are the maximal points of
     a set closed downward in y.  Each round asks for a seed point that no
-    generator covers and grows a generator from it one coordinate at a
-    time: the earlier coordinates are fixed to their generator values
-    (substituted into phi) and the later ones kept at y_j >= the seed's.
+    generator covers, one in the complement of ↑gens that is kept across
+    rounds and cut by each new generator (Theory.cut), and grows a
+    generator from it one coordinate at a time: the earlier coordinates
+    are fixed to their generator values (substituted into phi) and the
+    later ones kept at y_j >= the seed's.
     With J the ω coordinates so far, on the DNF branches of that query
     coordinate i is ω iff a satisfiable branch has an integer recession
     direction d with s·d_j >= 1 on J and i; else it is the largest y_i of
@@ -610,6 +619,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     cterms = [P.LinTerm.of_var(c) for c in comps]
     gens: list[tuple[int | None, ...]] = (
         list(base.gens) if isinstance(base, Antichain) else [])
+    outside = theory.complement_pieces(gens)  # the complement of ↑gens
 
     def atleast(c: str, v: int) -> P.Formula:
         return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
@@ -632,11 +642,8 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         return None if w is None else s * w.get(ci, 0)
 
     while True:
-        ask = [phi] + bounds
-        if gens:
-            ask.append(P.Not(theory.upset_formula(Antichain(tuple(gens)),
-                                                  cterms)))
-        w = P.sat_exists_all(ask)
+        w = P.sat_exists_all(
+            [phi] + bounds + [theory.pieces_formula(outside, cterms)])
         if w is None:
             break
         seed = [s * w.get(c, 0) for c in comps]
@@ -685,6 +692,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
                 best = lo
             g.append(s * best)
         gens.append(tuple(g))
+        outside = theory.cut(outside, g)
         if len(gens) > 256:
             raise FrameTooLarge("descriptor extraction did not converge")
     return theory.canonicalize(Antichain(tuple(gens)))
@@ -846,7 +854,10 @@ def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
     if "top" in d:
         return Top(_sort_from_str(d["top"]))
     if "s" in d:
-        return SVal(str(d["s"]))
+        if not isinstance(d["s"], str):
+            raise SchemaError(
+                f"constant name {json.dumps(d['s'])} is not a string")
+        return SVal(d["s"])
     if "app" in d:
         a = d["app"]
         if not isinstance(a, list) or not a or not isinstance(a[0], str):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from operator import le as le_
 from typing import Iterable, Iterator, Mapping
 
 from .record import Record
@@ -712,10 +711,6 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # Every solve path of the library goes through here; a query over a
 # projection leaves the projected variables free.  Cooper `eliminate` and
 # `decide` above are the reference the tests check this path against.
-# A negated union of boxes (such as a descriptor membership) expands as
-# the union of boxes of its complement, in the manner of the ideal
-# decompositions of Finkel and Goubault-Larrecq (STACS 2009), not as the
-# product of its negated boxes.
 
 
 def _lits_of(f: Formula, acc: list, pending: list) -> bool:
@@ -754,27 +749,13 @@ def _wnnf(f: Formula, neg: bool) -> Formula:
     """f, negated when neg is set, in negation normal form as the branch
     walker reads it: a negated comparison is cmp_atom of the negated op, a
     negated Div flips its flag, and an atom read without negation is kept
-    as it is.  The negation of a disjunction with two or more box disjuncts
-    (_box_bounds; nested disjunctions are flattened) is the conjunction of
-    the negated other disjuncts with the boxes' complement (_complement),
-    not with one disjunction of negated bounds per box."""
+    as it is."""
     match f:
         case Not(g):
             return _wnnf(g, not neg)
         case And(args):
             return (disj if neg else conj)(_wnnf(a, neg) for a in args)
         case Or(args):
-            if neg:
-                boxes, rest = [], []
-                for a in _disjuncts(f):
-                    b = _box_bounds(a)
-                    if b is None:
-                        rest.append(a)
-                    else:
-                        boxes.append(b)
-                if len(boxes) >= 2:
-                    return conj([_wnnf(a, True) for a in rest] + [
-                        _complement([b for b in boxes if b is not False])])
             return (conj if neg else disj)(_wnnf(a, neg) for a in args)
         case Cmp(op, t):
             return cmp_atom(_NEG_OP[op], t) if neg else f
@@ -783,113 +764,6 @@ def _wnnf(f: Formula, neg: bool) -> Formula:
         case TrueF() | FalseF():
             return neg_f(f) if neg else f
     raise ValueError(f"quantifier reached branch expansion: {f}")
-
-
-def _disjuncts(f: Formula) -> Iterator[Formula]:
-    if type(f) is Or:
-        for a in f.args:
-            yield from _disjuncts(a)
-    else:
-        yield f
-
-
-_INF = math.inf
-
-
-def _box_bounds(f: Formula) -> dict[str, list] | bool | None:
-    """f as a box: TRUE, FALSE, a comparison other than '!=' over one
-    variable, or a conjunction of boxes.  The result maps each bounded
-    variable to [-lo, hi] (inf where unbounded); it is False for an empty
-    box and None when f is not a box."""
-    out: dict[str, list] = {}
-    stack = [f]
-    while stack:
-        g = _to_le(stack.pop())
-        if type(g) is And:
-            stack.extend(g.args)
-            continue
-        if type(g) is TrueF:
-            continue
-        if type(g) is FalseF:
-            return False
-        if type(g) is not Cmp or g.op == "!=" or len(g.t.coeffs) != 1:
-            return None
-        ((v, c),) = g.t.coeffs
-        k = g.t.const
-        b = out.setdefault(v, [_INF, _INF])
-        if g.op == "=":  # ceil(-k/c) <= x <= floor(-k/c)
-            b[0] = min(b[0], k // c)
-            b[1] = min(b[1], -k // c)
-        elif c > 0:  # x <= floor(-k/c)
-            b[1] = min(b[1], -k // c)
-        else:  # x >= ceil(k/-c), i.e. -x <= floor(-k/-c)
-            b[0] = min(b[0], -k // -c)
-        if b[0] + b[1] < 0:
-            return False
-    return out
-
-
-def _complement(boxes: list[dict[str, list]]) -> Formula:
-    """The complement over the integers of a union of boxes (_box_bounds),
-    as a union of boxes.  Starting from the whole space, each box replaces
-    every piece it meets by the parts of the piece beyond each of its finite
-    bounds; empty parts, and parts inside a piece of another parent, are
-    dropped.  A piece is a tuple u with u[2i] = -lo and u[2i+1] = hi of the
-    i-th variable, so it is empty iff some u[2i] + u[2i+1] < 0, and lies
-    inside another iff it is componentwise smaller.  The pieces never nest:
-    parts of one parent do not, nor do pieces kept whole, and no two parts
-    are equal, so only parts of different parents need comparing.  Nor do
-    two pieces, or two bounds of one, repeat, so no conj or disj is needed."""
-    names = sorted({v for b in boxes for v in b})
-    n = 2 * len(names)
-    pieces = [(_INF,) * n]
-    for b in boxes:
-        box = [x for v in names for x in b.get(v, (_INF, _INF))]
-        fin = [k for k in range(n) if box[k] != _INF]
-        pairs = sorted({k & ~1 for k in fin})  # where a piece can miss box
-        kept: list[tuple] = []
-        parts: list[list[tuple]] = []
-        for p in pieces:
-            for k in pairs:  # misses the box
-                a, c = box[k], box[k + 1]
-                if (p[k] if p[k] < a else a) + \
-                        (p[k + 1] if p[k + 1] < c else c) < 0:
-                    kept.append(p)
-                    break
-            else:
-                mine = []
-                for k in fin:
-                    j = k ^ 1
-                    cut = -box[k] - 1  # beyond bound k
-                    if p[k] + cut >= 0:
-                        mine.append(p[:j] + (cut,) + p[j + 1:])
-                parts.append(mine)
-        pieces = list(kept)
-        for i, mine in enumerate(parts):
-            for q in mine:
-                if not any(all(map(le_, q, r)) for r in kept) and not any(
-                        all(map(le_, q, r))
-                        for j, theirs in enumerate(parts) if j != i
-                        for r in theirs):
-                    pieces.append(q)
-        if not pieces:
-            return FALSE
-    ands = [b[0] if len(b) == 1 else And(b) if b else TRUE
-            for b in (tuple(_bounds_of(names, p)) for p in pieces)]
-    return ands[0] if len(ands) == 1 else Or(tuple(ands))
-
-
-def _bounds_of(names: list[str], p: tuple) -> Iterator[Formula]:
-    """The bounds of a piece of _complement, in cmp_atom's form."""
-    for i, v in enumerate(names):
-        nlo, hi = p[2 * i], p[2 * i + 1]
-        if nlo + hi == 0:
-            yield Cmp("=", LinTerm(-hi, ((v, 1),)))
-            continue
-        if nlo != _INF:
-            yield Cmp("<=", LinTerm(-nlo, ((v, -1),)))  # lo - x <= 0
-        if hi != _INF:
-            yield Cmp("<=", LinTerm(-hi, ((v, 1),)))  # x - hi <= 0
 
 
 # visits per row in one _narrow call: a row whose bounds keep moving

@@ -481,7 +481,10 @@ def parse_problem(text: str) -> Problem:
             for x in rest[1].val:
                 if x.is_list():
                     raise SyntaxProblem("constants must be identifiers", x.line, x.col)
-                fin_elems.append(str(x.val))
+                c = str(x.val)
+                if c in fin_elems:
+                    raise SyntaxProblem(f"duplicate constant {c!r}", x.line, x.col)
+                fin_elems.append(c)
         elif kw == "declare":
             if len(rest) != 2 or rest[0].is_list():
                 raise SyntaxProblem("expected (declare P sort)", form.line, form.col)

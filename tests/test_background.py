@@ -115,6 +115,90 @@ def test_formula_agreement_1000_samples():
     assert checked >= 1000
 
 
+COMPLEMENT_THEORIES = [Theory(kind, dim, flipped=flipped)
+                       for kind, dims in (("lia", (1,)), ("nat", (1, 2, 3)))
+                       for dim in dims for flipped in (False, True)]
+
+
+def _rand_gen(rng, th):
+    """A generator with entries in [-4, 4] under lia and [0, 4] under nat,
+    ω at a fifth of the coordinates where the bottom is ω."""
+    lo = -4 if th.kind == "lia" else 0
+    return tuple(None if th.bottom is None and rng.random() < 0.2
+                 else rng.randint(lo, 4) for _ in range(th.dim))
+
+
+def _rand_antichain(rng, th):
+    """The canonical descriptor of 1-4 fixed-seed generators (_rand_gen):
+    an ω under lia gives ALL."""
+    return th.canonicalize(Antichain(tuple(
+        _rand_gen(rng, th) for _ in range(rng.randint(1, 4)))))
+
+
+def test_complement_is_the_union_of_its_maximal_pieces():
+    """Theory writes a descriptor's complement as a union of boxes.  On
+    lia and nat 1-3, in both directions, with 40 fixed-seed antichains
+    each: complement_formula holds exactly at the domain points of a grid
+    outside the descriptor; its pieces are pairwise not nested, on a grid
+    of integers wide enough to tell any two apart; and cutting them by one
+    more generator gives the pieces of the canonical descriptor of the
+    union built from scratch (the maximal boxes of a finite union are
+    unique, so the two lists hold the same pieces) where that descriptor
+    is an antichain."""
+    rng = random.Random(20261021)
+    for th in COMPLEMENT_THEORIES:
+        comps = [comp_var("w", i + 1) for i in range(th.dim)]
+        vs = [P.LinTerm.of_var(c) for c in comps]
+        lo = -6 if th.kind == "lia" else 0
+        domain = list(itertools.product(range(lo, 7), repeat=th.dim))
+        ints = list(itertools.product(range(-2, 7), repeat=th.dim))
+        for _ in range(40):
+            u = _rand_antichain(rng, th)
+            f = th.complement_formula(u, vs)
+            for w in domain:
+                assert P.evaluate(f, dict(zip(comps, w))) != th.member(w, u), \
+                    (th.kind, th.dim, th.flipped, u, w)
+            if not isinstance(u, Antichain):
+                continue
+            pieces = th.complement_pieces(u.gens)
+            sets = [frozenset(w for w in ints if P.evaluate(
+                th.pieces_formula([p], vs), dict(zip(comps, w))))
+                for p in pieces]
+            assert all(not a <= b for a, b in
+                       itertools.permutations(sets, 2)), (u, pieces)
+            g = _rand_gen(rng, th)
+            grown = th.canonicalize(Antichain(u.gens + (g,)))
+            if isinstance(grown, Antichain):
+                assert sorted(th.cut(pieces, g), key=repr) == sorted(
+                    th.complement_pieces(grown.gens), key=repr), (u, g)
+
+
+def test_complement_of_empty_and_all():
+    for th in COMPLEMENT_THEORIES:
+        vs = [P.LinTerm.of_var(comp_var("w", i + 1)) for i in range(th.dim)]
+        assert th.complement_formula(EMPTY, vs) == P.TRUE
+        assert th.complement_formula(ALL, vs) == P.FALSE
+        with pytest.raises(TheoryError):
+            th.complement_formula(EMPTY, vs + vs)
+
+
+def test_complement_of_staircase_has_one_piece_per_step():
+    """The complement of the nat 2 downward descriptor with the n
+    generators (2i, 2(n - i)), a staircase, is n + 1 boxes (one per step),
+    not the 2^n branches of its negated product."""
+    for n in (1, 2, 5, 9):
+        u = NAT2_DOWN.canonicalize(Antichain(tuple(
+            (2 * i, 2 * (n - i)) for i in range(n))))
+        vs = [P.LinTerm.of_var("x"), P.LinTerm.of_var("y")]
+        neg = NAT2_DOWN.complement_formula(u, vs)
+        assert type(neg) is P.Or and len(neg.args) == n + 1, neg
+        member = NAT2_DOWN.upset_formula(u, vs)
+        for x in range(-1, 2 * n + 2):
+            for y in range(-1, 2 * n + 2):
+                env = {"x": x, "y": y}
+                assert P.evaluate(neg, env) != P.evaluate(member, env)
+
+
 def test_enumeration_injective_and_canonical():
     for th in (LIA_UP, NAT2_UP, NAT2_DOWN):
         it = th.enumerate_upsets()

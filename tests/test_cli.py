@@ -355,6 +355,50 @@ def test_constant_at_numeric_sort_is_a_schema_error(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
+def test_repeated_finite_constant_is_a_syntax_problem(capsys, tmp_path):
+    """A constant listed twice in the finite sort is refused where it is
+    read, at its second occurrence, as a repeated declaration is."""
+    prob = tmp_path / "p.lchc"
+    prob.write_text("""(theory (lia)) (finsort S (a a b))
+(declare R (-> S o))
+(clause ((x S)) (head (R x)) (body (eqs x b)))
+(goal () (body (R a)))
+""")
+    for cmd in ("typecheck", "solve"):
+        assert main([cmd, str(prob)]) == 1
+        err = capsys.readouterr().err
+        assert err == "SyntaxProblem: 1:30: duplicate constant 'a'\n", err
+
+
+# the constant True is not the JSON value true
+TRUE_CONST_TEXT = """(theory (lia))
+(finsort S (True b))
+(declare R (-> S o))
+(clause ((x S)) (head (R x)) (body (eqs x b)))
+(goal () (body (R True)))
+"""
+
+
+@pytest.mark.parametrize("name", [True, 0, None, ["True"]],
+                         ids=["bool", "number", "null", "list"])
+def test_witness_reads_only_json_constant_names(capsys, tmp_path, name):
+    prob = tmp_path / "p.lchc"
+    prob.write_text(TRUE_CONST_TEXT)
+    rows = [{"args": [{"s": name}], "value": False},
+            {"args": [{"s": "b"}], "value": True}]
+    wit = tmp_path / "m.json"
+    wit.write_text(json.dumps(
+        {"predicates": {"R": {"kind": "inactive", "rows": rows}}}))
+    assert main(["verify-model", str(prob), str(wit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: ") and "not a string" in err
+    assert len(err.strip().splitlines()) == 1
+    rows[0]["args"] = [{"s": "True"}]  # the constant itself is read
+    wit.write_text(json.dumps(
+        {"predicates": {"R": {"kind": "inactive", "rows": rows}}}))
+    assert main(["verify-model", str(prob), str(wit)]) == 0
+
+
 NAT_UP = fx("fo", "nat_up_sat.lchc")
 MODEL = "<model>"
 

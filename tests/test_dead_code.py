@@ -59,7 +59,9 @@ def test_every_function_is_referenced():
 COOPER = {"eliminate", "decide", "_cooper"}
 
 
-def test_only_presburger_names_cooper():
+def _named_outside_presburger(names: set[str]) -> list[str]:
+    """Where a library module other than presburger.py names one of names
+    (as a bare name, an attribute or an import)."""
     named = []
     for mod, tree in _modules():
         if mod == "presburger.py":
@@ -68,9 +70,23 @@ def test_only_presburger_names_cooper():
             name = (node.id if isinstance(node, ast.Name) else node.attr
                     if isinstance(node, ast.Attribute) else node.name
                     if isinstance(node, ast.alias) else None)
-            if name in COOPER:
+            if name in names:
                 named.append(f"{mod}:{node.lineno} {name}")
-    assert named == []
+    return named
+
+
+def test_only_presburger_names_cooper():
+    assert _named_outside_presburger(COOPER) == []
+
+
+# a descriptor's complement is written by Theory (complement_formula) and
+# an outcome's negation by the model checker (_atom_formula), so no other
+# module negates a formula
+NEGATION = {"Not", "neg_f", "implies"}
+
+
+def test_only_presburger_names_negation():
+    assert _named_outside_presburger(NEGATION) == []
 
 
 # the solve path: the branch walk and the conjunction solver behind it.

@@ -118,12 +118,12 @@ def test_verify_accepts_good_witness():
 
 
 def test_witness_check_effort_is_pinned(monkeypatch):
-    """Checking integral256's witness expands at most 131 frames of the DNF
+    """Checking integral256's witness expands at most 102 frames of the DNF
     walk and hands no leaf to _sat_lits: each node of the walk (_child)
     narrows a copy of its parent's bounds with the literals it adds, and
     that refutes every branch of every check_clause query.  A walk that
-    propagates each partial branch from scratch and no leaf makes 1,185
-    frames and 891 _sat_lits calls here."""
+    neither box-tests nor narrows its nodes expands 1,002 frames and makes
+    2,458 _sat_lits calls here."""
     calls = {"_leaves": 0, "_sat_lits": 0}
     for name in calls:
         def counted(*args, _f=getattr(P, name), _name=name):
@@ -135,17 +135,17 @@ def test_witness_check_effort_is_pinned(monkeypatch):
         ok, _ = verify(p, json.load(fh))
     assert ok
     assert calls["_sat_lits"] == 0
-    assert calls["_leaves"] <= 131, calls
+    assert calls["_leaves"] <= 102, calls
 
 
 def test_witness_check_builds_no_dead_node(monkeypatch):
-    """integral256's witness check builds 1,185 search nodes (_child), and
-    1,054 of them are dead on arrival: an added row has no solution in the
+    """integral256's witness check builds 921 search nodes (_child), and
+    819 of them are dead on arrival: an added row has no solution in the
     parent's box.  _child refutes those with the box test before it copies
-    or narrows, so _narrow runs at most 131 times (once per live node);
+    or narrows, so _narrow runs at most 102 times (once per live node);
     and the walk splits each pending disjunction once, not once per node,
-    so _lits_of runs at most 507 times.  Narrowing every node makes 1,185
-    _narrow calls here, and splitting at every node 3,331 _lits_of calls."""
+    so _lits_of runs at most 330 times.  Narrowing every node makes 921
+    _narrow calls here, and splitting at every node 2,579 _lits_of calls."""
     calls = dict.fromkeys(("_child", "_narrow", "_lits_of", "_sat_lits"), 0)
     for name in calls:
         def counted(*args, _f=getattr(P, name), _name=name):
@@ -156,8 +156,8 @@ def test_witness_check_builds_no_dead_node(monkeypatch):
     with open(os.path.join(FIX, "integral256.model.json")) as fh:
         ok, _ = verify(p, json.load(fh))
     assert ok
-    assert calls["_child"] == 1185 and calls["_sat_lits"] == 0, calls
-    assert calls["_narrow"] <= 131 and calls["_lits_of"] <= 507, calls
+    assert calls["_child"] == 921 and calls["_sat_lits"] == 0, calls
+    assert calls["_narrow"] <= 102 and calls["_lits_of"] <= 330, calls
 
 
 def test_verify_rejects_wrong_problem():

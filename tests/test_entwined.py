@@ -9,12 +9,13 @@ import pytest
 
 from limitdl import entwined as E
 from limitdl import presburger as P
+from limitdl.driver import SolveConfig, solve
 from limitdl.background import ALL, EMPTY, Antichain, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
-from corpus import (EXTRACTION_SHA256, FIRST_ORDER, LEAST_MODEL_SHA256,
-                    extraction_digest, model_sha256, noncanonical_descriptors,
-                    problem)
+from corpus import (EXTRACTION_SHA256, FIRST_ORDER, HINTS, LEAST_MODEL_SHA256,
+                    PINNED, extraction_digest, model_sha256,
+                    noncanonical_descriptors, problem)
 from oracles import bounded_canonical_model, deadline
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -220,6 +221,26 @@ def test_serialize_roundtrip():
     m2 = E.deserialize_model(p, th, data)
     assert m2.interps == m.interps
     assert E.serialize_model(m2) == data
+
+
+def test_witness_json_roundtrip_over_the_corpus():
+    """Every model the corpus solves writes a witness whose JSON text reads
+    back to the same interpretations and writes the same text again; the
+    fixture witness writes back to the file's JSON value."""
+    for pid, verdict, _, _ in PINNED:
+        if verdict != "SAT":
+            continue
+        p, th = problem(pid)
+        m = solve(p, SolveConfig(hint=HINTS.get(pid))).model
+        text = json.dumps(E.serialize_model(m))
+        m2 = E.deserialize_model(p, th, json.loads(text))
+        assert m2.interps == m.interps, pid
+        assert json.dumps(E.serialize_model(m2)) == text, pid
+    p = load("integral256.lchc")
+    path = os.path.join(FIX, "integral256.model.json")
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert E.serialize_model(E.load_model(p, theory_of(p), path)) == data
 
 
 def test_deserialize_rejects_unknown_predicate():

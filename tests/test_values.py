@@ -105,6 +105,7 @@ def _samples():
         (E.PredApp, "pred args", ("P", (E.SVal("a"),))),
         (E.FnVal, "sort vals", (S.Arrow(S.FIN, S.PROP), (True, False))),
         (E.ActVal, "sort descs", (arrow, (B.Antichain(((3,),)), B.ALL))),
+        (E.Membership, "desc terms", (B.Antichain(((3,),)), (t,))),
         (F.InstrA, "src counter dst", ("q0", 1, "q1")),
         (F.InstrB, "src counter if_zero dec_to", ("q1", 2, "q0", "q2")),
         (F.LCM, "states initial final counters instructions",
