@@ -129,7 +129,9 @@ def suffix_sort(s: Sort, k: int) -> Sort:
 
 class EntwinedStructure:
     """A full interpretation of every declared predicate, plus the frames it
-    induces.  Immutable once constructed."""
+    induces.  Immutable once constructed, so its memos (frames, and the
+    membership formulas the model checker reads) never go stale and die
+    with it."""
 
     def __init__(self, problem: Problem, theory: Theory,
                  interps: Mapping[str, Value]):
@@ -139,6 +141,8 @@ class EntwinedStructure:
         self._frames: dict[Sort, list[Value]] = {}
         # per frame: each value's first position in it and its canonical name
         self._index: dict[Sort, dict[Value, tuple]] = {}
+        # membership formulas by (descriptor, component terms, polarity)
+        self._memberships: dict[tuple, P.Formula] = {}
 
     # -- frames --------------------------------------------------------
 
@@ -277,6 +281,22 @@ class EntwinedStructure:
             return ActVal(s, (ALL,) * len(self.rows(s)))
         return FnVal(s, (True,) * len(self.rows(s)))
 
+    # -- memberships -----------------------------------------------------
+
+    def membership(self, desc: Upset, terms: tuple[P.LinTerm, ...],
+                   positive: bool) -> P.Formula:
+        """The formula 'the point whose components are terms lies in desc'
+        (positive) or its complement, written by the theory once per key
+        and structure: the clauses of one check read the same rows at the
+        same terms again and again."""
+        key = (desc, terms, positive)
+        f = self._memberships.get(key)
+        if f is None:
+            write = self.theory.upset_formula if positive \
+                else self.theory.complement_formula
+            f = self._memberships[key] = write(desc, terms)
+        return f
+
     # -- application -----------------------------------------------------
 
     def apply(self, v: Value, arg) -> Value:
@@ -325,18 +345,17 @@ def eval_term(m: EntwinedStructure, t: Term) -> object:
 # compiles to one term per component (``components``); when one of them
 # holds a variable, passing it into an active value whose residual sort is
 # not o splits into one case per candidate frame element (region
-# splitting).
+# splitting).  A case whose guard folds to FALSE is dropped where it is
+# made, and every membership formula is written through the structure's
+# memo (EntwinedStructure.membership).
 
 
 class Membership(Record):
     """The outcome 'the point whose components are terms lies in desc',
-    written by the theory only when it is read, as is or negated."""
+    written only when it is read, as is or negated, and then through the
+    structure's memo (EntwinedStructure.membership)."""
 
     __slots__ = __match_args__ = ("desc", "terms")
-
-    def formula(self, th: Theory, positive: bool = True) -> P.Formula:
-        write = th.upset_formula if positive else th.complement_formula
-        return write(self.desc, self.terms)
 
 
 _Cases = list[tuple[P.Formula, object]]
@@ -346,11 +365,11 @@ def _w_comps(name: str, dim: int) -> list[str]:
     return [comp_var(name, i + 1) for i in range(dim)]
 
 
-def _w_terms(t: Term, dim: int) -> tuple[list[P.LinTerm],
+def _w_terms(t: Term, dim: int) -> tuple[tuple[P.LinTerm, ...],
                                          tuple[int, ...] | None]:
     """A numeric argument's component terms (a scalar broadcast to every
     coordinate), and its point when every term is constant."""
-    ts = components(t, dim)
+    ts = tuple(components(t, dim))
     if len(ts) == 1:
         ts = ts * dim
     if any(x.coeffs for x in ts):
@@ -364,7 +383,7 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
     # numeric argument?
     if isinstance(arg_t, (WLit, WOp)) or (
             isinstance(arg_t, Var) and arg_t.name in wvars):
-        ts, point = _w_terms(arg_t, th.dim)
+        terms, point = _w_terms(arg_t, th.dim)
         out: _Cases = []
         for g, v in cases:
             if not isinstance(v, ActVal) or v.sort.arg != W:
@@ -374,14 +393,17 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
                 continue
             res = v.sort.res
             if res == PROP:
-                out.append((g, Membership(v.descs[0], tuple(ts))))
+                out.append((g, Membership(v.descs[0], terms)))
                 continue
-            # region split: one case per candidate residual value
-            rows = [(th.upset_formula(d, ts), th.complement_formula(d, ts))
-                    for d in v.descs]
+            # region split: one case per candidate residual value; conj
+            # stops at the first FALSE row, so a row is written only when a
+            # live prefix reads it
             for u in m.frame(res):
-                parts = [f if b else nf for (f, nf), b in zip(rows, u.vals)]
-                out.append((P.conj([g] + parts), u))
+                guard = P.conj(itertools.chain([g], (
+                    m.membership(d, terms, b)
+                    for d, b in zip(v.descs, u.vals))))
+                if guard is not P.FALSE:
+                    out.append((guard, u))
         return out
     # ordinary argument: evaluate it (itself possibly case-split)
     sub = _sym_eval(m, arg_t, wvars, val)
@@ -391,10 +413,10 @@ def _sym_apply(m: EntwinedStructure, cases: _Cases, arg_t: Term,
             if isinstance(a, Membership):
                 # boolean argument whose truth depends on numeric variables:
                 # split on it
-                out.append((P.conj([g1, g2, a.formula(m.theory)]),
-                            m.apply(v1, True)))
-                out.append((P.conj([g1, g2, a.formula(m.theory, False)]),
-                            m.apply(v1, False)))
+                for b in (True, False):
+                    guard = P.conj([g1, g2, m.membership(a.desc, a.terms, b)])
+                    if guard is not P.FALSE:
+                        out.append((guard, m.apply(v1, b)))
             else:
                 out.append((P.conj([g1, g2]), m.apply(v1, a)))
     return out
@@ -438,7 +460,7 @@ def _atom_formula(m: EntwinedStructure, a: Atom, wvars: set[str],
     parts = []
     for g, v in _sym_eval(m, a.term, wvars, val):
         if isinstance(v, Membership):
-            f = v.formula(m.theory, positive)
+            f = m.membership(v.desc, v.terms, positive)
         else:
             f = P.TRUE if v == positive else P.FALSE
         parts.append(P.conj([g, f]))
@@ -457,7 +479,9 @@ def _body_formula(m: EntwinedStructure, b: BodyF, wvars: set[str],
 def check_clause(m: EntwinedStructure, c: Clause) -> bool:
     """Does body → head hold at each valuation of the clause's non-numeric
     variables over their frames, for all numeric values?  It does iff body
-    ∧ ¬head (_atom_formula, TRUE for a goal) has no numeric witness."""
+    ∧ ¬head (_atom_formula, TRUE for a goal) has no numeric witness.  The
+    memberships both sides read come from m's memo, so the clauses of one
+    model check share them."""
     th = m.theory
     wvars = [n for n, s in c.vars if s == W]
     wset = set(wvars)

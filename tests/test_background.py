@@ -6,9 +6,11 @@ brute-force minimal-generator computation.
 """
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitdl import presburger as P
 from limitdl.background import (
@@ -238,6 +240,41 @@ def test_upset_json_roundtrip():
                 assert d == {"kind": "atleast", "k": u.gens[0][0]}
     assert upset_to_json(Antichain(((-7,),)), LIA_UP) == \
         {"kind": "atleast", "k": -7}
+
+
+ROUNDTRIP_THEORIES = [Theory(kind, dim, flipped=flipped)
+                      for kind, dim in (("lia", 1), ("nat", 1), ("nat", 2))
+                      for flipped in (False, True)]
+
+
+@st.composite
+def canonical_descriptors(draw):
+    """A theory of ROUNDTRIP_THEORIES and a canonical descriptor of it:
+    EMPTY, ALL, or 1-4 generators with entries in [-60, 60] under lia and
+    [0, 60] under nat, ω allowed where the bottom is ω (nat flipped;
+    under lia an ω generator canonicalizes to ALL)."""
+    th = draw(st.sampled_from(ROUNDTRIP_THEORIES))
+    kind = draw(st.sampled_from(["empty", "all", "antichain"]))
+    if kind != "antichain":
+        return th, EMPTY if kind == "empty" else ALL
+    entry = st.integers(-60 if th.kind == "lia" else 0, 60)
+    if th.bottom is None:
+        entry = st.one_of(entry, st.none())
+    gens = draw(st.lists(st.tuples(*[entry] * th.dim), min_size=1,
+                         max_size=4))
+    return th, th.canonicalize(Antichain(tuple(gens)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(canonical_descriptors())
+def test_upset_json_text_roundtrip(case):
+    """A canonical descriptor read back from the JSON text of its row is
+    itself, lia thresholds through "atleast" rows."""
+    th, u = case
+    d = upset_to_json(u, th)
+    assert upset_from_json(json.loads(json.dumps(d)), th) == u
+    if not th.nat and isinstance(u, Antichain):
+        assert d["kind"] == "atleast"
 
 
 @pytest.mark.parametrize("th,d", [

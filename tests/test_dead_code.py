@@ -174,3 +174,39 @@ def test_no_function_level_imports():
                           for n in ast.walk(node)
                           if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+# a membership formula is written once per structure, key and polarity, so
+# in entwined.py only that memo asks the theory for one
+MEMBERSHIP_WRITERS = {"upset_formula", "complement_formula"}
+
+
+def _writer_callers(tree: ast.Module) -> list[str]:
+    """The qualified name of the innermost function around each reference
+    to a membership writer, module level as '<module>'."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = child.name if scope == "<module>" \
+                    else f"{scope}.{child.name}"
+                visit(child, inner)
+                continue
+            name = (child.id if isinstance(child, ast.Name) else child.attr
+                    if isinstance(child, ast.Attribute) else None)
+            if name in MEMBERSHIP_WRITERS:
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_structures_memo_writes_memberships():
+    """In entwined.py, EntwinedStructure.membership is the one caller of
+    upset_formula and complement_formula; extract_upset writes its boxes
+    with pieces_formula, which is not a membership of a frame value."""
+    callers = _writer_callers(dict(_modules())["entwined.py"])
+    assert set(callers) == {"EntwinedStructure.membership"}, callers

@@ -12,12 +12,13 @@ from corpus import (HINTS, MODEL_SHA256, PINNED, PROOF_SHA256, integral,
                     proof_sha256)
 from oracles import deadline
 from limitdl import driver as D
+from limitdl import entwined as E
 from limitdl import presburger as P
 from limitdl import resolution
 from limitdl.driver import SolveConfig, Verdict, solve, verify
 from limitdl.entwined import enumerate_structures, serialize_model
 from limitdl.resolution import BudgetExhausted, Saturator, replay
-from limitdl.background import theory_for
+from limitdl.background import Theory, theory_for
 from limitdl.syntax import BgAtom, normalize_problem, parse_problem
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -158,6 +159,43 @@ def test_witness_check_builds_no_dead_node(monkeypatch):
     assert ok
     assert calls["_child"] == 921 and calls["_sat_lits"] == 0, calls
     assert calls["_narrow"] <= 102 and calls["_lits_of"] <= 330, calls
+
+
+def test_witness_check_writes_each_membership_once(monkeypatch):
+    """integral256's witness check reads 12 distinct memberships and 10
+    distinct complements, and the structure's memo has the theory write
+    each once: at most 22 upset_formula and complement_formula calls.
+    Writing them per read, as Integral's region split reads both
+    polarities of both rows for each value of f, makes 47."""
+    calls = {"upset_formula": 0, "complement_formula": 0}
+    for name in calls:
+        def counted(self, *args, _f=getattr(Theory, name), _name=name):
+            calls[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(Theory, name, counted)
+    p = load("integral256.lchc")
+    with open(os.path.join(FIX, "integral256.model.json")) as fh:
+        ok, _ = verify(p, json.load(fh))
+    assert ok
+    assert sum(calls.values()) <= 22, calls
+
+
+def test_witness_check_keeps_no_dead_case(monkeypatch):
+    """_sym_apply drops a case whose guard folds to FALSE where it makes
+    it: on integral256's witness check it returns 49 cases, none of them
+    dead.  Keeping them returns 89, 40 with guard FALSE."""
+    returned = []
+
+    def recorded(*args, _f=E._sym_apply):
+        out = _f(*args)
+        returned.extend(g for g, _ in out)
+        return out
+    monkeypatch.setattr(E, "_sym_apply", recorded)
+    p = load("integral256.lchc")
+    with open(os.path.join(FIX, "integral256.model.json")) as fh:
+        ok, _ = verify(p, json.load(fh))
+    assert ok
+    assert len(returned) == 49 and P.FALSE not in returned, returned
 
 
 def test_verify_rejects_wrong_problem():

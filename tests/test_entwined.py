@@ -10,7 +10,7 @@ import pytest
 from limitdl import entwined as E
 from limitdl import presburger as P
 from limitdl.driver import SolveConfig, solve
-from limitdl.background import ALL, EMPTY, Antichain, theory_for
+from limitdl.background import ALL, EMPTY, Antichain, Theory, theory_for
 from limitdl.syntax import PROP, W, Arrow, normalize_problem, parse_problem
 from limitdl.typesys import validate
 from corpus import (EXTRACTION_SHA256, FIRST_ORDER, HINTS, LEAST_MODEL_SHA256,
@@ -170,6 +170,32 @@ def test_check_clause_threshold():
     assert E.check_clause(m, clause)
     m2, _ = thresh_model(Antichain(((6,),)))
     assert not E.check_clause(m2, clause)  # 5 satisfies the body, not R
+
+
+def test_membership_memo_lives_on_the_structure(monkeypatch):
+    """A structure writes each (descriptor, terms, polarity) once, with
+    the theory's writer: checking its model again writes nothing, while a
+    second structure over the same theory has its own memo."""
+    p = load("integral256.lchc")
+    th = theory_of(p)
+    path = os.path.join(FIX, "integral256.model.json")
+    writes = []
+    for name in ("upset_formula", "complement_formula"):
+        def counted(self, *args, _f=getattr(Theory, name), _name=name):
+            writes.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(Theory, name, counted)
+    m = E.load_model(p, th, path)
+    assert E.check_model(m, p)
+    first = len(writes)
+    assert first > 0
+    assert E.check_model(m, p) and len(writes) == first
+    assert E.check_model(E.load_model(p, th, path), p)
+    assert len(writes) == 2 * first
+    monkeypatch.undo()
+    for (d, ts, positive), f in m._memberships.items():
+        write = th.upset_formula if positive else th.complement_formula
+        assert f == write(d, ts)
 
 
 def test_check_model_includes_goal():
