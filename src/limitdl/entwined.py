@@ -75,7 +75,14 @@ class PredApp(Record):
     __slots__ = __match_args__ = ("pred", "args")
 
 
-CanonicalValue = Top | SVal | PredApp
+class Table(Record):
+    """A table of an inactive sort by its true rows, in frame order, each
+    row the names of its arguments; the all-true table is named Top."""
+
+    __slots__ = __match_args__ = ("rows",)
+
+
+CanonicalValue = Top | SVal | PredApp | Table
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,8 @@ class EntwinedStructure:
         self.theory = theory
         self.interps = dict(interps)
         self._frames: dict[Sort, list[Value]] = {}
-        # per frame: each value's first position in it and its canonical name
+        # per frame: each value's first position in it and its canonical
+        # name (a table other than Top is named when first asked for)
         self._index: dict[Sort, dict[Value, tuple]] = {}
         # membership formulas by (descriptor, component terms, polarity)
         self._memberships: dict[tuple, P.Formula] = {}
@@ -180,7 +188,7 @@ class EntwinedStructure:
             raise FrameTooLarge(
                 f"frame of {print_sort(s)} has 2^{nrows} elements "
                 f"(limit {MAX_FRAME})")
-        # the constant-true table is the only one with a canonical name
+        # another table is named from its rows when a witness asks for it
         return ((FnVal(s, bits), Top(s) if all(bits) else None)
                 for bits in itertools.product((False, True), repeat=nrows))
 
@@ -217,7 +225,26 @@ class EntwinedStructure:
 
     def _try_canon(self, s: Sort, v: Value) -> CanonicalValue | None:
         self.frame(s)
-        return self._index[s][v][1]
+        i, c = self._index[s][v]
+        if c is None and isinstance(v, FnVal):
+            c = self._table_name(v)
+            if c is not None:
+                self._index[s][v] = (i, c)
+        return c
+
+    def _table_name(self, v: FnVal) -> Table | None:
+        """v's true rows, each by the names of its arguments; None when an
+        argument has no name."""
+        sorts = arg_sorts(v.sort)
+        rows = []
+        for row, b in zip(self.rows(v.sort), v.vals):
+            if b:
+                names = tuple(self._try_canon(a_s, a)
+                              for a_s, a in zip(sorts, row))
+                if any(c is None for c in names):
+                    return None
+                rows.append(names)
+        return Table(tuple(rows))
 
     def canon_of(self, s: Sort, v: Value) -> CanonicalValue:
         c = self._try_canon(s, v)
@@ -266,6 +293,27 @@ class EntwinedStructure:
                         f"{pname} applied to {len(args)} arguments does not "
                         f"have sort {print_sort(s)}")
                 return v
+            case Table(rows):
+                if not isinstance(s, Arrow) or classify(s) != "inactive":
+                    raise SchemaError(f"table used at {print_sort(s)}")
+                sorts = arg_sorts(s)
+                index = {r: i for i, r in enumerate(self.rows(s))}
+                bits = [False] * len(index)
+                for names in rows:
+                    if len(names) != len(sorts):
+                        raise SchemaError(
+                            f"table row of {len(names)} arguments at "
+                            f"{print_sort(s)}")
+                    i = index.get(tuple(self.resolve_canon(a_s, a)
+                                        for a_s, a in zip(sorts, names)))
+                    if i is None:
+                        raise SchemaError(
+                            f"table row outside the frame of {print_sort(s)}")
+                    if bits[i]:
+                        raise SchemaError(
+                            f"repeated table row at {print_sort(s)}")
+                    bits[i] = True
+                return FnVal(s, tuple(bits))
 
     # -- rows of an active sort -----------------------------------------
 
@@ -866,6 +914,8 @@ def _canon_to_json(c: CanonicalValue) -> dict:
             return {"s": n}
         case PredApp(p_, args):
             return {"app": [p_] + [_canon_to_json(a) for a in args]}
+        case Table(rows):
+            return {"table": [[_canon_to_json(a) for a in r] for r in rows]}
     raise TypeError(c)
 
 
@@ -888,6 +938,13 @@ def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
             raise SchemaError("bad application value")
         return PredApp(a[0], tuple(_canon_from_json(x, depth + 1)
                                    for x in a[1:]))
+    if "table" in d:
+        t = d["table"]
+        if not isinstance(t, list) or \
+                not all(isinstance(r, list) for r in t):
+            raise SchemaError("a table is a list of rows, each a list")
+        return Table(tuple(tuple(_canon_from_json(x, depth + 1) for x in r)
+                           for r in t))
     raise SchemaError(f"bad canonical value {d!r}")
 
 

@@ -693,12 +693,13 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # fast path: satisfiability of a single existential block
 #
 # The solver's hot queries are "exists xs . matrix" with no quantifier
-# alternation.  Every literal here is in cmp_atom's form or a Div: a
-# negation flips the op (_wnnf), and _to_le only sends a Cmp that a caller
-# built directly through cmp_atom.  We lazily expand the matrix into
-# conjunctive branches (a '!=' is a disjunction of '<' and '>' there) and
-# decide each branch by unit-equality substitution and Cooper-style
-# elimination one variable at a time with early exit.  One node step,
+# alternation.  The walk reads the formulas the library builds: TRUE,
+# FALSE, a Cmp in cmp_atom's form, a Div (div_atom), And and Or; callers
+# write every negation positively, and a raw '<' would be read as '<='.
+# We lazily expand the matrix into conjunctive branches (a '!=' is a
+# disjunction of '<' and '>' there) and decide each branch by
+# unit-equality substitution and Cooper-style elimination one variable at
+# a time with early exit.  One node step,
 # _child, builds every node of this search: the walk's root, each branch
 # alternative, each elimination candidate and residue, and each probe of a
 # branch (sat_branch).  It takes the
@@ -715,9 +716,9 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 
 def _lits_of(f: Formula, acc: list, pending: list) -> bool:
     """Split f into atomic literals (acc) and non-atomic parts (pending),
-    reading each negation through _wnnf and each 't != 0' as the pending
-    disjunction of cmp_atom's 't < 0' and 't > 0'.  Returns False if f is
-    trivially unsatisfiable."""
+    reading each 't != 0' as the pending disjunction of cmp_atom's 't < 0'
+    and 't > 0'.  f is TRUE, FALSE, a Cmp in cmp_atom's form, a Div, or an
+    And or Or of these.  Returns False if f is trivially unsatisfiable."""
     match f:
         case TrueF():
             return True
@@ -737,33 +738,11 @@ def _lits_of(f: Formula, acc: list, pending: list) -> bool:
                 if not _lits_of(a, acc, pending):
                     return False
             return True
-        case Not(g):
-            return _lits_of(_wnnf(g, True), acc, pending)
         case Or():
             pending.append(f)
             return True
-    raise ValueError(f"quantifier reached branch expansion: {f}")
-
-
-def _wnnf(f: Formula, neg: bool) -> Formula:
-    """f, negated when neg is set, in negation normal form as the branch
-    walker reads it: a negated comparison is cmp_atom of the negated op, a
-    negated Div flips its flag, and an atom read without negation is kept
-    as it is."""
-    match f:
-        case Not(g):
-            return _wnnf(g, not neg)
-        case And(args):
-            return (disj if neg else conj)(_wnnf(a, neg) for a in args)
-        case Or(args):
-            return (conj if neg else disj)(_wnnf(a, neg) for a in args)
-        case Cmp(op, t):
-            return cmp_atom(_NEG_OP[op], t) if neg else f
-        case Div(d, t, n):
-            return Div(d, t, not n) if neg else f
-        case TrueF() | FalseF():
-            return neg_f(f) if neg else f
-    raise ValueError(f"quantifier reached branch expansion: {f}")
+    raise ValueError("branch expansion reads TRUE, FALSE, cmp_atom and "
+                     f"div_atom literals, And and Or; got {f}")
 
 
 # visits per row in one _narrow call: a row whose bounds keep moving
@@ -876,15 +855,6 @@ def _narrow(rows: list, lo: dict[str, int], hi: dict[str, int],
                     if (vl is None or b < vl) and not upper(v, b):
                         return False
     return True
-
-
-def _to_le(f: Formula) -> Formula:
-    """A comparison in cmp_atom's form: one that a caller built directly
-    with another op, or over a constant term, goes through cmp_atom; every
-    other literal is returned as is."""
-    if type(f) is Cmp and (f.op not in ("<=", "=", "!=") or not f.t.coeffs):
-        return cmp_atom(f.op, f.t)
-    return f
 
 
 def _child(lits: list, rows: list | None, lo: dict[str, int],
@@ -1153,8 +1123,8 @@ def _vars(f: Formula) -> Iterable[str]:
 def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None:
     """Normalise literals once, as they join a branch or are substituted
     into: pins folded into each one that mentions a pinned variable (a
-    conjunction this yields is split), each comparison through _to_le, in
-    order, TRUE dropped; None when one is FALSE."""
+    conjunction this yields is split), in order, TRUE dropped; None when
+    one is FALSE."""
     out = []
     for f in lits:
         if pins and not pins.keys().isdisjoint(_vars(f)):
@@ -1165,11 +1135,10 @@ def _admit(lits: list, pins: Mapping[str, LinTerm] | None = None) -> list | None
                     return None
                 out += new
                 continue
-        g = _to_le(f)
-        if g is FALSE:
+        if f is FALSE:
             return None
-        if g is not TRUE:
-            out.append(g)
+        if f is not TRUE:
+            out.append(f)
     return out
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+from collections import deque
 from operator import itemgetter
 from typing import Sequence
 
@@ -424,6 +425,9 @@ class Saturator:
         self._seq = itertools.count()
         self._frontier: list[tuple[int, int, _Node]] = []
         self._seen: set[str] = set()
+        # the popped node whose children a slice's end cut off: (cost,
+        # node, atom index, args, arg shapes, terms memo, the clauses left)
+        self._open: tuple | None = None
         self._by_pred: dict[str, list[_Compiled]] = {}
         for i, cl in enumerate(problem.clauses):
             self._by_pred.setdefault(cl.head[0], []).append(  # type: ignore[index]
@@ -441,35 +445,42 @@ class Saturator:
             self._seen.add(canonical_goal(g))
 
     def exhausted(self) -> bool:
-        return not self._frontier
+        return not self._frontier and self._open is None
 
     def run(self, budget: int) -> Refuted | BudgetExhausted:
         """Spend up to budget rule applications; resumable.  A step is
         counted when it generates its child, which is pruned, spending
-        nothing more, when it is popped with an unsatisfiable background."""
+        nothing more, when it is popped with an unsatisfiable background.
+        A node's expansion that the budget cuts off resumes at the next
+        call, so no call spends more than budget."""
         spent = 0
-        while self._frontier and spent < budget:
-            cost, _, node = heapq.heappop(self._frontier)
-            if node.step is not None and not self._build(node):
-                continue
+        while spent < budget:
+            if self._open is None:
+                if not self._frontier:
+                    break
+                cost, _, node = heapq.heappop(self._frontier)
+                if node.step is not None and not self._build(node):
+                    continue
+                g = node.goal
+                idxs = resolvable_indices(g)
+                if not idxs:
+                    # the background part is known satisfiable, so this is
+                    # a refutation outright
+                    self.steps_used += 1
+                    return Refuted(self._build_trace(node), self.steps_used)
+                i = idxs[0]
+                head, args = spine(g.atoms[i].term)  # type: ignore[union-attr]
+                ccs = self._by_pred.get(head.name, [])  # type: ignore[union-attr]
+                # two consecutive limit steps on the same atom are subsumed
+                # by one (the order is transitive)
+                rest = deque(cc for cc in ccs if len(cc.hpos) == len(args)
+                             and not (cc.limit and node.via_limit))
+                self._open = (cost, node, i, args,
+                              [_shape(print_term, t) for t in args], {}, rest)
+            cost, node, i, args, arg_shapes, terms, rest = self._open
             g = node.goal
-            idxs = resolvable_indices(g)
-            if not idxs:
-                # the background part is known satisfiable, so this is a
-                # refutation outright
-                self.steps_used += 1
-                return Refuted(self._build_trace(node), self.steps_used)
-            i = idxs[0]
-            head, args = spine(g.atoms[i].term)  # type: ignore[union-attr]
-            arg_shapes = [_shape(print_term, t) for t in args]
-            terms: dict = {}
-            for cc in self._by_pred.get(head.name, []):  # type: ignore[union-attr]
-                if len(cc.hpos) != len(args):
-                    continue
-                if cc.limit and node.via_limit:
-                    # two consecutive limit steps on the same atom are
-                    # subsumed by one (the order is transitive)
-                    continue
+            while rest and spent < budget:
+                cc = rest.popleft()
                 spent += 1
                 self.steps_used += 1
                 suffix = f"${next(self.fresh)}"
@@ -483,6 +494,8 @@ class Saturator:
                                (cost + step_cost, next(self._seq),
                                 _Node(child, node, i, cc.index, None,
                                       cc.limit, (cc, args, suffix, terms))))
+            if not rest:
+                self._open = None
         return BudgetExhausted(self.steps_used)
 
     @staticmethod

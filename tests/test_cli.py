@@ -568,6 +568,47 @@ def test_frame_of_2_to_the_64_is_refused_in_bounded_memory(tmp_path):
     assert (r.returncode, r.stderr) == (30, "")
 
 
+SET_OF_SETS_TEXT = ("(theory (lia)) (finsort S (c0 c1)) "
+                    "(declare Q (-> (-> S o) o)) "
+                    "(goal ((f (-> S o))) (body (Q f)))\n")
+
+
+@pytest.mark.parametrize("text", [SET_OF_SETS_TEXT, frame_tower_text(1)],
+                         ids=["sets", "tower-1"])
+def test_sat_prints_a_witness_with_table_names(capsys, tmp_path, text):
+    """A SAT model whose rows take tables of an inactive sort as arguments
+    names each table by its true rows, so solve prints it (exit 10) and
+    verify-model accepts it (exit 0)."""
+    prob, wit = tmp_path / "p.lchc", tmp_path / "m.json"
+    prob.write_text(text)
+    assert main(["solve", str(prob), "--emit-model", str(wit)]) == 10
+    assert capsys.readouterr().err == ""
+    rows = json.loads(wit.read_text())["predicates"]["Q"]["rows"]
+    assert any("table" in r["args"][0] for r in rows)
+    assert main(["verify-model", str(prob), str(wit)]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("table,why", [
+    ([[{"s": "c2"}]], "unknown finite constant 'c2'"),
+    ([[{"s": "c0"}], [{"s": "c0"}]], "repeated table row at (-> S o)"),
+    ([[{"s": "c0"}, {"s": "c1"}]], "table row of 2 arguments at (-> S o)"),
+    ([[{"top": "(-> S o)"}]], "top of (-> S o) used at S"),
+    ({"s": "c0"}, "a table is a list of rows, each a list"),
+], ids=["unknown", "repeated", "arity", "sort", "shape"])
+def test_verify_model_rejects_a_bad_table_name(capsys, tmp_path, table, why):
+    prob, wit = tmp_path / "p.lchc", tmp_path / "m.json"
+    prob.write_text(SET_OF_SETS_TEXT)
+    rows = [{"args": [{"table": t}], "value": False}
+            for t in ([], [[{"s": "c1"}]])]
+    rows += [{"args": [{"top": "(-> S o)"}], "value": False},
+             {"args": [{"table": table}], "value": False}]
+    wit.write_text(json.dumps(
+        {"predicates": {"Q": {"kind": "inactive", "rows": rows}}}))
+    assert main(["verify-model", str(prob), str(wit)]) == 2
+    assert why in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content,why", [
     (b"{", "witness is not valid JSON: "),
     (b"[" * 5000 + b"]" * 5000, "witness is nested too deeply to read"),

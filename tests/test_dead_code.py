@@ -29,6 +29,12 @@ def _modules():
                 yield name, ast.parse(fh.read(), filename=name)
 
 
+def _name_of(node: ast.AST) -> str | None:
+    """The name node reads, as a bare name or an attribute."""
+    return node.id if isinstance(node, ast.Name) else node.attr \
+        if isinstance(node, ast.Attribute) else None
+
+
 def unreferenced_functions() -> list[str]:
     defs = []  # (module, name, first line, last line)
     refs = []  # (module, name, line)
@@ -90,35 +96,62 @@ def test_only_presburger_names_negation():
 
 
 # the solve path: the branch walk and the conjunction solver behind it.
-# It keeps cmp_atom's literal form and negates by flipping an op, so no
-# function it runs may name Cooper's strict-'<' NNF or Cooper itself
-SOLVE_PATH = {"_lits_of", "_wnnf", "_leaves", "_child", "_admit",
+# It reads cmp_atom's literal form and no negation, so no function it runs
+# may name Cooper's strict-'<' NNF or Cooper itself
+SOLVE_PATH = {"_lits_of", "_leaves", "_child", "_admit",
               "_box_refutes", "_term_min", "_merge",
-              "_to_le", "_pin_units", "_sat_lits", "_sat_reduced",
+              "_pin_units", "_sat_lits", "_sat_reduced",
               "reduce_conj", "sat_exists_all", "branches", "sat_branch",
               "recession_cone"}
 COOPER_NNF = {"_nnf", "nnf", "_lt", "_cooper", "eliminate", "decide"}
 
 
+def _presburger_functions() -> dict[str, ast.FunctionDef]:
+    tree = dict(_modules())["presburger.py"]
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
 def test_solve_path_never_names_cooper_nnf():
     """Every presburger.py function that a solve-path function calls,
     directly or through others, is checked too."""
-    tree = dict(_modules())["presburger.py"]
-    funcs = {node.name: node for node in tree.body
-             if isinstance(node, ast.FunctionDef)}
+    funcs = _presburger_functions()
     assert SOLVE_PATH <= funcs.keys()
     todo, seen, named = list(SOLVE_PATH), set(SOLVE_PATH), []
     while todo:
         name = todo.pop()
         for node in ast.walk(funcs[name]):
-            ref = (node.id if isinstance(node, ast.Name) else node.attr
-                   if isinstance(node, ast.Attribute) else None)
+            ref = _name_of(node)
             if ref in COOPER_NNF:
                 named.append(f"{name}:{node.lineno} {ref}")
             elif ref in funcs and ref not in seen:
                 seen.add(ref)
                 todo.append(ref)
     assert named == []
+
+
+def test_solve_path_reads_no_negation():
+    """The walk's input is what the library builds, with every negation
+    already written positively, so no solve-path function itself names a
+    negation or the op table that negates a comparison.  (subst, which the
+    path calls, keeps its Not case for the tests' reference formulas.)"""
+    funcs = _presburger_functions()
+    named = [f"{name}:{node.lineno} {_name_of(node)}"
+             for name in sorted(SOLVE_PATH)
+             for node in ast.walk(funcs[name])
+             if _name_of(node) in {"Not", "neg_f", "_NEG_OP"}]
+    assert named == []
+
+
+def test_only_cmp_atom_and_cooper_build_comparisons():
+    """Every Cmp of the library is built by cmp_atom, so it is in the one
+    literal form, except Cooper's strict literals (_lt).  The walk reads a
+    '<=' row as it stands: a raw '<' there would be read as '<='."""
+    builders = [f"{mod} {scope}" for mod, tree in _modules()
+                for scope in _scopes_of(tree, lambda node: isinstance(
+                    node, ast.Call) and _name_of(node.func) == "Cmp")]
+    assert sorted(builders) == ["presburger.py _lt",
+                                "presburger.py cmp_atom"]
 
 
 def test_no_module_imports_dataclasses():
@@ -181,9 +214,9 @@ def test_no_function_level_imports():
 MEMBERSHIP_WRITERS = {"upset_formula", "complement_formula"}
 
 
-def _writer_callers(tree: ast.Module) -> list[str]:
-    """The qualified name of the innermost function around each reference
-    to a membership writer, module level as '<module>'."""
+def _scopes_of(tree: ast.Module, hit) -> list[str]:
+    """The qualified name of the innermost function around each node for
+    which hit holds, module level as '<module>'."""
     found = []
 
     def visit(node, scope):
@@ -194,9 +227,7 @@ def _writer_callers(tree: ast.Module) -> list[str]:
                     else f"{scope}.{child.name}"
                 visit(child, inner)
                 continue
-            name = (child.id if isinstance(child, ast.Name) else child.attr
-                    if isinstance(child, ast.Attribute) else None)
-            if name in MEMBERSHIP_WRITERS:
+            if hit(child):
                 found.append(scope)
             visit(child, scope)
 
@@ -208,5 +239,6 @@ def test_only_the_structures_memo_writes_memberships():
     """In entwined.py, EntwinedStructure.membership is the one caller of
     upset_formula and complement_formula; extract_upset writes its boxes
     with pieces_formula, which is not a membership of a frame value."""
-    callers = _writer_callers(dict(_modules())["entwined.py"])
+    callers = _scopes_of(dict(_modules())["entwined.py"],
+                         lambda node: _name_of(node) in MEMBERSHIP_WRITERS)
     assert set(callers) == {"EntwinedStructure.membership"}, callers

@@ -340,7 +340,7 @@ def test_hintless_integral_twin_is_sat_by_fair_turns():
     p, _ = integral(0, 2)
     with deadline(20):
         v = solve(p, SolveConfig())
-    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 2001,
+    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 2000,
                                          "modelsChecked": 438})
     ok, diag = verify(p, json.loads(json.dumps(serialize_model(v.model))))
     assert ok, diag
@@ -360,7 +360,8 @@ def test_children_with_dead_backgrounds_end_the_search(monkeypatch, alarm):
     """Both children of the root have an unsatisfiable background.  They
     are generated (two steps) and pruned when popped, spending no step and
     getting no child, so the search ends with an empty frontier; a solve
-    with one-step slices still ends, with the least model."""
+    with one-step slices still ends, with the least model, checked after
+    the first slice's one step."""
     p = normalize_problem(parse_problem(DEAD_CHILDREN_TEXT))
     th = theory_for(p.theory_kind, p.dim, p.direction)
     extended = []
@@ -376,8 +377,40 @@ def test_children_with_dead_backgrounds_end_the_search(monkeypatch, alarm):
     assert sat.exhausted()
     assert extended == [None, None]
     v = solve(p, SolveConfig(resolution_slice=1))
-    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 2,
+    assert (v.kind, v.stats) == ("SAT", {"resolutionSteps": 1,
                                          "modelsChecked": 1})
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_a_slice_stops_at_its_allotment(b):
+    """Saturator.run(b) spends at most b steps, also where b ends inside a
+    node's expansion, whose other children the next call generates; the
+    saturator is not exhausted while one is left.  Slices of b steps reach
+    m2 t:(0,4)'s pinned refutation: 909 steps and the same proof."""
+    p, th = problem("lcm/m2/t:0,4")
+    sat = Saturator(p, th)
+    while True:
+        assert not sat.exhausted()
+        before = sat.steps_used
+        r = sat.run(b)
+        assert sat.steps_used - before <= b
+        if not isinstance(r, BudgetExhausted):
+            break
+    assert r.steps_used == 909
+    assert proof_sha256(r.trace) == PROOF_SHA256["lcm/m2/t:0,4"]
+
+
+@pytest.mark.parametrize("b,total", [(0, 10), (0, 61), (None, 100)])
+def test_steps_and_checks_stay_within_the_total_budget(b, total):
+    """The total budget bounds steps plus checks, and the slice cut to its
+    rest stops there, inside an expansion too: the b = 0 twin with 3-step
+    slices, whose model turns check candidates, and m2 t:(0,4) with 7-step
+    slices, which ends before a model turn."""
+    p, _ = problem("lcm/m2/t:0,4") if b is None else integral(b, 2)
+    v = solve(p, SolveConfig(resolution_slice=3 if b == 0 else 7,
+                             total_budget=total))
+    assert v.kind == "UNKNOWN"
+    assert v.stats["resolutionSteps"] + v.stats["modelsChecked"] == total
 
 
 @pytest.mark.parametrize("b,steps", [(3, 223), (4, 424), (5, 736),

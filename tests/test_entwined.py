@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitdl import entwined as E
 from limitdl import presburger as P
@@ -707,3 +708,31 @@ def test_extract_nat_up_many_generators_terminates():
         u = E.extract_upset(th, phi, comps)
     assert len(u.gens) == 69
     _grid_agrees(u, phi, comps, False, (36, 36, 36))
+
+
+# small inactive sorts over S = {c0, ..., c(n-1)}, as (n, sort): every
+# frame here has at most 256 tables, and the tower's middle one 16
+TABLE_SORTS = [(n, s) for n in (1, 2) for s in (
+    "(-> S o)", "(-> S S o)", "(-> o S o)", "(-> (-> S o) o)",
+    "(-> (-> S o) S o)")] + [(1, "(-> (-> (-> S o) o) o)")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TABLE_SORTS), st.integers(0, 255))
+def test_table_names_round_trip(case, pick):
+    """Every table of a small inactive sort has a name, Top exactly for
+    the all-true one, that survives JSON and reads back, in a structure
+    that has not named it, as the same table."""
+    n, text = case
+    consts = " ".join(f"c{i}" for i in range(n))
+    p = normalize_problem(parse_problem(
+        f"(theory (lia)) (finsort S ({consts})) (declare Q {text})"))
+    s = E._sort_from_str(text)
+    frame = E.EntwinedStructure(p, theory_of(p), {}).frame(s)
+    v = frame[pick % len(frame)]
+    m = E.EntwinedStructure(p, theory_of(p), {})
+    c = m.canon_of(s, v)
+    assert isinstance(c, E.Top) == all(v.vals)
+    d = json.loads(json.dumps(E._canon_to_json(c)))
+    assert E._canon_from_json(d) == c
+    assert E.EntwinedStructure(p, theory_of(p), {}).resolve_canon(s, c) == v

@@ -418,24 +418,6 @@ def test_term_sum_matches_the_dict_reference():
                 (s, t, k, got)
 
 
-@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "!="])
-def test_to_le_gives_only_le_eq_ne(op):
-    """_to_le sends a raw atom (not built by cmp_atom, as sat_exists_all's
-    callers may pass) through cmp_atom: _narrow and _sat_lits read every
-    non-'=' comparison of a node as '<=', so no '<', '>' or '>=' may come
-    back.  A '!=' never joins a node, the walker splits it first."""
-    for g in (1, 2, 3):
-        for k in range(-4, 5):
-            f = Cmp(op, LinTerm(k, (("x", g),)))
-            out = P._to_le(f)
-            assert out in (TRUE, FALSE) or (
-                type(out) is Cmp and out.op in ("<=", "=", "!=")), (f, out)
-            for x in range(-6, 7):
-                assert evaluate(out, {"x": x}) == evaluate(f, {"x": x}), \
-                    (f, out, x)
-            assert P._to_le(out) is out
-
-
 def _gcd_one_form(f):
     """f is TRUE/FALSE or a '<=', '=' or '!=' literal whose coefficients
     have gcd 1: the one literal form."""
@@ -448,8 +430,8 @@ def _gcd_one_form(f):
 def test_cmp_atom_gives_the_one_literal_form(op):
     """cmp_atom turns 't op 0', for every op and for terms whose
     coefficients share a factor, into TRUE/FALSE or a gcd-1 '<=', '=' or
-    '!=' literal that agrees with it on sampled points; _to_le, the solve
-    path's guard for directly built atoms, leaves that result as it is."""
+    '!=' literal that agrees with it on sampled points.  The walk reads a
+    comparison only in this form: no '<', '>' or '>=' reaches a node."""
     rng = random.Random(f"cmp_atom {op}")
     for _ in range(200):
         g = rng.choice([1, 2, 3, 4, 6])
@@ -457,7 +439,6 @@ def test_cmp_atom_gives_the_one_literal_form(op):
             "x": g * rng.randint(-3, 3), "y": g * rng.randint(-3, 3)})
         out = P.cmp_atom(op, t)
         assert _gcd_one_form(out), (op, t, out)
-        assert P._to_le(out) is out
         for _ in range(10):
             env = {"x": rng.randint(-8, 8), "y": rng.randint(-8, 8)}
             assert evaluate(out, env) == evaluate(Cmp(op, t), env), \
@@ -465,23 +446,23 @@ def test_cmp_atom_gives_the_one_literal_form(op):
 
 
 def test_negated_implication_keeps_a_body_equality():
-    """check_clause asks for the branches of not (body -> head).  The walk
-    negates by flipping ops, so a body equality, read there without
-    negation, reaches every branch as the one '=' literal _pin_units pins,
-    not as two '<=' literals of Cooper's strict NNF."""
+    """check_clause asks for the branches of [body, not_head], with the
+    head's complement written positively.  A body equality reaches every
+    branch as the one '=' literal _pin_units pins, not as two '<=' literals
+    of Cooper's strict NNF."""
     x, y = v("x"), v("y")
     body = conj([eq(x, y.add(c(2))), le(c(0), y)])
-    f = Not(P.implies(body, le(x, c(5))))
+    query = [body, gt(x, c(5))]
     same = {("x", 1), ("y", -1)}
-    leaves = [lits for lits, _, _ in P.branches([f])]
+    leaves = [lits for lits, _, _ in P.branches(query)]
     assert leaves
     for lits in leaves:
         assert Cmp("=", LinTerm(-2, (("x", 1), ("y", -1)))) in lits, lits
         assert not any(type(g) is Cmp and g.op == "<=" and (
             set(g.t.coeffs) == same or set(g.t.neg().coeffs) == same)
             for g in lits), lits
-    w = P.sat_exists_all([f])
-    assert w is not None and P.evaluate(f, w)
+    w = P.sat_exists_all(query)
+    assert w is not None and all(P.evaluate(f, w) for f in query)
 
 
 def test_nnf_holds_only_strict_comparisons():
@@ -518,10 +499,10 @@ def test_nnf_holds_only_strict_comparisons():
 
 def test_strict_gcd_literal_regression():
     # 2x + 1 < 0 and x >= 0 has no integer solution; x = 0 was returned
-    f = [Cmp("<", LinTerm(1, (("x", 2),))), Cmp(">=", v("x"))]
+    f = [lt(v("x").scale(2).add(c(1)), c(0)), ge(v("x"), c(0))]
     assert P.sat_exists_all(f) is None
     assert decide(Exists("x", conj(f))) is False
-    g = [Cmp("<", LinTerm(1, (("x", 2),))), Cmp(">=", v("x").add(c(1)))]
+    g = [lt(v("x").scale(2).add(c(1)), c(0)), ge(v("x").add(c(1)), c(0))]
     assert P.sat_exists_all(g) == {"x": -1}
 
 
@@ -544,10 +525,19 @@ def dnf_first_witness(lits, pends):
 
 
 def _rand_upset(rng, names):
-    """Membership in a random antichain upset: an Or of generator boxes."""
-    gens = [conj(ge(v(n), c(rng.randint(-5, 5))) for n in names)
+    """The generators of a random antichain upset: one to three points."""
+    return [{n: rng.randint(-5, 5) for n in names}
             for _ in range(rng.randint(1, 3))]
-    return disj(gens)
+
+
+def _upset_in(gens):
+    """Membership in the upset of gens: an Or of generator boxes."""
+    return disj(conj(ge(v(n), c(k)) for n, k in g.items()) for g in gens)
+
+
+def _upset_out(gens):
+    """Its complement written positively: below each generator somewhere."""
+    return conj(disj(lt(v(n), c(k)) for n, k in g.items()) for g in gens)
 
 
 def _rand_atom(rng, names):
@@ -560,9 +550,10 @@ def test_branch_search_first_witness():
     """The DNF search returns exactly the assignment of the first
     satisfiable branch, whatever it normalises or prunes on the way.
 
-    The formulas have the shape of check_clause's queries: the negation of
-    body -> head, where body conjoins linear atoms with upset memberships
-    and head is an upset membership, inside the box -5 <= x, y <= 5."""
+    The formulas have the shape of check_clause's queries: [body,
+    not_head], where body conjoins linear atoms with upset memberships and
+    not_head is an upset's complement written positively (TRUE for a goal),
+    inside the box -5 <= x, y <= 5."""
     rng = random.Random(20261019)
     names = ["x", "y"]
     box = [k for n in names for k in (ge(v(n), c(-5)), le(v(n), c(5)))]
@@ -571,10 +562,11 @@ def test_branch_search_first_witness():
     for _ in range(300):
         body = conj([_rand_atom(rng, names)
                      for _ in range(rng.randint(0, 2))]
-                    + [_rand_upset(rng, names)
+                    + [_upset_in(_rand_upset(rng, names))
                        for _ in range(rng.randint(1, 2))])
-        head = _rand_upset(rng, names) if rng.random() < 0.8 else FALSE
-        matrices = [Not(P.implies(body, head))] + box
+        not_head = _upset_out(_rand_upset(rng, names)) \
+            if rng.random() < 0.8 else TRUE
+        matrices = [body, not_head] + box
         acc, pend = [], []
         ok = all(P._lits_of(f, acc, pend) for f in matrices)
         expected = dnf_first_witness(acc, pend) if ok else None
@@ -589,12 +581,12 @@ def test_branch_search_first_witness():
 
 
 def _rand_row(rng, names):
-    """A '<=' or '=' literal in _to_le form over one to three of names, or
-    None when it folds to a constant."""
+    """A '<=' or '=' literal in cmp_atom's form over one to three of names,
+    or None when it folds to a constant."""
     vs = rng.sample(names, rng.randint(1, len(names)))
     t = LinTerm.make(rng.randint(-6, 6),
                      {n: rng.choice([-3, -2, -1, 1, 2, 3]) for n in vs})
-    f = P._to_le(rng.choice([le, le, lt, ge, eq])(t, c(0)))
+    f = rng.choice([le, le, lt, ge, eq])(t, c(0))
     return f if type(f) is Cmp else None
 
 
@@ -620,7 +612,7 @@ def test_narrow_from_parent_bounds_is_sound():
             names = ["x", "y", "z"][:rng.choice([2, 3])]
             grid = [dict(zip(names, p))
                     for p in itertools.product(range(-3, 4), repeat=len(names))]
-            rows = [P._to_le(k) for n in names
+            rows = [k for n in names
                     for k in (ge(v(n), c(-3)), le(v(n), c(3)))]
             lo, hi = {}, {}
             assert P._narrow(rows, lo, hi, range(len(rows)))
@@ -730,54 +722,51 @@ def test_recession_cone_decides_unboundedness():
 
 
 def _rand_box(rng, names):
-    """A raw box: a conjunction of one-variable bounds (any op but '!=',
-    coefficients up to 3, variables may repeat), sometimes TRUE, FALSE or
-    empty."""
+    """A box built through cmp_atom: a conjunction of one-variable bounds
+    (any op but '!=', coefficients up to 3, variables may repeat),
+    sometimes TRUE, FALSE or empty."""
     r = rng.random()
     if r < 0.05:
         return TRUE
     if r < 0.1:
         return FALSE
-    lits = [Cmp(rng.choice(["<", "<=", "=", ">=", ">"]),
-                LinTerm(rng.randint(-3, 3),
-                        ((rng.choice(names), rng.choice([-3, -2, -1, 1, 2, 3])),)))
+    lits = [P.cmp_atom(rng.choice(["<", "<=", "=", ">=", ">"]),
+                       LinTerm(rng.randint(-3, 3),
+                               ((rng.choice(names),
+                                 rng.choice([-3, -2, -1, 1, 2, 3])),)))
             for _ in range(rng.randint(1, 3))]
     if r < 0.2:  # empty: x >= k + 1 and x <= k
         x, k = rng.choice(names), rng.randint(-3, 3)
         lits += [ge(v(x), c(k + 1)), le(v(x), c(k))]
-    return lits[0] if len(lits) == 1 else And(tuple(lits))
+    return conj(lits)
 
 
 def _rand_box_union(rng, names):
-    """A raw Or of boxes and, among them, disjuncts that are not boxes:
-    '!=', divisibility, two-variable atoms, nested negated box unions."""
+    """An Or of boxes and, among them, disjuncts that are not boxes: '!=',
+    divisibility, two-variable atoms, nested unions of boxes."""
     args = []
     for _ in range(rng.randint(2, 5)):
         r = rng.random()
         if r < 0.65:
             args.append(_rand_box(rng, names))
         elif r < 0.72:
-            args.append(Cmp("!=", LinTerm(rng.randint(-3, 3),
-                                          ((rng.choice(names), 1),))))
+            args.append(ne(v(rng.choice(names)), c(rng.randint(-3, 3))))
         elif r < 0.79:
-            args.append(Div(rng.choice([2, 3]),
-                            LinTerm(rng.randint(0, 2), ((rng.choice(names), 1),)),
-                            rng.random() < 0.5))
+            args.append(div_atom(rng.choice([2, 3]),
+                                 LinTerm(rng.randint(0, 2),
+                                         ((rng.choice(names), 1),)),
+                                 rng.random() < 0.5))
         elif r < 0.86:
             args.append(_rand_atom(rng, names[:2]))
-        elif r < 0.93:
-            args.append(Not(Or((_rand_box(rng, names), _rand_box(rng, names)))))
-        else:  # nested union: its boxes join the outer ones
+        else:  # nested union
             args.append(Or((_rand_box(rng, names), _rand_box(rng, names))))
     return Or(tuple(args))
 
 
 def test_walker_complements_unions_of_boxes():
-    """The branch walker negates a union of boxes by De Morgan, in
-    cmp_atom's literal form.  On 300 fixed-seed Ors over two or three
-    variables: the walker's negation agrees with 'not g' on a grid that
-    contains every box bound, as does its negation of a pure union of
-    boxes; sat_exists_all of Not(g), alone and as a guard inside a
+    """The branch walker on unions of boxes built through cmp_atom.  On 300
+    fixed-seed Ors over two or three variables, inside a box that contains
+    every bound: sat_exists_all of the union, alone and inside a guarded
     disjunction, agrees with brute force on the grid and returns a witness
     of the input; Cooper decide agrees on every tenth case.  (The
     complement of a descriptor as a union of boxes is Theory's:
@@ -788,24 +777,15 @@ def test_walker_complements_unions_of_boxes():
         grid = [dict(zip(names, p))
                 for p in itertools.product(range(-5, 6), repeat=len(names))]
         g = _rand_box_union(rng, names)
-        neg = P._wnnf(g, True)
         inside = [evaluate(g, env) for env in grid]
-        for env, held in zip(grid, inside):
-            assert evaluate(neg, env) != held, (g, neg, env)
-
-        boxes = Or(tuple(_rand_box(rng, names)
-                         for _ in range(rng.randint(2, 4))))
-        pieces = P._wnnf(boxes, True)
-        for env in grid:
-            assert evaluate(pieces, env) != evaluate(boxes, env), boxes
 
         bound = [k for n in names for k in (ge(v(n), c(-5)), le(v(n), c(5)))]
         atom, h = _rand_atom(rng, names[:2]), _rand_box_union(rng, names)
-        guarded = Or((And((atom, Not(g))), And((Not(h), Not(g)))))
-        outside = [not held and (evaluate(atom, env) or not evaluate(h, env))
-                   for env, held in zip(grid, inside)]
-        for query, truth in (([Not(g)] + bound, not all(inside)),
-                             ([guarded] + bound, any(outside))):
+        guarded = Or((And((atom, g)), And((h, g))))
+        held = [ing and (evaluate(atom, env) or evaluate(h, env))
+                for env, ing in zip(grid, inside)]
+        for query, truth in (([g] + bound, any(inside)),
+                             ([guarded] + bound, any(held))):
             w = P.sat_exists_all(query)
             assert (w is not None) == truth, query
             if w is not None:

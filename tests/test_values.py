@@ -103,6 +103,7 @@ def _samples():
         (E.Top, "sort", (arrow,)),
         (E.SVal, "const", ("a",)),
         (E.PredApp, "pred args", ("P", (E.SVal("a"),))),
+        (E.Table, "rows", (((E.SVal("a"),), (E.SVal("b"),)),)),
         (E.FnVal, "sort vals", (S.Arrow(S.FIN, S.PROP), (True, False))),
         (E.ActVal, "sort descs", (arrow, (B.Antichain(((3,),)), B.ALL))),
         (E.Membership, "desc terms", (B.Antichain(((3,),)), (t,))),
