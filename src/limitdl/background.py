@@ -231,13 +231,17 @@ class Theory:
         """The pieces of the complement of ↑gens, cut from the whole space."""
         return reduce(self.cut, gens, [(None,) * self.dim])
 
+    def piece_rows(self, piece: tuple, vs: Sequence[LinTerm]) -> list[Formula]:
+        """One piece at the point whose components are vs, as its box's
+        literals, one per bounded coordinate."""
+        s = -1 if self.flipped else 1
+        return [P.le(x.scale(s), LinTerm.of_const(c))
+                for x, c in zip(vs, piece) if c is not None]
+
     def pieces_formula(self, pieces: list[tuple],
                        vs: Sequence[LinTerm]) -> Formula:
         """The union of the pieces at the point whose components are vs."""
-        s = -1 if self.flipped else 1
-        return P.disj(P.conj(P.le(x.scale(s), LinTerm.of_const(c))
-                             for x, c in zip(vs, p) if c is not None)
-                      for p in pieces)
+        return P.disj(P.conj(self.piece_rows(p, vs)) for p in pieces)
 
     def complement_formula(self, u: Upset, vs: Sequence[LinTerm]) -> Formula:
         """Non-membership of the point whose components are the terms vs."""

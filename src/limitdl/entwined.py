@@ -657,37 +657,50 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     The descriptor is the set's minimal points in the working order, with
     None (ω) marking unbounded coordinates.  Over y = s·x, with s = +1 in
     the flipped order and s = -1 otherwise, they are the maximal points of
-    a set closed downward in y.  Each round asks for a seed point that no
-    generator covers, one in the complement of ↑gens that is kept across
-    rounds and cut by each new generator (Theory.cut), and grows a
-    generator from it one coordinate at a time: the earlier coordinates
-    are fixed to their generator values (substituted into phi) and the
-    later ones kept at y_j >= the seed's.
-    With J the ω coordinates so far, on the DNF branches of that query
-    coordinate i is ω iff a satisfiable branch has an integer recession
-    direction d with s·d_j >= 1 on J and i; else it is the largest y_i of
-    a branch with such a direction on J (of any branch when J is empty).
-    Under nat upward, x >= 0 keeps every direction d >= 0, so ω never
-    arises and no cone test is asked; the others are asked once per call,
-    since the branches of later seeds repeat them.  A branch is a node of
-    the walk (P.branches), with the bounds interval propagation found for
-    it: the ω-fibre test and every y_i >= v probe ask the node itself
-    (P.sat_branch), so nothing is re-derived per probe, and where the node
-    bounds y_i one probe at that bound, then bisection below it, replaces
-    the gallop.
+    a set closed downward in y.  The DNF branches of phi and the nat
+    bounds are walked once (P.branches), and each branch is covered
+    before the next: its points lie under the generators once it is done.
+    The complement of ↑gens is kept across branches, cut by each new
+    generator (Theory.cut).  Per branch, until it is covered:
+    - quick cover check: the top corner (in y) of the box that
+      interval propagation found for the branch lies under a generator,
+      so the branch is done without a query;
+    - seed: a point of the branch in one piece of the complement, asked
+      piece by piece with the piece's box rows (P.sat_branch); none, and
+      the branch is done;
+    - growth: coordinate i is maximised on one child node of the branch
+      (P.branch_child) with the earlier coordinates fixed to their
+      generator values and the later ones kept at y_j >= the seed's.  It
+      is ω iff that node has an integer recession direction d with
+      s·d_j >= 1 on J, the ω coordinates so far, and on i; the cone test
+      is skipped where the node's bounds cap y_i, and under nat upward,
+      where x >= 0 keeps every direction d >= 0, so ω never arises.
+      Otherwise a probe y_i >= v asks the node (P.sat_branch), galloping
+      from the seed's value, or, where the node caps y_i, one probe at the
+      cap, then bisection below it.  Under nat downward x >= 0 gives
+      d >= 0, so the direction positive on J that made those coordinates
+      ω keeps them ω at the largest y_i.
+
+    The result is the same antichain as a search over the whole set:
+    each generator is a maximal point of its branch's projection, so a
+    point of the set; the walk ends with every branch covered, so the
+    generators' downward closure (in y) is the whole set, and its maximal
+    points, the minimal points of ↑(base ∪ phi) that canonicalize keeps,
+    are those of the generators whichever branch came first.
 
     ``base`` is a descriptor the result must include (a row's current
     value): the result describes the upward closure of base ∪ phi.  Its
-    generators seed the cover, and new ones grow from phi alone.  The seed
-    order does not matter: each grown generator is a minimal point of its
-    set and the loop ends once everything is covered, so the minimal
-    points of base ∪ found are those of ↑(base ∪ phi) whichever generators
-    came first.  lia is the one-coordinate case: the result is EMPTY, ALL
-    (an (ω) generator) or the working-minimal threshold."""
+    generators seed the cover, and new ones grow from phi alone.  lia is
+    the one-coordinate case: the result is EMPTY, ALL (an (ω) generator)
+    or the working-minimal threshold.
+
+    FrameTooLarge once more than 256 generators are kept; a generator
+    that a later one covers is dropped.  A branch's own maximal points
+    may outnumber the set's before a later branch covers them, so this
+    can fire on a set that a search over the whole set would finish."""
     if base == ALL:
         return ALL
     s = 1 if theory.flipped else -1
-    bounds = theory.nat_bounds(comps)
     cterms = [P.LinTerm.of_var(c) for c in comps]
     gens: list[tuple[int | None, ...]] = (
         list(base.gens) if isinstance(base, Antichain) else [])
@@ -696,10 +709,15 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     def atleast(c: str, v: int) -> P.Formula:
         return P.ge(P.LinTerm.of_var(c, s), P.LinTerm.of_const(v))
 
+    def cap(node: tuple, c: str) -> int | None:
+        # the node's bound on y_c, None where it has none
+        b = (node[2] if s > 0 else node[1]).get(c)
+        return None if b is None else s * b
+
     cones: dict[tuple, bool] = {}  # cone query -> answer, in this call
 
     def recedes(leaf: list, cs: list[str]) -> bool:
-        # some integer direction of the branch has s·d >= 1 on every cs;
+        # some integer direction of the node has s·d >= 1 on every cs;
         # never where the bottom is 0 (nat upward): x >= 0 keeps every d >= 0
         if theory.bottom is not None:
             return False
@@ -709,64 +727,66 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
         return cones[cone]
 
     def reach(node: tuple, ci: str, v: int) -> int | None:
-        # y_i of a point of the branch with y_i >= v, or None
+        # y_i of a point of the node with y_i >= v, or None
         w = P.sat_branch(node, [atleast(ci, v)])
         return None if w is None else s * w.get(ci, 0)
 
-    while True:
-        w = P.sat_exists_all(
-            [phi] + bounds + [theory.pieces_formula(outside, cterms)])
-        if w is None:
-            break
-        seed = [s * w.get(c, 0) for c in comps]
+    def covered(branch: tuple) -> bool:
+        top = [cap(branch, c) for c in comps]
+        return any(all(gj is None or (tj is not None and tj <= s * gj)
+                       for tj, gj in zip(top, g)) for g in gens)
+
+    def seed_of(branch: tuple) -> list[int] | None:
+        for piece in outside:
+            w = P.sat_branch(branch, theory.piece_rows(piece, cterms))
+            if w is not None:
+                return [s * w.get(c, 0) for c in comps]
+        return None
+
+    def grow(branch: tuple, seed: list[int]) -> tuple[int | None, ...]:
+        # the node is satisfiable: the seed, then the point that set the
+        # last coordinate, is in it
         g: list[int | None] = []
         for i, ci in enumerate(comps):
-            fixed = {cj: P.LinTerm.of_const(gj)
-                     for cj, gj in zip(comps, g) if gj is not None}
-            nodes = list(P.branches(
-                [P.subst(f, fixed) for f in [phi] + bounds]
-                + [atleast(cj, sj)
-                   for cj, sj in zip(comps[i + 1:], seed[i + 1:])]))
+            node = P.branch_child(branch, [
+                P.eq(ct, P.LinTerm.of_const(gj))
+                for ct, gj in zip(cterms, g) if gj is not None] + [
+                atleast(cj, sj) for cj, sj in zip(comps[i + 1:], seed[i + 1:])])
+            top = cap(node, ci)
             omega = [cj for cj, gj in zip(comps, g) if gj is None]
-            if any(recedes(node[0], omega + [ci])
-                   and P.sat_branch(node, []) is not None
-                   for node in nodes):
+            if top is None and recedes(node[0], omega + [ci]):
                 g.append(None)
                 continue
-            # bounded on every branch that reaches the ω-fibre: maximise
-            # y_i per branch, jumping to each witness's value; the seed's
-            # own value is reached, so no smaller one needs a query
-            best = seed[i] - 1
-            for node in nodes:
-                lo = reach(node, ci, best + 1)
-                if lo is None or (omega and not recedes(node[0], omega)):
-                    continue
-                # the node's bound on y_i, when it has one, caps the search:
-                # one probe there, then bisection below it
-                cap = (node[2] if s > 0 else node[1]).get(ci)
-                if cap is None:
-                    step = 1
-                    while (up := reach(node, ci, lo + step)) is not None:
-                        lo = up
-                        step *= 2
-                    hi = lo + step  # no point of the branch gets here
-                elif lo < s * cap and reach(node, ci, s * cap) is None:
-                    hi = s * cap
+            # the seed's own value is reached, so no smaller one needs a
+            # query; jump to each witness's value
+            lo = reach(node, ci, seed[i])
+            if top is None:
+                step = 1
+                while (up := reach(node, ci, lo + step)) is not None:
+                    lo = up
+                    step *= 2
+                hi = lo + step  # no point of the node gets here
+            elif lo < top and reach(node, ci, top) is None:
+                hi = top
+            else:
+                lo = hi = top
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                up = reach(node, ci, mid)
+                if up is None:
+                    hi = mid
                 else:
-                    lo = hi = s * cap
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    up = reach(node, ci, mid)
-                    if up is None:
-                        hi = mid
-                    else:
-                        lo = up
-                best = lo
-            g.append(s * best)
-        gens.append(tuple(g))
-        outside = theory.cut(outside, g)
-        if len(gens) > 256:
-            raise FrameTooLarge("descriptor extraction did not converge")
+                    lo = up
+            g.append(s * lo)
+        return tuple(g)
+
+    for branch in P.branches([phi] + theory.nat_bounds(comps)):
+        while not covered(branch) and (seed := seed_of(branch)) is not None:
+            g = grow(branch, seed)
+            gens = [h for h in gens if not theory.w_leq(g, h)] + [g]
+            outside = theory.cut(outside, g)
+            if len(gens) > 256:
+                raise FrameTooLarge("descriptor extraction did not converge")
     return theory.canonicalize(Antichain(tuple(gens)))
 
 

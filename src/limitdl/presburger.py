@@ -701,8 +701,8 @@ def decide(f: Formula, nat_vars: Iterable[str] = ()) -> bool:
 # unit-equality substitution and Cooper-style elimination one variable at
 # a time with early exit.  One node step,
 # _child, builds every node of this search: the walk's root, each branch
-# alternative, each elimination candidate and residue, and each probe of a
-# branch (sat_branch).  It takes the
+# alternative, each elimination candidate and residue, and each child of
+# a branch (branch_child, which sat_branch probes).  It takes the
 # admitted literals the node adds, refutes the node outright when one of
 # them has no solution in its parent's box (most dead alternatives end
 # there, before any copy), and otherwise narrows a copy of the parent's
@@ -1188,15 +1188,23 @@ def branches(matrices: list[Formula]) -> Iterator[tuple[list, dict, dict]]:
         yield from _leaves(*root, pend, {})
 
 
+def branch_child(node: tuple[list, dict, dict],
+                 rows: list[Formula]) -> tuple[list, dict, dict] | None:
+    """The child node (_child) of a branch node (branches) that conjoins
+    rows, literals in cmp_atom's form without '!=', admitted (_admit): the
+    node's literals and bounds are neither re-admitted nor re-narrowed.
+    None when the rows fold to false or the child's bounds empty."""
+    lits, lo, hi = node
+    return _child(lits, _admit(rows), lo, hi)
+
+
 def sat_branch(node: tuple[list, dict, dict],
                rows: list[Formula]) -> dict[str, int] | None:
     """Satisfying assignment for a branch node (branches) conjoined with
-    rows, literals without '!=' (absent variables read as 0), or None: one
-    child (_child) of the node, then _sat_lits.  A fresh sat_exists_all of
-    the same literals gives the same assignment, but re-admits and
-    re-narrows the node's literals."""
-    lits, lo, hi = node
-    child = _child(lits, _admit(rows), lo, hi)
+    rows (absent variables read as 0), or None: _sat_lits of its
+    branch_child.  A fresh sat_exists_all of the same literals gives the
+    same assignment, but re-admits and re-narrows the node's literals."""
+    child = branch_child(node, rows)
     return None if child is None else _sat_lits(*child)
 
 

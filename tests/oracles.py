@@ -5,6 +5,7 @@ search code with the solver.
   immediate consequence over the numeric points inside a window.
 - `simulate_reachable`: breadth-first search over the configurations of a
   lossy counter machine with counters bounded by a cap.
+- `lcm_to_json`: a machine in the JSON form that `lcm_from_json` reads.
 - `printed_goal_key`: a goal's seen-set key by printing every atom in full,
   the reference for `resolution.canonical_goal`.
 - `enumerated_exists_sat`: background satisfiability by trying every
@@ -207,6 +208,21 @@ def bounded_canonical_model(p: Problem, theory: Theory,
 
 # ---------------------------------------------------------------------------
 # lossy counter machine simulation
+
+
+def lcm_to_json(m: LCM) -> dict:
+    """The JSON form of a machine (fixtures/lcm/*.json), the inverse of
+    frontends.lcm_from_json on a well-formed machine."""
+    def instr(ins) -> dict:
+        if isinstance(ins, InstrA):
+            return {"kind": "A", "from": ins.src, "counter": ins.counter,
+                    "to": ins.dst}
+        return {"kind": "B", "from": ins.src, "counter": ins.counter,
+                "ifZero": ins.if_zero, "else": ins.dec_to}
+
+    return {"states": list(m.states), "initial": m.initial,
+            "final": m.final, "counters": m.counters,
+            "instructions": [instr(ins) for ins in m.instructions]}
 
 
 def simulate_reachable(m: LCM, target: LCMConfig, cap: int) -> bool:

@@ -101,8 +101,8 @@ def test_only_presburger_names_negation():
 SOLVE_PATH = {"_lits_of", "_leaves", "_child", "_admit",
               "_box_refutes", "_term_min", "_merge",
               "_pin_units", "_sat_lits", "_sat_reduced",
-              "reduce_conj", "sat_exists_all", "branches", "sat_branch",
-              "recession_cone"}
+              "reduce_conj", "sat_exists_all", "branches", "branch_child",
+              "sat_branch", "recession_cone"}
 COOPER_NNF = {"_nnf", "nnf", "_lt", "_cooper", "eliminate", "decide"}
 
 
@@ -237,8 +237,34 @@ def _scopes_of(tree: ast.Module, hit) -> list[str]:
 
 def test_only_the_structures_memo_writes_memberships():
     """In entwined.py, EntwinedStructure.membership is the one caller of
-    upset_formula and complement_formula; extract_upset writes its boxes
-    with pieces_formula, which is not a membership of a frame value."""
+    upset_formula and complement_formula; extract_upset asks for one box
+    of the complement at a time, as its rows (piece_rows), which are not a
+    membership of a frame value."""
     callers = _scopes_of(dict(_modules())["entwined.py"],
                          lambda node: _name_of(node) in MEMBERSHIP_WRITERS)
     assert set(callers) == {"EntwinedStructure.membership"}, callers
+
+
+def test_no_module_reads_anothers_private_names():
+    """A library module reads another library module's names only through
+    its public ones: no attribute access M._name where M is a library
+    module bound by an import (the solve path's node steps are reached
+    through branch_child and sat_branch, not P._child or P._admit)."""
+    found = []
+    for mod, tree in _modules():
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names
+                            if a.asname and a.name.startswith("limitdl.")}
+        found += [f"{mod}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases
+                  and node.attr.startswith("_")
+                  and not node.attr.endswith("__")]
+    assert found == []

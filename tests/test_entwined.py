@@ -393,11 +393,15 @@ def test_extraction_trace_is_pinned():
 
 def test_least_model_extraction_effort_is_pinned(monkeypatch):
     """The least models of the first-order SAT rows ask sat_exists_all at
-    most 451 times: extract_upset's seed queries and cone tests, and the
-    propositional heads.  Its reach probes and ω-fibre checks ask the
-    branch nodes of branches (sat_branch), which neither re-admit nor
-    re-narrow the branch; a fresh sat_exists_all for each makes 1,136
-    calls here."""
+    most 8 times, extract_upset's cone tests and the propositional heads,
+    and build at most 1,595 search nodes (presburger.nodes).  extract_upset
+    walks the DNF of its formula once: its seeds are branch probes, a
+    point of one branch in one piece of the complement, and its reach
+    probes ask the child node of that branch that fixes the earlier
+    coordinates (sat_branch), which neither re-admits nor re-narrows the
+    branch.  A seed query over the whole formula and the whole complement,
+    and a fresh walk of the whole formula per coordinate, made 451 calls
+    and 4,293 nodes here."""
     calls = [0]
     sat = P.sat_exists_all
 
@@ -406,11 +410,29 @@ def test_least_model_extraction_effort_is_pinned(monkeypatch):
         return sat(*args)
 
     monkeypatch.setattr(P, "sat_exists_all", counted)
+    before = P.nodes
     with deadline(30):
         for pid, verdict in FIRST_ORDER:
             if verdict == "SAT":
                 E.fo_least_model(*problem(pid))
-    assert calls[0] <= 451, calls
+    assert calls[0] <= 8, calls
+    assert P.nodes - before <= 1595, P.nodes - before
+
+
+def test_late_widening_least_model_is_pinned(monkeypatch):
+    """m2's least model with widening after 20 rounds instead of 6, the
+    scale a forward refutation runs at (ROADMAP item 11): the same model
+    as with early widening, from at most 6,525 search nodes within 10 s.
+    Growing each coordinate over a fresh walk of the whole formula built
+    92,095."""
+    monkeypatch.setattr(E, "_WIDEN_AFTER", 20)
+    monkeypatch.setattr(E, "_MAX_ROUNDS", 30)
+    before = P.nodes
+    with deadline(10):
+        m = E.fo_least_model(*problem("lcm/m2/f:1,1"))
+    assert m is not None
+    assert model_sha256(m) == LEAST_MODEL_SHA256["lcm/m2/f:1,1"]
+    assert P.nodes - before <= 6525, P.nodes - before
 
 
 # chained predicates, each clause before the one its body waits for: C's
@@ -496,8 +518,8 @@ def _rand_closed_set(rng, names, down):
     """A union of 1-3 conjunctions of bounds x <= c, at most one of them of
     the form x + k*y <= c, over the names (>= for an upward-closed set), so
     closed in that direction.  Two-variable bounds keep c <= 15: the set
-    {x + k*y <= c} alone has c // k + 1 maximal points, and each one is a
-    box the extractor's seed query negates."""
+    {x + k*y <= c} alone has c // k + 1 maximal points, and the
+    extractor grows each one as a generator."""
     rel = P.le if down else P.ge
     conjs = []
     for _ in range(rng.randint(1, 3)):
@@ -575,6 +597,45 @@ def test_extract_upset_seeded_by_base():
             with deadline(5):
                 got = E.extract_upset(th, phi, comps, base)
                 want = E.extract_upset(th, joined, comps)
+            assert got == want, (kind, direction, str(phi), base)
+
+
+def test_extract_upset_ignores_disjunct_and_base_order():
+    """The branches are walked in the order of phi's disjuncts, and the
+    cover starts from base's generators in their order; neither order
+    changes the result.  On 60 fixed-seed sets over lia, nat upward and
+    nat downward, with a base from another random set (under nat
+    downward, random generators with ω coordinates), three permutations
+    of phi's disjuncts and of base's generators give one descriptor."""
+    configs = [("lia", 1, "upward"), ("lia", 1, "downward")] + [
+        ("nat", d, direction) for d in (2, 3)
+        for direction in ("upward", "downward")]
+    rng = random.Random(20261033)
+    for _ in range(60):
+        kind, dim, direction = rng.choice(configs)
+        down = direction == "downward"
+        th = theory_for(kind, dim, direction)
+        comps = [f"c{i}" for i in range(dim)]
+        phi = _rand_closed_set(rng, comps, down)
+        if kind == "nat" and down:
+            base = th.canonicalize(Antichain(tuple(
+                tuple(None if rng.random() < 0.4 else rng.randint(0, 40)
+                      for _ in comps)
+                for _ in range(rng.randint(1, 3)))))
+        else:
+            with deadline(5):
+                base = E.extract_upset(
+                    th, _rand_closed_set(rng, comps, down), comps)
+        disjuncts = list(phi.args) if isinstance(phi, P.Or) else [phi]
+        gens = list(base.gens) if isinstance(base, Antichain) else []
+        with deadline(5):
+            want = E.extract_upset(th, phi, comps, base)
+        for _ in range(3):
+            rng.shuffle(disjuncts)
+            rng.shuffle(gens)
+            shuffled = Antichain(tuple(gens)) if gens else base
+            with deadline(5):
+                got = E.extract_upset(th, P.disj(disjuncts), comps, shuffled)
             assert got == want, (kind, direction, str(phi), base)
 
 

@@ -5,13 +5,14 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitdl.cli import main
 from limitdl.driver import solve
-from limitdl.frontends import (IllFormedMachine, LCMConfig, encode_lcm,
-                               lcm_from_json)
+from limitdl.frontends import (LCM, IllFormedMachine, InstrA, InstrB,
+                               LCMConfig, encode_lcm, lcm_from_json)
 from limitdl.typesys import validate
-from oracles import simulate_reachable
+from oracles import lcm_to_json, simulate_reachable
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures", "lcm")
 
@@ -130,3 +131,31 @@ def test_cover_goal_relaxes_exact_goal():
     assert solve(encode_lcm(m, tgt, cover=True)).kind == "SAT"
     tgt2 = LCMConfig("q1", (4,))
     assert solve(encode_lcm(m, tgt2, cover=True)).kind == "UNSAT"
+
+
+@st.composite
+def machines(draw):
+    """Well-formed machines: 1-4 distinct state names (any text, so JSON
+    escapes are exercised), 1-3 counters, up to 6 instructions over them."""
+    states = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
+                           unique=True))
+    n = draw(st.integers(1, 3))
+    q, k = st.sampled_from(states), st.integers(1, n)
+    instrs = draw(st.lists(st.one_of(st.builds(InstrA, q, k, q),
+                                     st.builds(InstrB, q, k, q, q)),
+                           max_size=6))
+    return LCM(tuple(states), draw(q), draw(q), n, tuple(instrs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines())
+def test_machine_json_round_trip(m):
+    """A machine written by lcm_to_json, through JSON text, reads back as
+    the same machine."""
+    assert lcm_from_json(json.loads(json.dumps(lcm_to_json(m)))) == m
+
+
+def test_machine_fixtures_are_what_lcm_to_json_writes():
+    for name in ("m1", "m2", "m3"):
+        with open(os.path.join(FIX, f"{name}.json"), encoding="utf-8") as fh:
+            assert lcm_to_json(machine(name)) == json.load(fh)
