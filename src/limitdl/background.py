@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from . import presburger as P
 from .presburger import Formula, LinTerm
 from .record import Record
-from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp, _json_int
+from .syntax import W, BgAtom, SConst, Term, Var, WLit, WOp, json_int
 
 
 class TheoryError(Exception):
@@ -326,9 +326,9 @@ def upset_from_json(d: dict, theory: Theory) -> Upset:
         case "all", _:
             return ALL
         case "atleast", False:
-            u = Antichain(((_json_int(d["k"]),),))
+            u = Antichain(((json_int(d["k"]),),))
         case "antichain", True:
-            u = Antichain(tuple(tuple(None if x is None else _json_int(x)
+            u = Antichain(tuple(tuple(None if x is None else json_int(x)
                                       for x in g) for g in d["min"]))
         case _:
             raise TheoryError(f"bad upset descriptor {d!r}")
@@ -363,18 +363,26 @@ def components(t: Term, dim: int) -> list[LinTerm]:
         case WOp("scale", (a,), k):
             return [c.scale(k) for c in components(a, dim)]
         case WOp("+" | "-" as op, (a, b)):
-            ca = components(a, dim)
-            cb = components(b, dim)
-            if len(ca) == 1 and len(cb) > 1:
-                ca = ca * len(cb)
-            if len(cb) == 1 and len(ca) > 1:
-                cb = cb * len(ca)
-            if len(ca) != len(cb):
-                raise TheoryError("component count mismatch in arithmetic")
+            pairs = _paired(a, b, dim, "arithmetic")
             if op == "+":
-                return [x.add(y) for x, y in zip(ca, cb)]
-            return [x.sub(y) for x, y in zip(ca, cb)]
+                return [x.add(y) for x, y in pairs]
+            return [x.sub(y) for x, y in pairs]
     raise TheoryError(f"not a numeric term: {t}")
+
+
+def _paired(a: Term, b: Term, dim: int,
+            what: str) -> list[tuple[LinTerm, LinTerm]]:
+    """The components of a and b, paired coordinate by coordinate; a scalar
+    side stands for its value in every coordinate of the other."""
+    ca = components(a, dim)
+    cb = components(b, dim)
+    if len(ca) == 1 and len(cb) > 1:
+        ca = ca * len(cb)
+    if len(cb) == 1 and len(ca) > 1:
+        cb = cb * len(ca)
+    if len(ca) != len(cb):
+        raise TheoryError(f"component count mismatch in {what}")
+    return list(zip(ca, cb))
 
 
 def _eqs_side(t: Term, sval_env: dict[str, str] | None) -> str | LinTerm:
@@ -387,6 +395,12 @@ def _eqs_side(t: Term, sval_env: dict[str, str] | None) -> str | LinTerm:
             return sval_env[t.name]
         return LinTerm.of_var(comp_var(t.name, 0))
     raise TheoryError("eqs arguments must be finite constants or variables")
+
+
+# each comparison's literal (over lhs - rhs), and for a strict one the weak
+# literal that a strict comparison of tuples asks of every component
+_RELS = {"eq": (P.eq, None), "neq": (P.ne, None), "leq": (P.le, None),
+         "geq": (P.ge, None), "lt": (P.lt, P.le), "gt": (P.gt, P.ge)}
 
 
 def compile_atom(atom: BgAtom, theory: Theory,
@@ -410,35 +424,17 @@ def compile_atom(atom: BgAtom, theory: Theory,
                 sides[j] = LinTerm.of_const(fin_elems.index(x))
         return P.eq(*sides)
 
-    ls = components(atom.lhs, theory.dim)
-    rs = components(atom.rhs, theory.dim)
-    if len(ls) == 1 and len(rs) > 1:
-        ls = ls * len(rs)
-    if len(rs) == 1 and len(ls) > 1:
-        rs = rs * len(ls)
-    if len(ls) != len(rs):
-        raise TheoryError("comparison between different component counts")
-    pairs = list(zip(ls, rs))
-    match atom.rel:
-        case "eq":
-            return P.conj(P.eq(a, b) for a, b in pairs)
-        case "neq":
-            return P.disj(P.ne(a, b) for a, b in pairs)
-        case "leq":
-            return P.conj(P.le(a, b) for a, b in pairs)
-        case "geq":
-            return P.conj(P.ge(a, b) for a, b in pairs)
-        case "lt":
-            if len(pairs) == 1:
-                return P.lt(*pairs[0])
-            return P.conj([P.conj(P.le(a, b) for a, b in pairs),
-                           P.disj(P.lt(a, b) for a, b in pairs)])
-        case "gt":
-            if len(pairs) == 1:
-                return P.gt(*pairs[0])
-            return P.conj([P.conj(P.ge(a, b) for a, b in pairs),
-                           P.disj(P.gt(a, b) for a, b in pairs)])
-    raise TheoryError(f"unknown relation {atom.rel!r}")
+    if atom.rel not in _RELS:
+        raise TheoryError(f"unknown relation {atom.rel!r}")
+    op, weak = _RELS[atom.rel]
+    pairs = _paired(atom.lhs, atom.rhs, theory.dim, "comparison")
+    if atom.rel == "neq":  # a tuple differs from another in some component
+        return P.disj(op(a, b) for a, b in pairs)
+    if weak is None or len(pairs) == 1:
+        return P.conj(op(a, b) for a, b in pairs)
+    # strict: weak in every component and strict in some
+    return P.conj([P.conj(weak(a, b) for a, b in pairs),
+                   P.disj(op(a, b) for a, b in pairs)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .background import TheoryError, theory_for
 from .driver import SolveConfig, solve, verify
 from .frontends import IllFormedMachine, LCMConfig, encode_lcm, load_machine
 from .resolution import TraceError
-from .syntax import (SyntaxProblem, _Ctx, normalize_problem, parse_problem,
-                     print_problem, read_sexprs)
+from .syntax import (SyntaxProblem, normalize_problem, parse_problem,
+                     parse_term, print_problem, read_sexprs)
 from .typesys import TypeErrorLD, infer_sort, validate
 
 EXIT_SAT = 10
@@ -136,12 +136,11 @@ def _cmd_eval(args) -> int:
         return EXIT_REJECTED
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     m = E.load_model(p, theory, args.model)
-    ctx = _Ctx(list(p.fin_elems), p.decl_map, p.dim)
     exprs = read_sexprs(args.term)
     if len(exprs) != 1:
         print("eval takes exactly one term", file=sys.stderr)
         return EXIT_USAGE
-    t = ctx.parse_term(exprs[0], {})
+    t = parse_term(exprs[0], p)
     infer_sort(t, {}, p.decl_map)
     v = E.eval_term(m, t)
     out = str(v).lower() if isinstance(v, bool) else repr(v)
@@ -165,8 +164,8 @@ def _usage_error(message: str):
 
 def _parser(**kwargs) -> argparse.ArgumentParser:
     """A parser that raises ArgumentError for every usage error (a bad
-    option value, a missing argument), as main does for an unknown option,
-    and main reports each in one line, without argparse's usage block."""
+    option value, a missing argument, an unknown option), and main reports
+    each in one line, without argparse's usage block."""
     ap = argparse.ArgumentParser(**kwargs)
     ap.error = _usage_error  # type: ignore[method-assign]
     return ap
@@ -230,10 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args, extra = ap.parse_known_args(argv)
-        if extra:
-            raise argparse.ArgumentError(
-                None, "unrecognized arguments: " + " ".join(extra))
+        args = ap.parse_args(argv)
     except argparse.ArgumentError as e:
         print(f"limitdl: error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,7 +70,7 @@ def _candidates(p: Problem, theory: Theory,
             m = E.fo_least_model(p, theory)
             if m is not None:
                 yield m
-        except (ValueError, E.FrameTooLarge):
+        except E.FrameTooLarge:
             pass
     try:
         yield from E.enumerate_structures(p, theory)

@@ -30,9 +30,9 @@ from .background import (ALL, EMPTY, Antichain, Theory, Upset, compile_atom,
                          comp_var, components, upset_from_json, upset_to_json)
 from .record import Record
 from .syntax import (FIN, MAX_DEPTH, PROP, W, AndF, App, Arrow, Atom,
-                     BgAtom, BodyF, Clause, FgAtom, OrF, PredRef, Problem,
-                     SConst, Sort, Term, Var, WLit, WOp, _parse_sort,
-                     arg_sorts, mk_app, print_sort, read_sexprs, w_position)
+                     BgAtom, BodyF, Clause, FgAtom, PredRef, Problem,
+                     SConst, Sort, Term, Var, WLit, WOp, arg_sorts, mk_app,
+                     parse_sort, print_sort, read_sexprs, w_position)
 from .typesys import classify, type_order
 
 
@@ -517,10 +517,9 @@ def _atom_formula(m: EntwinedStructure, a: Atom, wvars: set[str],
 
 def _body_formula(m: EntwinedStructure, b: BodyF, wvars: set[str],
                   val: dict) -> P.Formula:
+    """The body of a normalized clause: an AndF of atoms, or one atom."""
     if isinstance(b, AndF):
-        return P.conj(_body_formula(m, x, wvars, val) for x in b.args)
-    if isinstance(b, OrF):
-        return P.disj(_body_formula(m, x, wvars, val) for x in b.args)
+        return P.conj(_atom_formula(m, x, wvars, val) for x in b.args)
     return _atom_formula(m, b, wvars, val)
 
 
@@ -673,8 +672,8 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
       generator values and the later ones kept at y_j >= the seed's.  It
       is ω iff that node has an integer recession direction d with
       s·d_j >= 1 on J, the ω coordinates so far, and on i; the cone test
-      is skipped where the node's bounds cap y_i, and under nat upward,
-      where x >= 0 keeps every direction d >= 0, so ω never arises.
+      is skipped where the node's bounds cap y_i, as the nat bounds do for
+      every y_i under nat upward (y = -x <= 0), so ω never arises there.
       Otherwise a probe y_i >= v asks the node (P.sat_branch), galloping
       from the seed's value, or, where the node caps y_i, one probe at the
       cap, then bisection below it.  Under nat downward x >= 0 gives
@@ -717,10 +716,7 @@ def extract_upset(theory: Theory, phi: P.Formula, comps: list[str],
     cones: dict[tuple, bool] = {}  # cone query -> answer, in this call
 
     def recedes(leaf: list, cs: list[str]) -> bool:
-        # some integer direction of the node has s·d >= 1 on every cs;
-        # never where the bottom is 0 (nat upward): x >= 0 keeps every d >= 0
-        if theory.bottom is not None:
-            return False
+        # some integer direction of the node has s·d >= 1 on every cs
         cone = tuple(P.recession_cone(leaf) + [atleast(c, 1) for c in cs])
         if cone not in cones:
             cones[cone] = P.sat_exists_all(list(cone)) is not None
@@ -970,7 +966,7 @@ def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
 
 def _sort_from_str(s: str) -> Sort:
     try:
-        return _parse_sort(read_sexprs(s)[0])
+        return parse_sort(read_sexprs(s)[0])
     except Exception as e:
         raise SchemaError(f"bad sort string {s!r}: {e}")
 
@@ -1011,13 +1007,6 @@ def serialize_model(m: EntwinedStructure) -> dict:
     return {"stages": stages, "predicates": preds}
 
 
-def _truth(row: dict, pname: str) -> bool:
-    v = row["value"]
-    if not isinstance(v, bool):
-        raise SchemaError(f"value in {pname!r} is not a JSON boolean: {v!r}")
-    return v
-
-
 def deserialize_model(p: Problem, theory: Theory,
                       data: dict) -> EntwinedStructure:
     if not isinstance(data, dict) or "predicates" not in data:
@@ -1047,13 +1036,8 @@ def deserialize_model(p: Problem, theory: Theory,
                     not isinstance(r.get(k, []), list)
                     for k in ("pre", "post", "args")):
                 raise SchemaError(f"bad row in {pname!r}")
-        if psort == PROP:
-            rows = entry["rows"]
-            if len(rows) != 1 or "value" not in rows[0]:
-                raise SchemaError(f"bad propositional entry {pname!r}")
-            interps[pname] = _truth(rows[0], pname)
-            continue
-        # one cell per row of the sort: a descriptor or a truth value
+        # one cell per row of the sort (one for PROP): a descriptor or a
+        # truth value
         nw = nonw_sorts(psort)
         table: dict[tuple, Upset | bool] = {}
         for r in entry["rows"]:
@@ -1073,7 +1057,10 @@ def deserialize_model(p: Problem, theory: Theory,
                 except Exception as e:
                     raise SchemaError(f"bad upset in {pname!r}: {e}")
             else:
-                cell = _truth(r, pname)
+                cell = r["value"]
+                if not isinstance(cell, bool):
+                    raise SchemaError(f"value in {pname!r} is not a JSON "
+                                      f"boolean: {cell!r}")
             if key in table:
                 raise FrameInconsistency(f"duplicate row in {pname!r}")
             table[key] = cell
@@ -1086,8 +1073,8 @@ def deserialize_model(p: Problem, theory: Theory,
         if table:
             raise FrameInconsistency(
                 f"witness for {pname!r} has rows outside the frame")
-        interps[pname] = (ActVal if kind == "active" else FnVal)(
-            psort, tuple(cells))
+        interps[pname] = cells[0] if psort == PROP else (
+            ActVal if kind == "active" else FnVal)(psort, tuple(cells))
     return EntwinedStructure(p, theory, interps)
 
 

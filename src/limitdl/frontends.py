@@ -7,7 +7,7 @@ import json
 
 from .record import Record
 from .syntax import (PROP, W, AndF, Arrow, BgAtom, Clause, FgAtom, Problem,
-                     PredRef, Var, WLit, WOp, _json_int, mk_app,
+                     PredRef, Var, WLit, WOp, json_int, mk_app,
                      normalize_problem)
 
 
@@ -48,10 +48,10 @@ def _instr_from_json(d: dict) -> InstrA | InstrB:
         raise IllFormedMachine(f"instruction {d!r} is not an object")
     kind = d.get("kind")
     if kind == "A":
-        return InstrA(_state(d["from"]), _json_int(d["counter"]),
+        return InstrA(_state(d["from"]), json_int(d["counter"]),
                       _state(d["to"]))
     if kind == "B":
-        return InstrB(_state(d["from"]), _json_int(d["counter"]),
+        return InstrB(_state(d["from"]), json_int(d["counter"]),
                       _state(d["ifZero"]), _state(d["else"]))
     raise IllFormedMachine(f"unknown instruction kind {kind!r}")
 
@@ -61,7 +61,7 @@ def lcm_from_json(data: dict) -> LCM:
         states = tuple(map(_state, data["states"]))
         initial = _state(data["initial"])
         final = _state(data["final"])
-        counters = _json_int(data["counters"])
+        counters = json_int(data["counters"])
         instrs = tuple(map(_instr_from_json, data["instructions"]))
     except (KeyError, TypeError, ValueError) as e:
         raise IllFormedMachine(f"missing or malformed field: {e}")

@@ -316,54 +316,31 @@ def div_atom(d: int, t: LinTerm, neg: bool = False) -> Formula:
     return Div(d, t, neg)
 
 
-def conj(args: Iterable[Formula]) -> Formula:
-    out: list[Formula] = []
-    seen: set[Formula] = set()
+def _connective(kind: type[_Connective], unit: Formula, zero: Formula,
+                args: Iterable[Formula]) -> Formula:
+    """The kind (And or Or) of args: an argument of that kind reads as its
+    own arguments, the unit is dropped and each argument is kept once, in
+    the order first read.  zero, the absorbing element, is returned as soon
+    as it is read, so args is not advanced past it."""
+    out: dict[Formula, None] = {}
+    unit_t, zero_t = type(unit), type(zero)
     for a in args:
-        if isinstance(a, FalseF):
-            return FALSE
-        if isinstance(a, TrueF):
-            continue
-        if isinstance(a, And):
-            for x in a.args:
-                if isinstance(x, FalseF):
-                    return FALSE
-                if not isinstance(x, TrueF) and x not in seen:
-                    seen.add(x)
-                    out.append(x)
-        elif a not in seen:
-            seen.add(a)
-            out.append(a)
-    if not out:
-        return TRUE
+        for x in a.args if isinstance(a, kind) else (a,):
+            if isinstance(x, zero_t):
+                return zero
+            if not isinstance(x, unit_t):
+                out.setdefault(x)
     if len(out) == 1:
-        return out[0]
-    return And(tuple(out))
+        return next(iter(out))
+    return kind(tuple(out)) if out else unit
+
+
+def conj(args: Iterable[Formula]) -> Formula:
+    return _connective(And, TRUE, FALSE, args)
 
 
 def disj(args: Iterable[Formula]) -> Formula:
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-    for a in args:
-        if isinstance(a, TrueF):
-            return TRUE
-        if isinstance(a, FalseF):
-            continue
-        if isinstance(a, Or):
-            for x in a.args:
-                if isinstance(x, TrueF):
-                    return TRUE
-                if not isinstance(x, FalseF) and x not in seen:
-                    seen.add(x)
-                    out.append(x)
-        elif a not in seen:
-            seen.add(a)
-            out.append(a)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _connective(Or, FALSE, TRUE, args)
 
 
 def neg_f(f: Formula) -> Formula:

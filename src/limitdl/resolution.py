@@ -48,7 +48,7 @@ from .presburger import Formula, LinTerm
 from .record import Record
 from .syntax import (
     FIN, App, Atom, BgAtom, Clause, FgAtom, PredRef, Problem, SConst, Term,
-    Var, W, WLit, WOp, _json_int, print_formula, print_term, spine,
+    Var, W, WLit, WOp, json_int, print_formula, print_term, spine,
 )
 
 LIMIT_COST = 64
@@ -380,7 +380,7 @@ def _step_from_json(s: object) -> TraceStep:
     for k in _STEP_REFS:
         x = s.get(k)
         try:
-            refs.append(None if x is None else _json_int(x))
+            refs.append(None if x is None else json_int(x))
         except ValueError:
             raise TraceError(f"trace step {k} {x!r} is not an integer")
     return TraceStep(s["goal"], s["rule"], *refs)

@@ -33,7 +33,7 @@ class SyntaxProblem(Exception):
         self.col = col
 
 
-def _json_int(x: object) -> int:
+def json_int(x: object) -> int:
     """x when it is a JSON integer, else a ValueError: also for a boolean,
     a float or a numeric string, which int() would accept."""
     if type(x) is not int:
@@ -333,7 +333,7 @@ def read_sexprs(text: str) -> list[SExpr]:
 # parser
 
 
-def _parse_sort(e: SExpr) -> Sort:
+def parse_sort(e: SExpr) -> Sort:
     if not e.is_list():
         match e.val:
             case "S":
@@ -348,7 +348,7 @@ def _parse_sort(e: SExpr) -> Sort:
         raise SyntaxProblem("expected (-> ...) sort", e.line, e.col)
     if len(items) < 3:
         raise SyntaxProblem("arrow sort needs argument and result", e.line, e.col)
-    sorts = [_parse_sort(x) for x in items[1:]]
+    sorts = [parse_sort(x) for x in items[1:]]
     return mk_arrow(sorts[:-1], sorts[-1])
 
 
@@ -424,6 +424,11 @@ class _Ctx:
         return FgAtom(t)
 
 
+def parse_term(e: SExpr, p: Problem) -> Term:
+    """The term e over p's constants and predicates, with no variables."""
+    return _Ctx(list(p.fin_elems), p.decl_map, p.dim).parse_term(e, {})
+
+
 def _parse_binders(e: SExpr) -> tuple[tuple[str, Sort], ...]:
     if not e.is_list():
         raise SyntaxProblem("expected binder list", e.line, e.col)
@@ -436,7 +441,7 @@ def _parse_binders(e: SExpr) -> tuple[tuple[str, Sort], ...]:
         if name in seen:
             raise SyntaxProblem(f"duplicate variable {name!r}", b.line, b.col)
         seen.add(name)
-        out.append((str(name), _parse_sort(b.val[1])))
+        out.append((str(name), parse_sort(b.val[1])))
     return tuple(out)
 
 
@@ -492,7 +497,7 @@ def parse_problem(text: str) -> Problem:
             if name in decls:
                 raise SyntaxProblem(f"duplicate declaration of {name!r}",
                                     rest[0].line, rest[0].col)
-            s = _parse_sort(rest[1])
+            s = parse_sort(rest[1])
             if result_sort(s) != PROP:
                 raise SyntaxProblem("predicate sorts must end in o", rest[1].line, rest[1].col)
             decls[name] = s
@@ -691,10 +696,7 @@ def _is_limit_clause(cl: Clause, decls: dict[str, Sort],
         return False
     if len({a.name for a in hargs}) != nargs:  # type: ignore[union-attr]
         return False
-    try:
-        atoms = cl.body_atoms()
-    except ValueError:
-        return False
+    atoms = cl.body_atoms()
     if len(atoms) != 2:
         return False
     bgs = [a for a in atoms if isinstance(a, BgAtom)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .record import Record
 from .syntax import (
-    AndF, App, Arrow, Atom, BgAtom, Clause, FIN, Fin, OrF, PredRef, PROP,
+    App, Arrow, Atom, BgAtom, Clause, FIN, Fin, PredRef, PROP,
     Problem, Prop, SConst, Sort, Var, W, WLit, WOp, WSort, arg_sorts,
     mk_arrow, w_position,
 )
@@ -168,13 +168,6 @@ def _check_clause_sorts(cl: Clause, decls: dict[str, Sort], dim: int,
     vmap = dict(cl.vars)
     label = "goal" if cl.head is None else f"clause for {cl.head[0]}"
 
-    def chk_formula(f) -> None:
-        if isinstance(f, (AndF, OrF)):
-            for a in f.args:
-                chk_formula(a)
-            return
-        chk_atom(f)
-
     def chk_atom(a: Atom) -> None:
         if isinstance(a, BgAtom):
             if a.rel == "eqs":
@@ -201,7 +194,8 @@ def _check_clause_sorts(cl: Clause, decls: dict[str, Sort], dim: int,
         if s != PROP:
             errors.append(f"{label}: foreground atom has sort {s}, not o")
 
-    chk_formula(cl.body)
+    for a in cl.body_atoms():
+        chk_atom(a)
     if cl.head is not None:
         # normalize_problem has checked the arity and made every head
         # argument a distinct bound variable

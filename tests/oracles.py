@@ -13,6 +13,9 @@ search code with the solver.
   `background.exists_sat`.
 - `swept_bounds`: interval propagation that revisits every row until a
   whole sweep moves no bound, the reference for `presburger._narrow`.
+- `listed_conj`, `listed_disj`: And and Or built in a list with a seen
+  set, one copy per connective, the reference for `presburger.conj` and
+  `presburger.disj`.
 - `close`: substitute an assignment for a formula's free variables.
 - `deadline`: fail the running test when a block overruns, so a solver
   that never ends fails one test instead of hanging the suite.
@@ -27,7 +30,7 @@ import signal
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
 
@@ -392,6 +395,56 @@ def swept_bounds(rows: Sequence[P.Formula]) -> tuple[bool, dict, dict]:
                     if v in lo and v in hi and lo[v] > hi[v]:
                         return False, lo, hi
     return True, lo, hi
+
+
+def listed_conj(args: Iterable[P.Formula]) -> P.Formula:
+    out: list[P.Formula] = []
+    seen: set[P.Formula] = set()
+    for a in args:
+        if isinstance(a, P.FalseF):
+            return P.FALSE
+        if isinstance(a, P.TrueF):
+            continue
+        if isinstance(a, P.And):
+            for x in a.args:
+                if isinstance(x, P.FalseF):
+                    return P.FALSE
+                if not isinstance(x, P.TrueF) and x not in seen:
+                    seen.add(x)
+                    out.append(x)
+        elif a not in seen:
+            seen.add(a)
+            out.append(a)
+    if not out:
+        return P.TRUE
+    if len(out) == 1:
+        return out[0]
+    return P.And(tuple(out))
+
+
+def listed_disj(args: Iterable[P.Formula]) -> P.Formula:
+    out: list[P.Formula] = []
+    seen: set[P.Formula] = set()
+    for a in args:
+        if isinstance(a, P.TrueF):
+            return P.TRUE
+        if isinstance(a, P.FalseF):
+            continue
+        if isinstance(a, P.Or):
+            for x in a.args:
+                if isinstance(x, P.TrueF):
+                    return P.TRUE
+                if not isinstance(x, P.FalseF) and x not in seen:
+                    seen.add(x)
+                    out.append(x)
+        elif a not in seen:
+            seen.add(a)
+            out.append(a)
+    if not out:
+        return P.FALSE
+    if len(out) == 1:
+        return out[0]
+    return P.Or(tuple(out))
 
 
 def close(f: P.Formula, env: Mapping[str, int]) -> P.Formula:

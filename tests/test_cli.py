@@ -145,6 +145,9 @@ ROWS = {"G": {"args": [], "value": False},
     # an antichain row is a nat descriptor
     ("R", {"pre": [{"s": "a"}], "post": [],
            "upset": {"kind": "antichain", "min": [[3]]}}, "SchemaError"),
+    # a propositional predicate's one row has no arguments
+    ("G", {"args": [{"s": "zzz"}, {"top": "nonsense"}], "value": False},
+     "FrameInconsistency"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"

@@ -249,9 +249,15 @@ def test_no_module_reads_anothers_private_names():
     """A library module reads another library module's names only through
     its public ones: no attribute access M._name where M is a library
     module bound by an import (the solve path's node steps are reached
-    through branch_child and sat_branch, not P._child or P._admit)."""
+    through branch_child and sat_branch, not P._child or P._admit), and
+    no import of a private name (from .syntax import _name)."""
     found = []
     for mod, tree in _modules():
+        found += [f"{mod}:{node.lineno} from {node.module} import {a.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and (node.level == 1 or node.module.startswith("limitdl"))
+                  for a in node.names if a.name.startswith("_")]
         aliases = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 \

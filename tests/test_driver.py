@@ -47,6 +47,18 @@ def test_fo_sat():
     assert v.report.mode == "FirstOrder"
 
 
+def test_least_model_faults_reach_the_caller(monkeypatch):
+    """A ValueError from the least-model engine is a fault in the library,
+    not a missing candidate: solve raises it instead of going on to the
+    enumerated structures."""
+    def broken(*args):
+        raise ValueError("extraction fault")
+
+    monkeypatch.setattr(E, "extract_upset", broken)
+    with pytest.raises(ValueError, match="extraction fault"):
+        solve(normalize_problem(parse_problem(SAT_TEXT)))
+
+
 def test_fo_unsat_trace_replays():
     p = normalize_problem(parse_problem(UNSAT_TEXT))
     v = solve(p)

@@ -419,6 +419,31 @@ def test_least_model_extraction_effort_is_pinned(monkeypatch):
     assert P.nodes - before <= 1595, P.nodes - before
 
 
+def test_nat_upward_extraction_asks_no_cone(monkeypatch):
+    """Under nat upward the nat bounds cap every y_i of a node (y = -x <= 0),
+    so extract_upset never asks for a recession cone on the nat-upward
+    rows of the first-order corpus: ω cannot arise there."""
+    rows = [p for p, _ in map(problem, (pid for pid, _ in FIRST_ORDER))
+            if p.theory_kind == "nat" and p.direction == "upward"]
+    calls = {"extract_upset": 0, "recession_cone": 0}
+
+    def counted(mod, name):
+        f = getattr(mod, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(mod, name, wrapped)
+
+    counted(E, "extract_upset")
+    counted(P, "recession_cone")
+    with deadline(30):
+        for p in rows:
+            E.fo_least_model(p, theory_of(p))
+    assert rows and calls["extract_upset"] > 0
+    assert calls["recession_cone"] == 0
+
+
 def test_late_widening_least_model_is_pinned(monkeypatch):
     """m2's least model with widening after 20 rounds instead of 6, the
     scale a forward refutation runs at (ROADMAP item 11): the same model

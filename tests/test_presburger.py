@@ -18,7 +18,7 @@ from limitdl.presburger import (
     conj, decide, disj, div_atom, eliminate, eq, evaluate, free_vars,
     ge, gt, le, lt, ne, neg_f, nnf,
 )
-from oracles import close, deadline, swept_bounds
+from oracles import close, deadline, listed_conj, listed_disj, swept_bounds
 
 
 def v(name):
@@ -83,6 +83,49 @@ def test_atom_constant_folding():
     assert div_atom(5, c(10)) == TRUE
     assert div_atom(5, c(11)) == FALSE
     assert div_atom(1, v("x")) == TRUE
+
+
+def test_connectives_match_their_reference():
+    """conj and disj against the list-and-seen-set builders they replaced
+    (oracles.listed_conj, listed_disj), equal as ordered records, on
+    fixed-seed argument lists: literals with repeats, TRUE and FALSE, and
+    nested and hand-built And and Or that themselves hold TRUE, FALSE and
+    repeats, from the empty list up."""
+    x, y = v("x"), v("y")
+    lits = [le(x, c(0)), eq(y, c(1)), ne(x, y), div_atom(3, x)]
+    rng = random.Random(34)
+
+    def arg(depth):
+        k = rng.randrange(6)
+        if depth == 0 or k < 3:
+            return rng.choice(lits + [TRUE, FALSE])
+        return (And if k < 5 else Or)(
+            tuple(arg(depth - 1) for _ in range(rng.randrange(4))))
+
+    cases = [[], [lits[0]], [And(tuple(lits[:2]))], [Or((TRUE,))], [TRUE],
+             [FALSE]] + [[arg(2) for _ in range(rng.randrange(6))]
+                         for _ in range(2000)]
+    for args in cases:
+        assert conj(args) == listed_conj(args), args
+        assert disj(args) == listed_disj(args), args
+        assert conj(iter(args)) == conj(args)
+        assert disj(iter(args)) == disj(args)
+
+
+def test_connectives_stop_at_their_absorbing_element():
+    """The absorbing element, alone or inside an argument of the builder's
+    own connective, ends the read: the rest of a generator is never
+    asked for (the region split relies on this)."""
+    x = le(v("x"), c(0))
+
+    def args(*head):
+        yield from head
+        raise AssertionError("read past the absorbing element")
+
+    assert conj(args(x, TRUE, FALSE)) == FALSE
+    assert conj(args(x, And((x, FALSE)))) == FALSE
+    assert disj(args(x, FALSE, TRUE)) == TRUE
+    assert disj(args(x, Or((TRUE, x)))) == TRUE
 
 
 def test_gcd_reduction_is_sound():
