@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import presburger as P
 from .presburger import Formula, LinTerm
@@ -344,8 +344,9 @@ def comp_var(name: str, i: int) -> str:
     return f"{name}#{i}"
 
 
-def w_var_terms(name: str, dim: int) -> list[LinTerm]:
-    return [LinTerm.of_var(comp_var(name, i + 1)) for i in range(dim)]
+def w_comps(names: Iterable[str], dim: int) -> list[str]:
+    """The component variables of the W variables names, in order."""
+    return [comp_var(n, i + 1) for n in names for i in range(dim)]
 
 
 def components(t: Term, dim: int) -> list[LinTerm]:
@@ -354,7 +355,7 @@ def components(t: Term, dim: int) -> list[LinTerm]:
     each component of a scalar is the scalar)."""
     match t:
         case Var(n):
-            return w_var_terms(n, dim)
+            return [LinTerm.of_var(c) for c in w_comps([n], dim)]
         case WLit(vals):
             return [LinTerm.of_const(v) for v in vals]
         case WOp("comp", (a,), k):
@@ -446,8 +447,7 @@ def compile_conj(atoms: Sequence[BgAtom], wvars: Sequence[str],
     """The atoms compiled, then the nat bounds of the components of the W
     variables wvars."""
     fs = [compile_atom(a, theory, fin_elems=fin_elems) for a in atoms]
-    return fs + theory.nat_bounds([comp_var(n, i + 1) for n in wvars
-                                   for i in range(theory.dim)])
+    return fs + theory.nat_bounds(w_comps(wvars, theory.dim))
 
 
 def exists_sat(atoms: Sequence[BgAtom], varsorts: dict[str, object],

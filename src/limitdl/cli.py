@@ -18,7 +18,7 @@ from .driver import SolveConfig, solve, verify
 from .frontends import IllFormedMachine, LCMConfig, encode_lcm, load_machine
 from .resolution import TraceError
 from .syntax import (SyntaxProblem, normalize_problem, parse_problem,
-                     parse_term, print_problem, read_sexprs)
+                     parse_term, print_problem, read_one)
 from .typesys import TypeErrorLD, infer_sort, validate
 
 EXIT_SAT = 10
@@ -136,11 +136,7 @@ def _cmd_eval(args) -> int:
         return EXIT_REJECTED
     theory = theory_for(p.theory_kind, p.dim, p.direction)
     m = E.load_model(p, theory, args.model)
-    exprs = read_sexprs(args.term)
-    if len(exprs) != 1:
-        print("eval takes exactly one term", file=sys.stderr)
-        return EXIT_USAGE
-    t = parse_term(exprs[0], p)
+    t = parse_term(read_one(args.term), p)
     infer_sort(t, {}, p.decl_map)
     v = E.eval_term(m, t)
     out = str(v).lower() if isinstance(v, bool) else repr(v)

@@ -23,16 +23,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import presburger as P
 from .background import (ALL, EMPTY, Antichain, Theory, Upset, compile_atom,
-                         comp_var, components, upset_from_json, upset_to_json)
+                         components, upset_from_json, upset_to_json, w_comps)
 from .record import Record
 from .syntax import (FIN, MAX_DEPTH, PROP, W, AndF, App, Arrow, Atom,
                      BgAtom, BodyF, Clause, FgAtom, PredRef, Problem,
-                     SConst, Sort, Term, Var, WLit, WOp, arg_sorts, mk_app,
-                     parse_sort, print_sort, read_sexprs, w_position)
+                     SConst, Sort, SyntaxProblem, Term, Var, WLit, WOp,
+                     arg_sorts, mk_app, parse_sort, print_sort, read_one,
+                     w_position)
 from .typesys import classify, type_order
 
 
@@ -98,8 +99,9 @@ CanonicalValue = Top | SVal | PredApp | Table
 #
 # The rows of a sort are the combinations of its non-numeric arguments
 # (``EntwinedStructure.rows``), row-major over their frames, so both kinds
-# are flat tables: applying a value to its first non-numeric argument takes
-# the slice of rows that start with it.
+# are flat tables, built by _table from one cell per row (at o, the one
+# row's cell is the value itself): applying a value to its first
+# non-numeric argument takes the slice of rows that start with it.
 #
 # Values are compared structurally; because every descriptor is canonical
 # where it is made (Theory.canonicalize: enumerate_upsets, upset_from_json,
@@ -116,6 +118,24 @@ class ActVal(Record):
 
 
 Value = bool | str | FnVal | ActVal
+
+
+def _table(s: Sort, cells: Sequence) -> Value:
+    """The relational value of sort s with one cell per row of s: at o the
+    one cell itself, else an ActVal for an active sort (the cells upset
+    descriptors) and an FnVal otherwise (the cells truth values)."""
+    if s == PROP:
+        return cells[0]
+    return (ActVal if W in arg_sorts(s) else FnVal)(s, tuple(cells))
+
+
+def _cells(v: Value) -> tuple:
+    """The cells of a relational value, one per row of its sort."""
+    if isinstance(v, ActVal):
+        return v.descs
+    if isinstance(v, FnVal):
+        return v.vals
+    return (v,)
 
 
 def nonw_sorts(s: Sort) -> list[Sort]:
@@ -189,7 +209,7 @@ class EntwinedStructure:
                 f"frame of {print_sort(s)} has 2^{nrows} elements "
                 f"(limit {MAX_FRAME})")
         # another table is named from its rows when a witness asks for it
-        return ((FnVal(s, bits), Top(s) if all(bits) else None)
+        return ((_table(s, bits), Top(s) if all(bits) else None)
                 for bits in itertools.product((False, True), repeat=nrows))
 
     def _active_frame(self, s: Arrow) -> dict[Value, CanonicalValue | None]:
@@ -313,21 +333,19 @@ class EntwinedStructure:
                         raise SchemaError(
                             f"repeated table row at {print_sort(s)}")
                     bits[i] = True
-                return FnVal(s, tuple(bits))
+                return _table(s, bits)
 
-    # -- rows of an active sort -----------------------------------------
+    # -- rows and the top table -----------------------------------------
 
     def rows(self, s: Sort) -> list[tuple[Value, ...]]:
         return list(itertools.product(*(self.frame(a) for a in nonw_sorts(s))))
 
     def top(self, s: Sort) -> Value:
-        if s == PROP:
-            return True
-        if not isinstance(s, Arrow) or classify(s) == "noninitial":
+        kind = classify(s)  # S and W are noninitial, o inactive
+        if kind == "noninitial":
             raise StageOrderViolation(f"no top element at {print_sort(s)}")
-        if classify(s) == "active":
-            return ActVal(s, (ALL,) * len(self.rows(s)))
-        return FnVal(s, (True,) * len(self.rows(s)))
+        return _table(s, (ALL if kind == "active" else True,)
+                      * len(self.rows(s)))
 
     # -- memberships -----------------------------------------------------
 
@@ -353,21 +371,13 @@ class EntwinedStructure:
         if not isinstance(v, (FnVal, ActVal)):
             raise TypeError(f"cannot apply {v!r}")
         s: Arrow = v.sort
+        cells = _cells(v)
         if s.arg == W:
             # each row collapses to 'does the point lie in its upset'
-            bits = tuple(self.theory.member(arg, d) for d in v.descs)
-            return bits[0] if s.res == PROP else FnVal(s.res, bits)
-        dom = self.frame(s.arg)
+            return _table(s.res, [self.theory.member(arg, d) for d in cells])
+        stride = len(cells) // len(self.frame(s.arg))
         i = self._index[s.arg][arg][0]
-        if isinstance(v, FnVal):
-            if s.res == PROP:
-                return v.vals[i]
-            stride = len(v.vals) // len(dom)
-            return FnVal(s.res, v.vals[i * stride:(i + 1) * stride])
-        if s.res == PROP:
-            raise StageOrderViolation("active value with no numeric slot")
-        stride = len(v.descs) // len(dom)
-        return ActVal(s.res, v.descs[i * stride:(i + 1) * stride])
+        return _table(s.res, cells[i * stride:(i + 1) * stride])
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +417,6 @@ class Membership(Record):
 
 
 _Cases = list[tuple[P.Formula, object]]
-
-
-def _w_comps(name: str, dim: int) -> list[str]:
-    return [comp_var(name, i + 1) for i in range(dim)]
 
 
 def _w_terms(t: Term, dim: int) -> tuple[tuple[P.LinTerm, ...],
@@ -523,22 +529,32 @@ def _body_formula(m: EntwinedStructure, b: BodyF, wvars: set[str],
     return _atom_formula(m, b, wvars, val)
 
 
+def _instances(structure: Callable[[], EntwinedStructure],
+               c: Clause) -> Iterator[tuple[dict, P.Formula]]:
+    """Each valuation of c's non-numeric variables over their frames, with
+    c's body under it as a formula over the numeric component variables.
+    The body is read on structure() as it stands when its valuation comes
+    up: fo_least_model replaces its structure whenever a row grows."""
+    wset = {n for n, s in c.vars if s == W}
+    others = [(n, s) for n, s in c.vars if s != W]
+    frames = [structure().frame(s) for _, s in others]
+    for combo in itertools.product(*frames):
+        val = {n: v for (n, _), v in zip(others, combo)}
+        yield val, _body_formula(structure(), c.body, wset, val)
+
+
 def check_clause(m: EntwinedStructure, c: Clause) -> bool:
     """Does body → head hold at each valuation of the clause's non-numeric
     variables over their frames, for all numeric values?  It does iff body
     ∧ ¬head (_atom_formula, TRUE for a goal) has no numeric witness.  The
     memberships both sides read come from m's memo, so the clauses of one
     model check share them."""
-    th = m.theory
     wvars = [n for n, s in c.vars if s == W]
     wset = set(wvars)
-    others = [(n, s) for n, s in c.vars if s != W]
-    bounds = th.nat_bounds([c_ for n in wvars for c_ in _w_comps(n, th.dim)])
+    bounds = m.theory.nat_bounds(w_comps(wvars, m.theory.dim))
     head = None if c.head is None else \
         FgAtom(mk_app(PredRef(c.head[0]), list(c.head[1])))
-    for combo in itertools.product(*(m.frame(s) for _, s in others)):
-        val = {n: v for (n, _), v in zip(others, combo)}
-        body = _body_formula(m, c.body, wset, val)
+    for val, body in _instances(lambda: m, c):
         not_head = P.TRUE if head is None else \
             _atom_formula(m, head, wset, val, False)
         if P.sat_exists_all([body, not_head] + bounds) is not None:
@@ -577,22 +593,14 @@ def _pred_choices(m: EntwinedStructure, pname: str, psort: Sort, weight: int,
                   cache: list, it) -> Iterator[Value]:
     """All interpretations of one predicate with the given size measure,
     relative to the already-fixed lower interpretations held by m."""
-    if psort == PROP:
-        if weight in (0, 1):
-            yield weight == 1
-        return
+    nrows = len(m.rows(psort))
     if classify(psort) == "active":
-        nrows = len(m.rows(psort))
         for idxs in _compositions(weight, nrows):
-            yield ActVal(psort, tuple(_upset_pool(k, cache, it)
-                                      for k in idxs))
-        return
-    # inactive: finite table space, index = weight
-    rows = m.rows(psort)
-    if weight.bit_length() > len(rows):  # weight >= 2^rows: no such table
-        return
-    yield FnVal(psort, tuple(bool((weight >> i) & 1)
-                             for i in range(len(rows))))
+            yield _table(psort, [_upset_pool(k, cache, it) for k in idxs])
+    # inactive (o too): finite table space, index = weight, none for
+    # weight >= 2^rows
+    elif weight.bit_length() <= nrows:
+        yield _table(psort, [bool((weight >> i) & 1) for i in range(nrows)])
 
 
 def enumerate_structures(p: Problem,
@@ -848,16 +856,9 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
         for pname, psort in p.decls}
 
     def structure() -> EntwinedStructure:
-        interps: dict[str, Value] = {}
-        for pname, psort in p.decls:
-            vals = list(tables[pname].values())
-            if W in arg_sorts(psort):
-                interps[pname] = ActVal(psort, tuple(vals))
-            elif psort == PROP:
-                interps[pname] = vals[0]
-            else:
-                interps[pname] = FnVal(psort, tuple(vals))
-        return EntwinedStructure(p, theory, interps)
+        return EntwinedStructure(p, theory, {
+            pname: _table(psort, list(tables[pname].values()))
+            for pname, psort in p.decls})
 
     version = dict.fromkeys(tables, 0)
     body_preds = [sorted({a.head.name for a in c.body_atoms()
@@ -875,40 +876,27 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
             started[ci] = stamp
             hname, hargs = c.head
             wvars = [n for n, s in c.vars if s == W]
-            wset = set(wvars)
-            gvars = [(n, s) for n, s in c.vars if s != W]
-            hw = next((t.name for t in hargs if t.name in wset), None)
-            hground = [t.name for t in hargs if t.name not in wset]
+            hw = next((t.name for t in hargs if t.name in wvars), None)
+            hground = [t.name for t in hargs if t.name not in wvars]
+            # the components other than the head's stay free: read
+            # existentially (the body is quantifier-free)
+            bounds = theory.nat_bounds(
+                w_comps([n for n in wvars if n != hw], theory.dim))
             table = tables[hname]
-            for combo in itertools.product(*(m.frame(s) for _, s in gvars)):
-                val = {n: v for (n, _), v in zip(gvars, combo)}
-                row = tuple(val[n] for n in hground)
-                body = _body_formula(m, c.body, wset, val)
+            for val, body in _instances(lambda: m, c):
                 if body is P.FALSE:
                     continue
-                if hw is None:
-                    if table[row]:
-                        continue
-                    evars = [v for n in wvars for v in _w_comps(n, theory.dim)]
-                    # the body is quantifier-free: a purely existential query
-                    if P.sat_exists_all([body] + theory.nat_bounds(evars)) \
-                            is not None:
-                        table[row] = True
-                        version[hname] += 1
-                        changed = True
-                        m = structure()
-                    continue
+                row = tuple(val[n] for n in hground)
                 old = table[row]
-                comps = _w_comps(hw, theory.dim)
-                others = [v for n in wvars if n != hw
-                          for v in _w_comps(n, theory.dim)]
-                # the other components stay free: read existentially
-                f = P.conj([body] + theory.nat_bounds(others))
-                new = extract_upset(theory, f, comps, old)
+                if hw is None:  # a truth value: a purely existential query
+                    new = old or P.sat_exists_all([body] + bounds) is not None
+                else:
+                    new = extract_upset(theory, P.conj([body] + bounds),
+                                        w_comps([hw], theory.dim), old)
+                    if new != old and rnd >= _WIDEN_AFTER:
+                        new = _widen(theory, old, new)
                 if new == old:
                     continue
-                if rnd >= _WIDEN_AFTER:
-                    new = _widen(theory, old, new)
                 table[row] = new
                 version[hname] += 1
                 changed = True
@@ -964,10 +952,12 @@ def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
     raise SchemaError(f"bad canonical value {d!r}")
 
 
-def _sort_from_str(s: str) -> Sort:
+def _sort_from_str(s) -> Sort:
+    if not isinstance(s, str):
+        raise SchemaError(f"sort {json.dumps(s)} is not a string")
     try:
-        return parse_sort(read_sexprs(s)[0])
-    except Exception as e:
+        return parse_sort(read_one(s))
+    except SyntaxProblem as e:
         raise SchemaError(f"bad sort string {s!r}: {e}")
 
 
@@ -976,33 +966,17 @@ def serialize_model(m: EntwinedStructure) -> dict:
     stages = max((type_order(s) for _, s in p.decls), default=1)
     preds = {}
     for pname, psort in p.decls:
-        v = m.interps[pname]
-        kind = "active" if psort != PROP and classify(psort) == "active" \
-            else "inactive"
+        kind = "active" if classify(psort) == "active" else "inactive"
+        wpos = w_position(psort)
+        nw = nonw_sorts(psort)
         rows = []
-        if kind == "active":
-            assert isinstance(v, ActVal)
-            wpos = w_position(psort)
-            nw = nonw_sorts(psort)
-            for row, desc in zip(m.rows(psort), v.descs):
-                pre = row[:wpos]
-                post = row[wpos:]
-                rows.append({
-                    "pre": [_canon_to_json(m.canon_of(s_, x))
-                            for s_, x in zip(nw[:wpos], pre)],
-                    "post": [_canon_to_json(m.canon_of(s_, x))
-                             for s_, x in zip(nw[wpos:], post)],
-                    "upset": upset_to_json(desc, m.theory),
-                })
-        else:
-            table = (v,) if psort == PROP else v.vals
-            args_sorts = arg_sorts(psort)
-            for combo, b in zip(m.rows(psort), table):
-                rows.append({
-                    "args": [_canon_to_json(m.canon_of(s_, x))
-                             for s_, x in zip(args_sorts, combo)],
-                    "value": bool(b),
-                })
+        for row, cell in zip(m.rows(psort), _cells(m.interps[pname])):
+            args = [_canon_to_json(m.canon_of(s_, x))
+                    for s_, x in zip(nw, row)]
+            rows.append({"pre": args[:wpos], "post": args[wpos:],
+                         "upset": upset_to_json(cell, m.theory)}
+                        if kind == "active" else
+                        {"args": args, "value": cell})
         preds[pname] = {"kind": kind, "rows": rows}
     return {"stages": stages, "predicates": preds}
 
@@ -1026,28 +1000,27 @@ def deserialize_model(p: Problem, theory: Theory,
     for pname, psort in sorted(p.decls, key=lambda d: (type_order(d[1]), d[0])):
         m = EntwinedStructure(p, theory, interps)
         entry = pd[pname]
-        kind = "active" if psort != PROP and classify(psort) == "active" \
-            else "inactive"
-        if not isinstance(entry, dict) or entry.get("kind") != kind or \
-                not isinstance(entry.get("rows"), list):
+        kind = "active" if classify(psort) == "active" else "inactive"
+        if not isinstance(entry, dict) or \
+                entry.keys() != {"kind", "rows"} or entry["kind"] != kind or \
+                not isinstance(entry["rows"], list):
             raise SchemaError(f"bad entry for predicate {pname!r}")
+        # a row holds exactly its kind's keys, its arguments in lists
+        keys, lists = ({"pre", "post", "upset"}, ("pre", "post")) \
+            if kind == "active" else ({"args", "value"}, ("args",))
         for r in entry["rows"]:
-            if not isinstance(r, dict) or any(
-                    not isinstance(r.get(k, []), list)
-                    for k in ("pre", "post", "args")):
+            if not isinstance(r, dict) or r.keys() != keys or \
+                    any(not isinstance(r[k], list) for k in lists):
                 raise SchemaError(f"bad row in {pname!r}")
-        # one cell per row of the sort (one for PROP): a descriptor or a
+        # one cell per row of the sort (one for o): a descriptor or a
         # truth value
         nw = nonw_sorts(psort)
         table: dict[tuple, Upset | bool] = {}
         for r in entry["rows"]:
-            if ("upset" if kind == "active" else "value") not in r:
-                raise SchemaError(f"bad row in {pname!r}")
-            args = r.get("pre", []) + r.get("post", []) \
-                if kind == "active" else r.get("args", [])
+            args = r["pre"] + r["post"] if kind == "active" else r["args"]
             # an active row's arguments split at the numeric slot
             if len(args) != len(nw) or kind == "active" and \
-                    len(r.get("pre", [])) != w_position(psort):
+                    len(r["pre"]) != w_position(psort):
                 raise FrameInconsistency(f"row arity mismatch for {pname!r}")
             key = tuple(m.resolve_canon(s_, _canon_from_json(x))
                         for s_, x in zip(nw, args))
@@ -1073,8 +1046,7 @@ def deserialize_model(p: Problem, theory: Theory,
         if table:
             raise FrameInconsistency(
                 f"witness for {pname!r} has rows outside the frame")
-        interps[pname] = cells[0] if psort == PROP else (
-            ActVal if kind == "active" else FnVal)(psort, tuple(cells))
+        interps[pname] = _table(psort, cells)
     return EntwinedStructure(p, theory, interps)
 
 

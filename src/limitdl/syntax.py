@@ -329,6 +329,14 @@ def read_sexprs(text: str) -> list[SExpr]:
     return top
 
 
+def read_one(text: str) -> SExpr:
+    """The one s-expression text holds; SyntaxProblem for none or more."""
+    exprs = read_sexprs(text)
+    if len(exprs) != 1:
+        raise SyntaxProblem(f"expected one s-expression, read {len(exprs)}")
+    return exprs[0]
+
+
 # ---------------------------------------------------------------------------
 # parser
 

@@ -119,6 +119,10 @@ ROWS = {"G": {"args": [], "value": False},
         "R": {"pre": [{"s": "a"}], "post": [], "upset": ATLEAST3}}
 
 
+class Entry(dict):
+    """A predicate's whole witness entry, given in place of its one row."""
+
+
 @pytest.mark.parametrize("pred,row,error", [
     ("G", 5, "SchemaError"),
     ("R", {"pre": 5, "post": [], "upset": ATLEAST3}, "SchemaError"),
@@ -148,6 +152,12 @@ ROWS = {"G": {"args": [], "value": False},
     # a propositional predicate's one row has no arguments
     ("G", {"args": [{"s": "zzz"}, {"top": "nonsense"}], "value": False},
      "FrameInconsistency"),
+    # a row holds exactly its kind's keys, and an entry exactly kind and rows
+    ("Q", {"args": [{"s": "a"}], "value": False, "pre": [{"s": "zzz"}],
+           "upset": {"kind": "bogus"}}, "SchemaError"),
+    ("R", {"pre": [{"s": "a"}], "post": [], "upset": ATLEAST3,
+           "args": [1, 2], "value": "nonsense"}, "SchemaError"),
+    ("Q", Entry(kind="inactive", rows=[ROWS["Q"]], note=1), "SchemaError"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"
@@ -156,7 +166,8 @@ def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
 
     def verify_rows(rows):
         wit.write_text(json.dumps({"predicates": {
-            n: {"kind": "active" if n == "R" else "inactive", "rows": [r]}
+            n: r if isinstance(r, Entry) else
+            {"kind": "active" if n == "R" else "inactive", "rows": [r]}
             for n, r in rows.items()}}))
         return main(["verify-model", str(prob), str(wit)])
 
@@ -415,9 +426,11 @@ MODEL = "<model>"
     ["solve", NAT_UP, "--total-budget", "-5"],
     ["solve"],
     [],
+    ["eval", NAT_UP, MODEL, "(R (tuple 1 2)) (R (tuple 2 1))"],  # two terms
+    ["eval", NAT_UP, MODEL, ""],  # no term
 ], ids=["budget-resolution", "budget-models", "eval-ill-typed",
         "eval-outside-domain", "total-budget-zero", "total-budget-negative",
-        "solve-no-problem", "no-command"])
+        "solve-no-problem", "no-command", "eval-two-terms", "eval-no-term"])
 def test_bad_argument_is_one_line(capsys, tmp_path, argv):
     model = tmp_path / "m.json"
     assert main(["solve", NAT_UP, "--emit-model", str(model)]) == 10
@@ -628,6 +641,27 @@ def test_verify_model_and_eval_read_a_witness_alike(capsys, tmp_path,
     assert len(err.strip().splitlines()) == 1
     assert main(["eval", prob, str(wit), "(Exp (tuple 0 100))"]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("top,rc", [
+    ("(-> S o)", 0), ("(-> S o) trailing junk", 2), ("", 2), (5, 2)],
+    ids=["whole", "trailing", "empty", "number"])
+def test_a_witness_sort_string_is_one_sort(capsys, tmp_path, top, rc):
+    """A {"top": ...} sort string is read whole: text after the sort is
+    not dropped unread, and a sort that is not a string is no sort."""
+    prob, wit = tmp_path / "p.lchc", tmp_path / "m.json"
+    prob.write_text(SET_OF_SETS_TEXT)
+    rows = [{"args": [{"table": t}], "value": False}
+            for t in ([], [[{"s": "c0"}]], [[{"s": "c1"}]])]
+    rows.append({"args": [{"top": top}], "value": False})
+    wit.write_text(json.dumps(
+        {"predicates": {"Q": {"kind": "inactive", "rows": rows}}}))
+    assert main(["verify-model", str(prob), str(wit)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("SchemaError: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_deeply_nested_canonical_value_is_a_schema_error(capsys, tmp_path):

@@ -245,6 +245,18 @@ def test_only_the_structures_memo_writes_memberships():
     assert set(callers) == {"EntwinedStructure.membership"}, callers
 
 
+def test_only_table_builds_relational_values():
+    """Every relational value of the library is built by entwined._table
+    from one cell per row of its sort, so no other function calls ActVal
+    or FnVal, directly or through a choice between them."""
+    builders = [f"{mod} {scope}" for mod, tree in _modules()
+                for scope in _scopes_of(tree, lambda node: isinstance(
+                    node, ast.Call) and any(
+                        _name_of(n) in {"ActVal", "FnVal"}
+                        for n in ast.walk(node.func)))]
+    assert builders == ["entwined.py _table"]
+
+
 def test_no_module_reads_anothers_private_names():
     """A library module reads another library module's names only through
     its public ones: no attribute access M._name where M is a library

@@ -1,5 +1,6 @@
 """Frame construction, clause checking, model serialization, least models."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -354,6 +355,18 @@ def test_least_model_with_inactive_and_propositional_heads():
     assert m.interps["G"] is True
     assert m.interps["T"].descs == (EMPTY, Antichain(((4,),)), EMPTY)
     assert E.check_model(m, p)
+
+
+def test_candidate_stream_over_o_inactive_and_active_predicates():
+    """The first 300 candidates on a problem with a propositional, an
+    inactive and an active predicate, each serialized with its keys sorted:
+    the stream's order and tables are pinned."""
+    p = normalize_problem(parse_problem(INACTIVE_TEXT))
+    text = "\n".join(
+        json.dumps(E.serialize_model(m), sort_keys=True) for m in
+        itertools.islice(E.enumerate_structures(p, theory_of(p)), 300))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f23237005c28c9ad671dc784c7bee2c9cc4e1087e1617a663f0742f159d8f582"
 
 
 def test_least_model_requires_variable_heads():
