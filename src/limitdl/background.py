@@ -318,16 +318,18 @@ def upset_to_json(u: Upset, theory: Theory) -> dict:
 
 def upset_from_json(d: dict, theory: Theory) -> Upset:
     """The canonical descriptor a witness row gives (canonicalize): a
-    threshold under lia, an antichain under nat; a TheoryError for any
-    other."""
+    threshold under lia, an antichain under nat, each an object of exactly
+    its kind's keys; a TheoryError for any other."""
+    if not isinstance(d, dict):
+        raise TheoryError(f"upset descriptor {d!r} is not an object")
     match d.get("kind"), theory.nat:
-        case "empty", _:
+        case "empty", _ if d.keys() == {"kind"}:
             return EMPTY
-        case "all", _:
+        case "all", _ if d.keys() == {"kind"}:
             return ALL
-        case "atleast", False:
+        case "atleast", False if d.keys() == {"kind", "k"}:
             u = Antichain(((json_int(d["k"]),),))
-        case "antichain", True:
+        case "antichain", True if d.keys() == {"kind", "min"}:
             u = Antichain(tuple(tuple(None if x is None else json_int(x)
                                       for x in g) for g in d["min"]))
         case _:

@@ -20,6 +20,7 @@ the numeric variables, decided by the ``presburger`` module.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -58,32 +59,6 @@ class FrameInconsistency(Exception):
 
 
 MAX_FRAME = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# canonical value-terms (used for witness serialization and provenance)
-
-
-class Top(Record):
-    __slots__ = __match_args__ = ("sort",)
-
-
-class SVal(Record):
-    __slots__ = __match_args__ = ("const",)
-
-
-class PredApp(Record):
-    __slots__ = __match_args__ = ("pred", "args")
-
-
-class Table(Record):
-    """A table of an inactive sort by its true rows, in frame order, each
-    row the names of its arguments; the all-true table is named Top."""
-
-    __slots__ = __match_args__ = ("rows",)
-
-
-CanonicalValue = Top | SVal | PredApp | Table
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +131,15 @@ def suffix_sort(s: Sort, k: int) -> Sort:
 
 class EntwinedStructure:
     """A full interpretation of every declared predicate, plus the frames it
-    induces.  Immutable once constructed, so its memos (frames, and the
-    membership formulas the model checker reads) never go stale and die
-    with it."""
+    induces.  Immutable once constructed, so its memos (frames, names, and
+    the membership formulas the model checker reads) never go stale and
+    die with it.
+
+    A frame element's name is its witness JSON, a dict of exactly one key:
+    ``{"top": sort}``, ``{"s": constant}`` (``"true"``/``"false"`` at o),
+    ``{"app": [P, *argument names]}`` for a partial application, and
+    ``{"table": [[argument names], ...]}`` for a table of an inactive sort
+    by its true rows, in frame order."""
 
     def __init__(self, problem: Problem, theory: Theory,
                  interps: Mapping[str, Value]):
@@ -166,8 +147,8 @@ class EntwinedStructure:
         self.theory = theory
         self.interps = dict(interps)
         self._frames: dict[Sort, list[Value]] = {}
-        # per frame: each value's first position in it and its canonical
-        # name (a table other than Top is named when first asked for)
+        # per frame: each value's first position in it and its name (a
+        # table other than the top is named when first asked for)
         self._index: dict[Sort, dict[Value, tuple]] = {}
         # membership formulas by (descriptor, component terms, polarity)
         self._memberships: dict[tuple, P.Formula] = {}
@@ -178,9 +159,9 @@ class EntwinedStructure:
         if s in self._frames:
             return self._frames[s]
         if s == PROP:
-            named: Iterable = [(False, SVal("false")), (True, SVal("true"))]
+            named: Iterable = [(False, {"s": "false"}), (True, {"s": "true"})]
         elif s == FIN:
-            named = [(c, SVal(c)) for c in self.problem.fin_elems]
+            named = [(c, {"s": c}) for c in self.problem.fin_elems]
         elif s == W:
             raise StageOrderViolation("the numeric sort has no finite frame")
         elif isinstance(s, Arrow):
@@ -201,23 +182,24 @@ class EntwinedStructure:
         return vals
 
     def _function_space(self, s: Arrow) -> Iterable:
-        """The tables of s with their canonical names, in binary order; one
-        row per combination of the argument frames."""
+        """The tables of s with their names, in binary order; one row per
+        combination of the argument frames."""
         nrows = math.prod(len(self.frame(a)) for a in nonw_sorts(s))
         if nrows > MAX_FRAME.bit_length() - 1:  # 2^nrows > MAX_FRAME
             raise FrameTooLarge(
                 f"frame of {print_sort(s)} has 2^{nrows} elements "
                 f"(limit {MAX_FRAME})")
         # another table is named from its rows when a witness asks for it
-        return ((_table(s, bits), Top(s) if all(bits) else None)
+        top = {"top": print_sort(s)}
+        return ((_table(s, bits), top if all(bits) else None)
                 for bits in itertools.product((False, True), repeat=nrows))
 
-    def _active_frame(self, s: Arrow) -> dict[Value, CanonicalValue | None]:
+    def _active_frame(self, s: Arrow) -> dict[Value, dict | None]:
         """{top} ∪ extensionally distinct partial applications of predicates
-        of order ≤ order(s) whose sort ends in s, with their canonical
-        names."""
+        of order ≤ order(s) whose sort ends in s, with their names."""
         order = type_order(s)
-        named: dict[Value, CanonicalValue | None] = {self.top(s): Top(s)}
+        named: dict[Value, dict | None] = {
+            self.top(s): {"top": print_sort(s)}}
         for pname, psort in self.problem.decls:
             if type_order(psort) > order or pname not in self.interps:
                 continue
@@ -236,14 +218,16 @@ class EntwinedStructure:
                         arg_canons = [self._try_canon(a_s, a)
                                       for a_s, a in zip(prefix, combo)]
                         named[v] = (
-                            PredApp(pname, tuple(arg_canons))
+                            {"app": [pname, *arg_canons]}
                             if all(c is not None for c in arg_canons)
                             else None)
         if len(named) > MAX_FRAME:
             raise FrameTooLarge(f"frame of {print_sort(s)} too large")
         return named
 
-    def _try_canon(self, s: Sort, v: Value) -> CanonicalValue | None:
+    def _try_canon(self, s: Sort, v: Value) -> dict | None:
+        """v's name in the memo, which callers must not change; None when
+        v has none."""
         self.frame(s)
         i, c = self._index[s][v]
         if c is None and isinstance(v, FnVal):
@@ -252,30 +236,39 @@ class EntwinedStructure:
                 self._index[s][v] = (i, c)
         return c
 
-    def _table_name(self, v: FnVal) -> Table | None:
+    def _table_name(self, v: FnVal) -> dict | None:
         """v's true rows, each by the names of its arguments; None when an
         argument has no name."""
         sorts = arg_sorts(v.sort)
         rows = []
         for row, b in zip(self.rows(v.sort), v.vals):
             if b:
-                names = tuple(self._try_canon(a_s, a)
-                              for a_s, a in zip(sorts, row))
+                names = [self._try_canon(a_s, a) for a_s, a in zip(sorts, row)]
                 if any(c is None for c in names):
                     return None
                 rows.append(names)
-        return Table(tuple(rows))
+        return {"table": rows}
 
-    def canon_of(self, s: Sort, v: Value) -> CanonicalValue:
+    def canon_of(self, s: Sort, v: Value) -> dict:
+        """v's name, a copy the caller may change."""
         c = self._try_canon(s, v)
         if c is None:
             raise SchemaError(
                 f"element of {print_sort(s)} has no canonical value-term")
-        return c
+        return copy.deepcopy(c)
 
-    def resolve_canon(self, s: Sort, c: CanonicalValue) -> Value:
-        match c:
-            case Top(ts):
+    def resolve_canon(self, s: Sort, d, depth: int = 0) -> Value:
+        """The element of s's frame that the name d, read from JSON, names;
+        a SchemaError or FrameInconsistency when it names none."""
+        # a name nests no deeper than its sort, and the reader bounds sorts
+        if depth > MAX_DEPTH:
+            raise SchemaError("canonical value nested too deeply")
+        if not isinstance(d, dict) or len(d) != 1:
+            raise SchemaError(f"bad canonical value {d!r}")
+        ((key, x),) = d.items()
+        match key:
+            case "top":
+                ts = _sort_from_str(x)
                 if ts != s:
                     raise FrameInconsistency(
                         f"top of {print_sort(ts)} used at {print_sort(s)}")
@@ -283,18 +276,24 @@ class EntwinedStructure:
                     return self.top(s)
                 except StageOrderViolation as e:
                     raise FrameInconsistency(str(e))
-            case SVal(name):
-                if s == PROP:
-                    if name not in ("true", "false"):
-                        raise SchemaError(f"bad boolean constant {name!r}")
-                    return name == "true"
-                if s != FIN:
+            case "s":
+                if not isinstance(x, str):
                     raise SchemaError(
-                        f"constant {name!r} used at {print_sort(s)}")
-                if name not in self.problem.fin_elems:
-                    raise SchemaError(f"unknown finite constant {name!r}")
-                return name
-            case PredApp(pname, args):
+                        f"constant name {json.dumps(x)} is not a string")
+                if s == PROP:
+                    if x not in ("true", "false"):
+                        raise SchemaError(f"bad boolean constant {x!r}")
+                    return x == "true"
+                if s != FIN:
+                    raise SchemaError(f"constant {x!r} used at {print_sort(s)}")
+                if x not in self.problem.fin_elems:
+                    raise SchemaError(f"unknown finite constant {x!r}")
+                return x
+            case "app":
+                if not isinstance(x, list) or not x or \
+                        not isinstance(x[0], str):
+                    raise SchemaError("bad application value")
+                pname, args = x[0], x[1:]
                 try:
                     psort = self.problem.decl(pname)
                 except KeyError:
@@ -306,25 +305,28 @@ class EntwinedStructure:
                 if len(args) > len(pargs):
                     raise SchemaError(f"too many arguments to {pname}")
                 v: Value = self.interps[pname]
-                for a_s, a_c in zip(pargs, args):
-                    v = self.apply(v, self.resolve_canon(a_s, a_c))
+                for a_s, a in zip(pargs, args):
+                    v = self.apply(v, self.resolve_canon(a_s, a, depth + 1))
                 if suffix_sort(psort, len(args)) != s:
                     raise FrameInconsistency(
                         f"{pname} applied to {len(args)} arguments does not "
                         f"have sort {print_sort(s)}")
                 return v
-            case Table(rows):
+            case "table":
+                if not isinstance(x, list) or \
+                        not all(isinstance(r, list) for r in x):
+                    raise SchemaError("a table is a list of rows, each a list")
                 if not isinstance(s, Arrow) or classify(s) != "inactive":
                     raise SchemaError(f"table used at {print_sort(s)}")
                 sorts = arg_sorts(s)
                 index = {r: i for i, r in enumerate(self.rows(s))}
                 bits = [False] * len(index)
-                for names in rows:
+                for names in x:
                     if len(names) != len(sorts):
                         raise SchemaError(
                             f"table row of {len(names)} arguments at "
                             f"{print_sort(s)}")
-                    i = index.get(tuple(self.resolve_canon(a_s, a)
+                    i = index.get(tuple(self.resolve_canon(a_s, a, depth + 1)
                                         for a_s, a in zip(sorts, names)))
                     if i is None:
                         raise SchemaError(
@@ -334,6 +336,7 @@ class EntwinedStructure:
                             f"repeated table row at {print_sort(s)}")
                     bits[i] = True
                 return _table(s, bits)
+        raise SchemaError(f"bad canonical value {d!r}")
 
     # -- rows and the top table -----------------------------------------
 
@@ -543,12 +546,13 @@ def _instances(structure: Callable[[], EntwinedStructure],
         yield val, _body_formula(structure(), c.body, wset, val)
 
 
-def check_clause(m: EntwinedStructure, c: Clause) -> bool:
-    """Does body → head hold at each valuation of the clause's non-numeric
-    variables over their frames, for all numeric values?  It does iff body
-    ∧ ¬head (_atom_formula, TRUE for a goal) has no numeric witness.  The
-    memberships both sides read come from m's memo, so the clauses of one
-    model check share them."""
+def clause_queries(m: EntwinedStructure,
+                   c: Clause) -> Iterator[list[P.Formula]]:
+    """The conjunctions check_clause asks, one per valuation of the
+    clause's non-numeric variables over their frames: body ∧ ¬head
+    (_atom_formula, TRUE for a goal) with the nat bounds of the numeric
+    components.  The memberships both sides read come from m's memo, so
+    the clauses of one model check share them."""
     wvars = [n for n, s in c.vars if s == W]
     wset = set(wvars)
     bounds = m.theory.nat_bounds(w_comps(wvars, m.theory.dim))
@@ -557,9 +561,15 @@ def check_clause(m: EntwinedStructure, c: Clause) -> bool:
     for val, body in _instances(lambda: m, c):
         not_head = P.TRUE if head is None else \
             _atom_formula(m, head, wset, val, False)
-        if P.sat_exists_all([body, not_head] + bounds) is not None:
-            return False
-    return True
+        yield [body, not_head] + bounds
+
+
+def check_clause(m: EntwinedStructure, c: Clause) -> bool:
+    """Does body → head hold at each valuation of the clause's non-numeric
+    variables over their frames, for all numeric values?  It does iff no
+    query of clause_queries has a numeric witness."""
+    return not any(P.sat_exists_all(q) is not None
+                   for q in clause_queries(m, c))
 
 
 def check_model(m: EntwinedStructure, p: Problem) -> bool:
@@ -910,48 +920,6 @@ def fo_least_model(p: Problem, theory: Theory) -> EntwinedStructure | None:
 # serialization
 
 
-def _canon_to_json(c: CanonicalValue) -> dict:
-    match c:
-        case Top(s):
-            return {"top": print_sort(s)}
-        case SVal(n):
-            return {"s": n}
-        case PredApp(p_, args):
-            return {"app": [p_] + [_canon_to_json(a) for a in args]}
-        case Table(rows):
-            return {"table": [[_canon_to_json(a) for a in r] for r in rows]}
-    raise TypeError(c)
-
-
-def _canon_from_json(d, depth: int = 0) -> CanonicalValue:
-    # a value nests no deeper than its sort, and the reader bounds sorts
-    if depth > MAX_DEPTH:
-        raise SchemaError("canonical value nested too deeply")
-    if not isinstance(d, dict):
-        raise SchemaError(f"bad canonical value {d!r}")
-    if "top" in d:
-        return Top(_sort_from_str(d["top"]))
-    if "s" in d:
-        if not isinstance(d["s"], str):
-            raise SchemaError(
-                f"constant name {json.dumps(d['s'])} is not a string")
-        return SVal(d["s"])
-    if "app" in d:
-        a = d["app"]
-        if not isinstance(a, list) or not a or not isinstance(a[0], str):
-            raise SchemaError("bad application value")
-        return PredApp(a[0], tuple(_canon_from_json(x, depth + 1)
-                                   for x in a[1:]))
-    if "table" in d:
-        t = d["table"]
-        if not isinstance(t, list) or \
-                not all(isinstance(r, list) for r in t):
-            raise SchemaError("a table is a list of rows, each a list")
-        return Table(tuple(tuple(_canon_from_json(x, depth + 1) for x in r)
-                           for r in t))
-    raise SchemaError(f"bad canonical value {d!r}")
-
-
 def _sort_from_str(s) -> Sort:
     if not isinstance(s, str):
         raise SchemaError(f"sort {json.dumps(s)} is not a string")
@@ -971,8 +939,7 @@ def serialize_model(m: EntwinedStructure) -> dict:
         nw = nonw_sorts(psort)
         rows = []
         for row, cell in zip(m.rows(psort), _cells(m.interps[pname])):
-            args = [_canon_to_json(m.canon_of(s_, x))
-                    for s_, x in zip(nw, row)]
+            args = [m.canon_of(s_, x) for s_, x in zip(nw, row)]
             rows.append({"pre": args[:wpos], "post": args[wpos:],
                          "upset": upset_to_json(cell, m.theory)}
                         if kind == "active" else
@@ -1022,8 +989,7 @@ def deserialize_model(p: Problem, theory: Theory,
             if len(args) != len(nw) or kind == "active" and \
                     len(r["pre"]) != w_position(psort):
                 raise FrameInconsistency(f"row arity mismatch for {pname!r}")
-            key = tuple(m.resolve_canon(s_, _canon_from_json(x))
-                        for s_, x in zip(nw, args))
+            key = tuple(m.resolve_canon(s_, x) for s_, x in zip(nw, args))
             if kind == "active":
                 try:
                     cell = upset_from_json(r["upset"], theory)

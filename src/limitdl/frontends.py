@@ -43,28 +43,43 @@ def _state(x) -> str:
     return x
 
 
+def _exact_keys(d: dict, keys: set[str], what: str) -> None:
+    if d.keys() != keys:
+        raise IllFormedMachine(
+            f"{what} has keys {sorted(d)}, not {sorted(keys)}")
+
+
 def _instr_from_json(d: dict) -> InstrA | InstrB:
     if not isinstance(d, dict):
         raise IllFormedMachine(f"instruction {d!r} is not an object")
     kind = d.get("kind")
     if kind == "A":
+        _exact_keys(d, {"kind", "from", "counter", "to"}, "an A instruction")
         return InstrA(_state(d["from"]), json_int(d["counter"]),
                       _state(d["to"]))
     if kind == "B":
+        _exact_keys(d, {"kind", "from", "counter", "ifZero", "else"},
+                    "a B instruction")
         return InstrB(_state(d["from"]), json_int(d["counter"]),
                       _state(d["ifZero"]), _state(d["else"]))
     raise IllFormedMachine(f"unknown instruction kind {kind!r}")
 
 
 def lcm_from_json(data: dict) -> LCM:
+    """The machine a JSON object of exactly its five keys gives; an
+    IllFormedMachine for anything else."""
+    if not isinstance(data, dict):
+        raise IllFormedMachine("a machine is a JSON object")
+    _exact_keys(data, {"states", "initial", "final", "counters",
+                       "instructions"}, "a machine")
     try:
         states = tuple(map(_state, data["states"]))
         initial = _state(data["initial"])
         final = _state(data["final"])
         counters = json_int(data["counters"])
         instrs = tuple(map(_instr_from_json, data["instructions"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise IllFormedMachine(f"missing or malformed field: {e}")
+    except (TypeError, ValueError) as e:
+        raise IllFormedMachine(f"malformed field: {e}")
     if counters < 1:
         raise IllFormedMachine("at least one counter required")
     if len(set(states)) != len(states):

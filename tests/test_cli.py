@@ -158,6 +158,13 @@ class Entry(dict):
     ("R", {"pre": [{"s": "a"}], "post": [], "upset": ATLEAST3,
            "args": [1, 2], "value": "nonsense"}, "SchemaError"),
     ("Q", Entry(kind="inactive", rows=[ROWS["Q"]], note=1), "SchemaError"),
+    # a descriptor holds exactly its kind's keys, and a name exactly one
+    ("R", {"pre": [{"s": "a"}], "post": [],
+           "upset": {"kind": "atleast", "k": 3, "junk": 1}}, "SchemaError"),
+    ("R", {"pre": [{"s": "a"}], "post": [],
+           "upset": {"kind": "all", "min": "x"}}, "SchemaError"),
+    ("Q", {"args": [{"s": "a", "junk": [1, 2]}], "value": False},
+     "SchemaError"),
 ])
 def test_verify_model_malformed_row(capsys, tmp_path, pred, row, error):
     prob = tmp_path / "p.lchc"

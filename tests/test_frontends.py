@@ -78,6 +78,25 @@ def test_malformed_instructions_are_ill_formed(capsys, tmp_path,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("data", [
+    variant(note="x"),
+    variant(instructions=[{"kind": "A", "from": "q0", "counter": 1,
+                           "to": "q1", "ifZero": "q0"}]),
+], ids=["machine-key", "A-with-ifZero"])
+def test_stray_keys_are_ill_formed(capsys, tmp_path, data):
+    """A machine holds exactly its five keys and an instruction exactly
+    its kind's: a key the reader would not read is refused, not
+    dropped."""
+    with pytest.raises(IllFormedMachine):
+        lcm_from_json(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["encode-lcm", str(path), "--target", "q1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IllFormedMachine: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_encoding_is_first_order():
     m = machine("m2")
     p = encode_lcm(m, LCMConfig("f", (0, 3)))

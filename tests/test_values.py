@@ -1,7 +1,7 @@
 """Value semantics of the library's record classes.
 
 Every record class (syntax, sorts, Presburger terms and formulas, upset
-descriptors, canonical and extensional values, machines, goals, traces,
+descriptors, extensional values, machines, goals, traces,
 reports and solver results) is a slotted subclass of `limitdl.record.Record`,
 whose constructor sets the fields unless the class defines its own
 `__init__`.  These tests pin what the frozen and plain
@@ -100,10 +100,6 @@ def _samples():
         (B.Antichain, "gens", (((0, None), (2, 1)),)),
         (B.BgState, "pins residual witness",
          ({"x": t}, [Cmp("<=", t)], {"x": 1})),
-        (E.Top, "sort", (arrow,)),
-        (E.SVal, "const", ("a",)),
-        (E.PredApp, "pred args", ("P", (E.SVal("a"),))),
-        (E.Table, "rows", (((E.SVal("a"),), (E.SVal("b"),)),)),
         (E.FnVal, "sort vals", (S.Arrow(S.FIN, S.PROP), (True, False))),
         (E.ActVal, "sort descs", (arrow, (B.Antichain(((3,),)), B.ALL))),
         (E.Membership, "desc terms", (B.Antichain(((3,),)), (t,))),
@@ -263,8 +259,7 @@ def test_values_of_different_types_differ():
              (S.AndF(()), S.OrF(())), (S.PROP, S.FIN), (S.FIN, S.W),
              (B.EMPTY, B.ALL), (P.TRUE, P.FALSE), (B.EMPTY, P.TRUE),
              (P.Exists("x", P.TRUE), P.Forall("x", P.TRUE)),
-             (E.FnVal(S.W, ()), E.ActVal(S.W, ())),
-             (E.SVal("a"), S.SConst("a"))]
+             (E.FnVal(S.W, ()), E.ActVal(S.W, ()))]
     for a, b in pairs:
         assert a != b and b != a
         assert hash(a) == hash(b) and len({a, b}) == 2
